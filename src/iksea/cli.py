@@ -349,8 +349,7 @@ def cmd_oracle_check(cfg: RunConfig, out_dir: str, workers: int, fmt: str,
     if any(n > 14 for n in sizes):
         raise ConfigError("[oracle] sizes must stay <= 14 (dense capacity)")
     seed = seed_override if seed_override is not None else cfg.seed
-    # dense jobs at N >= 12 must not run concurrently (memory); the suite is
-    # serial by construction, so the budget needs no further throttling here
+    # the suite runs its dense jobs one after the other; --workers is unused
     report = run_oracle_suite(sizes=tuple(sizes), n_points=n_points, seed=seed,
                               include_dynamics=include_dynamics,
                               corrupt_scale=corrupt_scale)
@@ -400,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=".", metavar="DIR",
                         help="output directory (default: current)")
         sp.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="worker budget (default: IKSEA_WORKERS or CPU count)")
+                        help="worker threads (default: IKSEA_WORKERS or 1)")
         sp.add_argument("--seed", type=int, default=None, metavar="U64",
                         help="override the config seed")
         sp.add_argument("--format", choices=["csv", "json"], default="csv",

@@ -21,14 +21,25 @@ cancellation.  The per-mode dynamical QFI of the normalised evolved state
 That quotient is invariant under a common rescaling of (U, dU), so broken
 modes with sqrt(-z) large are evaluated in an exponentially rescaled frame;
 their saturation plateau stays representable all the way to the cosh cutoff.
-Totals are accumulated with math.fsum in ascending mode order.
+
+dynamical_qfi needs only the first columns, which have the closed forms
+
+    v = (c0 + i t c1 g,  -i t c1 a_minus),
+    w = (-g t^2 c1 + i (-b g + t c1),  i b a_minus),   b = -g t^3 c2,
+
+so it evaluates every mode at once with array operations.  Each operation
+rounds as the 2x2 complex matrix route (block_propagator,
+propagator_derivative, np.vdot) does, which keeps the totals bit for bit
+equal to that route's.  Totals are accumulated with math.fsum in ascending
+mode order.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Tuple
+from itertools import repeat
 
 import numpy as np
 
@@ -52,6 +63,9 @@ __all__ = [
 
 #: cosh/sinh argument beyond which double precision overflows
 _OVERFLOW_ARG = 700.0
+
+#: broken modes with sqrt(-z) beyond this are evaluated in the rescaled frame
+_RESCALE_ARG = 100.0
 
 #: negative per-mode contributions beyond this are treated as real errors
 _CLAMP_FLOOR = -1e-10
@@ -86,28 +100,98 @@ class DynQfiSeries:
     derivative: str
 
 
-def _c012(z: float):
-    """Stable evaluation of c0, c1, c2 at real z = eps_sq * t^2."""
-    if abs(z) <= 1e-8:
-        c0 = 1.0 - z / 2.0 + z * z / 24.0 - z ** 3 / 720.0
-        c1 = 1.0 - z / 6.0 + z * z / 120.0 - z ** 3 / 5040.0
-    elif z > 0.0:
-        r = math.sqrt(z)
-        c0 = math.cos(r)
-        c1 = math.sin(r) / r
-    else:
-        r = math.sqrt(-z)
-        if r > _OVERFLOW_ARG:
-            raise EvolutionOverflowError(
-                f"cosh argument {r:.6g} exceeds {_OVERFLOW_ARG:g}; "
-                f"the requested time overflows double precision")
-        c0 = math.cosh(r)
-        c1 = math.sinh(r) / r
-    if abs(z) <= 1e-3:
-        c2 = -1.0 / 3.0 + z / 30.0 - z * z / 840.0 + z ** 3 / 45360.0
-    else:
-        c2 = (c0 - c1) / z
-    return c0, c1, c2
+def _libm(fn, x, *args) -> np.ndarray:
+    """fn(x_i, *args) for each entry of x, through Python's math/float ops.
+
+    numpy's exp, cosh, sinh and power round differently from the C math
+    library on some arguments; evaluating them this way keeps every value
+    equal to the scalar formula.
+    """
+    return np.fromiter(map(fn, x.tolist(), *map(repeat, args)), float, x.size)
+
+
+def _pow2(x: np.ndarray) -> np.ndarray:
+    """x ** 2 as a float64 scalar rounds it (libm pow, not x * x)."""
+    out = _libm(math.pow, np.minimum(x, 1e150), 2.0)
+    big = x > 1e150       # math.pow raises where the square overflows
+    if big.any():
+        out[big] = [a ** 2 for a in x[big]]
+    return out
+
+
+def _two_sum(a, b):
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _split(a):
+    c = 134217729.0 * a   # 2^27 + 1 (Veltkamp)
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _fma(a, b, c):
+    """Correctly rounded a*b + c, elementwise.
+
+    np.vdot of complex 2-vectors goes through OpenBLAS zdotc, whose short
+    loop accumulates with fused multiply-adds; the totals are only
+    reproduced bit for bit with the same single rounding.  Algorithm: exact
+    product and sum (Dekker, Knuth), then the error terms added with
+    rounding to odd, which makes the final round-to-nearest correct
+    (Boldo & Melquiond 2008).
+    """
+    ph = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    pl = ((ah * bh - ph) + ah * bl + al * bh) + al * bl
+    th, tl = _two_sum(c, ph)
+    s, e = _two_sum(tl, pl)
+    inexact_even = (e != 0.0) & ((s.view(np.int64) & 1) == 0)
+    s = np.where(inexact_even, np.nextafter(s, np.copysign(np.inf, e)), s)
+    return th + s
+
+
+def _c012(z, rescale: bool = False):
+    """Stable evaluation of c0, c1, c2 at real z = eps_sq * t^2, elementwise.
+
+    Returns arrays of the shape of z.  With rescale=True, entries whose
+    r = sqrt(-z) exceeds _RESCALE_ARG come multiplied by e^{-r} (the
+    rescaled frame of dynamical_qfi).  Raises EvolutionOverflowError when
+    any r exceeds _OVERFLOW_ARG.
+    """
+    z = np.asarray(z, dtype=float)
+    shape, z = z.shape, z.ravel()
+    c0, c1, c2 = np.empty_like(z), np.empty_like(z), np.empty_like(z)
+    az = np.abs(z)
+    series = az <= 1e-3
+    zs = z[series]
+    z3 = _libm(operator.pow, zs, 3)
+    # the c0, c1 series stand for |z| <= 1e-8; the closed forms below
+    # overwrite the rest
+    c0[series] = 1.0 - zs / 2.0 + zs * zs / 24.0 - z3 / 720.0
+    c1[series] = 1.0 - zs / 6.0 + zs * zs / 120.0 - z3 / 5040.0
+    c2[series] = -1.0 / 3.0 + zs / 30.0 - zs * zs / 840.0 + z3 / 45360.0
+    r = np.sqrt(az)
+    tiny = az <= 1e-8
+    trig = (z > 0.0) & ~tiny
+    hyp = ~(trig | tiny)
+    if hyp.any() and r[hyp].max() > _OVERFLOW_ARG:
+        raise EvolutionOverflowError(
+            f"cosh argument {r[hyp].max():.6g} exceeds {_OVERFLOW_ARG:g}; "
+            f"the requested time overflows double precision")
+    scaled = hyp & (r > _RESCALE_ARG) if rescale else np.zeros_like(hyp)
+    hyp &= ~scaled
+    for mask, f0, f1 in ((trig, math.cos, math.sin),
+                         (hyp, math.cosh, math.sinh)):
+        c0[mask] = _libm(f0, r[mask])
+        c1[mask] = _libm(f1, r[mask]) / r[mask]
+    # e^{-r} cosh r = (1 + e^{-2r})/2 and e^{-r} sinh r = (1 - e^{-2r})/2;
+    # for r > 100, e^{-2r} < 2^-288 vanishes against 1 in double precision
+    c0[scaled] = 0.5
+    c1[scaled] = 0.5 / r[scaled]
+    c2[~series] = (c0[~series] - c1[~series]) / z[~series]
+    return c0.reshape(shape), c1.reshape(shape), c2.reshape(shape)
 
 
 def block_propagator(params: ChainParams, phi: float, t: float) -> BlockPropagator:
@@ -119,7 +203,7 @@ def block_propagator(params: ChainParams, phi: float, t: float) -> BlockPropagat
     _, _, _, eps_sq = block_elements(params, float(phi))
     eps_sq = float(eps_sq)
     z = eps_sq * t * t
-    c0, c1, _ = _c012(z)
+    c0, c1, _ = map(float, _c012(z))
     h = block_matrix(params, phi)
     u = c0 * np.eye(2, dtype=complex) - 1j * t * c1 * h
     return BlockPropagator(matrix=u, time=float(t), eps_sq=eps_sq)
@@ -141,7 +225,7 @@ def propagator_derivative(params: ChainParams, phi: float, t: float,
     g, _, _, eps_sq = block_elements(params, float(phi))
     g, eps_sq = float(g), float(eps_sq)
     z = eps_sq * t * t
-    _, c1, c2 = _c012(z)
+    _, c1, c2 = map(float, _c012(z))
     h = block_matrix(params, phi)
     d = np.diag([-1.0, 1.0]).astype(complex)
     return (-g * t * t * c1) * np.eye(2, dtype=complex) \
@@ -157,69 +241,64 @@ def evolve_block(params: ChainParams, phi: float, t: float) -> EvolvedBlockState
                              norm_factor=1.0 / raw, time=float(t))
 
 
-def _scaled_columns(params, phi, t, r):
-    """First columns of e^{-r} U and e^{-r} dU/dh for a broken mode.
+def _columns(params: ChainParams, phi: np.ndarray, t: float, rescale: bool):
+    """U|0> = (c0 + i t c1 g, -i t c1 a_minus) at every angle in phi.
 
-    For sqrt(-z) = r large, U and dU grow like e^r and their squared norms
-    overflow long before cosh itself does.  The QFI quotient is invariant
-    under a common rescaling of (U, dU), so both are assembled from the
-    rescaled coefficients c0 e^{-r}, c1 e^{-r}, c2 e^{-r} instead.
+    Returns the nonzero parts (Re v0, Im v0, Im v1) and the block elements
+    and coefficients dU/dh needs.
     """
-    g, _, _, eps_sq = (float(x) for x in block_elements(params, float(phi)))
-    z = eps_sq * t * t
-    e = math.exp(-2.0 * r)
-    c0 = 0.5 * (1.0 + e)
-    c1 = 0.5 * (1.0 - e) / r
-    c2 = (c0 - c1) / z
-    hm = block_matrix(params, phi).astype(complex)
-    eye = np.eye(2, dtype=complex)
-    d = np.diag([-1.0, 1.0]).astype(complex)
-    u = c0 * eye - 1j * t * c1 * hm
-    du = (-g * t * t * c1) * eye + (-1j * g * t ** 3 * c2) * hm \
-        + (-1j * t * c1) * d
-    return u[:, 0], du[:, 0]
-
-
-def _mode_dyn_qfi(params, phi, t, mode, fd_step):
-    eps_sq = float(block_elements(params, float(phi))[3])
-    z = eps_sq * t * t
-    r = math.sqrt(-z) if z < 0.0 else 0.0
-    if mode == "analytic" and r > 100.0:
-        if r > _OVERFLOW_ARG:
-            raise EvolutionOverflowError(
-                f"cosh argument {r:.6g} exceeds {_OVERFLOW_ARG:g}; "
-                f"the requested time overflows double precision")
-        v, w = _scaled_columns(params, phi, t, r)
-    else:
-        v = block_propagator(params, phi, t).matrix[:, 0]
-        w = propagator_derivative(params, phi, t, mode=mode,
-                                  fd_step=fd_step)[:, 0]
-    n2 = float(np.real(np.vdot(v, v)))
-    ww = float(np.real(np.vdot(w, w)))
-    vw = np.vdot(v, w)
-    val = 4.0 * (ww / n2 - (abs(vw) ** 2) / (n2 * n2))
-    if not math.isfinite(val):
-        raise EvolutionOverflowError(
-            f"per-mode dynamical QFI overflowed double precision at "
-            f"phi={phi:.12g}, t={t:g} (mode={mode})")
-    if val < _CLAMP_FLOOR:
-        raise NumericalConsistencyError(
-            f"per-mode dynamical QFI {val:.6e} < {_CLAMP_FLOOR:g} at "
-            f"phi={phi:.12g}, t={t:g}: beyond round-off, indicates a bug")
-    return max(val, 0.0)
+    g, _, am, eps_sq = block_elements(params, phi)
+    c0, c1, c2 = _c012(eps_sq * t * t, rescale)
+    tc1 = t * c1
+    return (c0, tc1 * g, -(tc1 * am)), (g, am, c1, c2, tc1)
 
 
 def dynamical_qfi(params: ChainParams, t: float, derivative: str = "analytic",
                   fd_step: float = 1e-6) -> float:
     """Total dynamical QFI of the evolved (normalised) state at time t.
 
-    Per-mode contributions in [-1e-10, 0) are clamped to zero (round-off);
-    anything more negative raises NumericalConsistencyError.
+    All modes are evaluated at once from the closed-form columns v = U|0>
+    and w = (dU/dh)|0>, each component rounded as the 2x2 matrix route
+    (block_propagator, propagator_derivative, np.vdot) rounds it, so the
+    total is the same to the last bit.  Per-mode contributions in
+    [-1e-10, 0) are clamped to zero (round-off); anything more negative
+    raises NumericalConsistencyError.
     """
+    if derivative not in ("analytic", "fd"):
+        raise ParameterError(f"unknown derivative mode {derivative!r}")
+    t = float(t)
     phi = momentum_grid(params.n_sites)
-    vals = [_mode_dyn_qfi(params, float(f), float(t), derivative, fd_step)
-            for f in phi]
-    return float(math.fsum(vals))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        v, (g, am, c1, c2, tc1) = _columns(params, phi, t,
+                                           rescale=derivative == "analytic")
+        if derivative == "analytic":
+            b = (-g * t ** 3) * c2
+            w = (-g * t * t * c1, b * -g + tc1, b * am)
+        else:
+            vp, _ = _columns(params.replace(h=params.h + fd_step), phi, t, False)
+            vm, _ = _columns(params.replace(h=params.h - fd_step), phi, t, False)
+            scale = 1.0 / (2.0 * fd_step)
+            w = tuple((p - m) * scale for p, m in zip(vp, vm))
+        (vr, vi, vi1), (wr, wi, wi1) = v, w
+        # np.vdot as zdotc sums it, fma(x1, y1, x0 * y0) per component;
+        # the terms in Re v1 = Re w1 = 0 are exact and drop out
+        n2 = vr * vr + _fma(vi1, vi1, vi * vi)
+        ww = wr * wr + _fma(wi1, wi1, wi * wi)
+        vw2 = _pow2(np.hypot(vr * wr + _fma(vi1, wi1, vi * wi),
+                             vr * wi - vi * wr))
+        vals = 4.0 * (ww / n2 - vw2 / (n2 * n2))
+    bad = ~np.isfinite(vals) | (vals < _CLAMP_FLOOR)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not math.isfinite(vals[i]):
+            raise EvolutionOverflowError(
+                f"per-mode dynamical QFI overflowed double precision at "
+                f"phi={phi[i]:.12g}, t={t:g} (mode={derivative})")
+        raise NumericalConsistencyError(
+            f"per-mode dynamical QFI {vals[i]:.6e} < {_CLAMP_FLOOR:g} at "
+            f"phi={phi[i]:.12g}, t={t:g}: beyond round-off, indicates a bug")
+    vals = np.where(vals < 0.0, 0.0, vals)
+    return float(math.fsum(vals.tolist()))
 
 
 def qfi_time_series(params: ChainParams, times, derivative: str = "analytic",

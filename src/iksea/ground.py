@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple
 
 import numpy as np
@@ -91,10 +91,29 @@ class ModeContribution:
 
 @dataclass(frozen=True)
 class QfiRecord:
+    """Total ground QFI with its per-mode arrays (ascending mode order).
+
+    phi, values, real (True on the real branch) and near_singular are
+    read-only arrays over the grid; per_mode builds one ModeContribution per
+    mode from them on demand.
+    """
+
     total: float
-    per_mode: Tuple[ModeContribution, ...]
     params: ChainParams
     flag_near_singular: bool
+    phi: np.ndarray = field(repr=False, compare=False)
+    values: np.ndarray = field(repr=False, compare=False)
+    real: np.ndarray = field(repr=False, compare=False)
+    near_singular: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def per_mode(self) -> Tuple[ModeContribution, ...]:
+        return tuple(
+            ModeContribution(p, phi, "real" if real else "imag", val, near)
+            for p, phi, real, val, near in zip(
+                range(1, self.phi.size + 1), self.phi.tolist(),
+                self.real.tolist(), self.values.tolist(),
+                self.near_singular.tolist()))
 
 
 def _check_not_exceptional(phi, g, ap, am, eps_sq, index=None):
@@ -190,8 +209,9 @@ def ground_qfi(params: ChainParams) -> QfiRecord:
     """Total ground-state QFI over the positive-momentum grid.
 
     Vectorised over modes; the per-mode contributions (each >= 0) are summed
-    with math.fsum in ascending mode order.  A defective mode anywhere on the
-    grid raises ExceptionalModeError naming the offending angle.
+    with math.fsum in ascending mode order and kept as arrays on the record.
+    A defective mode anywhere on the grid raises ExceptionalModeError naming
+    the offending angle.
     """
     phi = momentum_grid(params.n_sites)
     g, ap, am, eps_sq = block_elements(params, phi)
@@ -226,14 +246,11 @@ def ground_qfi(params: ChainParams) -> QfiRecord:
             f"{int(near.sum())} mode(s) contribute within 1e6 of float overflow "
             f"at h={params.h:.12g}"))
     total = math.fsum(vals.tolist())
-    per_mode = tuple(
-        ModeContribution(int(p + 1), float(phi[p]),
-                         "real" if real[p] else "imag",
-                         float(vals[p]), bool(near[p]))
-        for p in range(phi.size)
-    )
-    return QfiRecord(total=float(total), per_mode=per_mode, params=params,
-                     flag_near_singular=bool(near.any()))
+    for a in (phi, vals, real, near):
+        a.flags.writeable = False
+    return QfiRecord(total=float(total), params=params,
+                     flag_near_singular=bool(near.any()), phi=phi,
+                     values=vals, real=real, near_singular=near)
 
 
 def asymptotic_qfi(params: ChainParams, regime: str) -> float:

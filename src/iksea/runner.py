@@ -1,11 +1,9 @@
-"""Parallel sweep execution and run-manifest bookkeeping.
+"""Sweep execution and run-manifest bookkeeping.
 
-Grid points are independent, so they are dispatched to a thread pool (the
-heavy lifting happens inside numpy/LAPACK which releases the GIL).  Results
-are re-assembled in submission order no matter when workers finish, and
+Grid points are independent.  With a worker budget above one they are
+dispatched to a thread pool; by default they run one after the other.
+Results come back in submission order no matter when workers finish, and
 per-point failures are captured rather than aborting the whole sweep.
-Dense-oracle jobs at N >= 12 are forced through a serial lane to bound peak
-memory.
 """
 
 from __future__ import annotations
@@ -14,9 +12,13 @@ import datetime
 import hashlib
 import json
 import os
+import platform
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from . import __version__
 from .errors import ConfigError, IkseaError
 
 __all__ = ["resolve_workers", "run_grid", "sha256_file", "Manifest",
@@ -24,12 +26,9 @@ __all__ = ["resolve_workers", "run_grid", "sha256_file", "Manifest",
 
 WORKERS_ENV = "IKSEA_WORKERS"
 
-#: dense jobs at or above this size never run concurrently
-SERIAL_DENSE_N = 12
-
 
 def resolve_workers(flag: Optional[int] = None) -> int:
-    """Worker budget: --workers flag > IKSEA_WORKERS env > cpu count."""
+    """Worker budget: --workers flag > IKSEA_WORKERS env > 1."""
     if flag is not None:
         if flag < 1:
             raise ConfigError(f"--workers must be >= 1, got {flag}")
@@ -44,17 +43,15 @@ def resolve_workers(flag: Optional[int] = None) -> int:
         if val < 1:
             raise ConfigError(f"{WORKERS_ENV} must be >= 1, got {val}")
         return val
-    return os.cpu_count() or 1
+    return 1
 
 
-def run_grid(fn: Callable, items: Sequence, workers: int,
-             serial: Optional[Callable[[object], bool]] = None
+def run_grid(fn: Callable, items: Sequence, workers: int
              ) -> List[Tuple[str, object]]:
-    """Order-restoring parallel map with per-item failure capture.
+    """Order-restoring map with per-item failure capture.
 
     Returns one ("ok", value) or ("error", exception) pair per item, in the
-    input order.  Items for which serial(item) is true are executed on the
-    main thread after the parallel batch (memory-heavy dense jobs).
+    input order.  Items run on a pool of `workers` threads when workers > 1.
     """
     results: List[Optional[Tuple[str, object]]] = [None] * len(items)
 
@@ -64,18 +61,13 @@ def run_grid(fn: Callable, items: Sequence, workers: int,
         except IkseaError as exc:
             results[i] = ("error", exc)
 
-    parallel_idx = [i for i, it in enumerate(items)
-                    if serial is None or not serial(it)]
-    serial_idx = [i for i in range(len(items)) if i not in set(parallel_idx)]
-
-    if workers <= 1 or len(parallel_idx) <= 1:
-        for i in parallel_idx:
+    indices = range(len(items))
+    if workers <= 1 or len(items) <= 1:
+        for i in indices:
             run_one(i)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_one, parallel_idx))
-    for i in serial_idx:
-        run_one(i)
+            list(pool.map(run_one, indices))
     return results  # type: ignore[return-value]
 
 
@@ -91,7 +83,8 @@ class Manifest:
     """Collects run metadata and writes <prefix>_manifest.json.
 
     The manifest is the only emitted file containing timestamps; data files
-    stay byte-reproducible across runs.
+    stay byte-reproducible across runs.  "version" is the config-format tag;
+    "package_version", "python" and "numpy" name the software that ran.
     """
 
     def __init__(self, command: str, config_text: str, seed: int,
@@ -119,6 +112,9 @@ class Manifest:
         body = {
             "command": self.command,
             "version": self.version,
+            "package_version": __version__,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
             "seed": self.seed,
             "workers": self.workers,
             "started": self.started,

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import platform
 
 import numpy as np
 import pytest
@@ -503,6 +504,13 @@ def test_workers_resolution(tmp_path, monkeypatch):
         resolve_workers(None)
 
 
+def test_workers_default_is_one(monkeypatch):
+    monkeypatch.delenv("IKSEA_WORKERS", raising=False)
+    assert resolve_workers(None) == 1
+    monkeypatch.setenv("IKSEA_WORKERS", "  ")     # blank counts as unset
+    assert resolve_workers(None) == 1
+
+
 def test_bad_workers_env_is_exit_2(tmp_path, monkeypatch):
     monkeypatch.setenv("IKSEA_WORKERS", "many")
     cfg_path = write_cfg(tmp_path / "run.cfg", GROUND_CFG)
@@ -518,3 +526,16 @@ def test_workers_flag_recorded_in_manifest(tmp_path, monkeypatch):
                  "--workers", "2"]) == 0
     manifest = json.loads((out / "ground_qfi_manifest.json").read_text())
     assert manifest["workers"] == 2
+
+
+def test_manifest_records_versions(tmp_path, monkeypatch):
+    import iksea
+    monkeypatch.delenv("IKSEA_WORKERS", raising=False)
+    cfg_path = write_cfg(tmp_path / "run.cfg", GROUND_CFG)
+    out = tmp_path / "out"
+    assert main(["ground-qfi", "--config", cfg_path, "--out", str(out)]) == 0
+    manifest = json.loads((out / "ground_qfi_manifest.json").read_text())
+    assert manifest["package_version"] == iksea.__version__
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
+    assert manifest["workers"] == 1

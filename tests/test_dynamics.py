@@ -205,3 +205,205 @@ def test_broken_mode_plateau_up_to_cosh_cutoff():
     for rt in (99.0, 101.0, 300.0, 690.0):
         val = dynamical_qfi(p, rt / r)
         np.testing.assert_allclose(val, ref, rtol=1e-9)
+
+
+# ------------------------------------------------ array kernel exactness
+
+
+def test_fma_is_correctly_rounded():
+    from fractions import Fraction
+
+    from iksea.dynamics import _fma
+    rng = np.random.default_rng(5)
+    n = 3000
+    # random magnitudes
+    a = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+    b = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+    c = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+    # near-cancelling: c within a relative 1e-16 .. 1 of -a*b
+    a2 = rng.standard_normal(n)
+    b2 = rng.standard_normal(n) * 10.0 ** rng.uniform(-4, 4, n)
+    c2 = -(a2 * b2) * (1.0 + rng.standard_normal(n)
+                       * 10.0 ** rng.uniform(-16, 0, n))
+    # exact ties and their neighbours: 27-bit integer factors and an integer
+    # c put a*b + c on an odd integer in [2^53, 2^54), halfway between two
+    # doubles, or +-1/2 off it; everything is then scaled by a power of two
+    a3 = rng.integers(3 * 2 ** 25, 2 ** 27, n).astype(float)
+    b3 = rng.integers(3 * 2 ** 25, 2 ** 27, n).astype(float)
+    c3 = rng.integers(-2 ** 50, 0, n)
+    s3 = [int(x) * int(y) + int(z) for x, y, z in zip(a3, b3, c3)]
+    c3 = c3 + np.array([1 - s % 2 for s in s3])
+    assert all(2 ** 53 <= s + 1 - s % 2 < 2 ** 54 for s in s3)
+    c3 = c3.astype(float) + rng.choice([-0.5, 0.0, 0.5], n)
+    scale = 2.0 ** rng.integers(-60, 60, n)
+    a3 *= scale
+    c3 *= scale
+    # double-rounding traps: c in [1, 2) with an even mantissa plus a*b, a
+    # hair over half an ulp of c, then signed and scaled; rounding the error
+    # terms to nearest before the last addition lands on the tie and rounds
+    # towards c instead of away from it
+    sign = rng.choice([-1.0, 1.0], n)
+    scale4 = sign * 2.0 ** rng.integers(-60, 60, n)
+    c4 = (1.0 + 2.0 * rng.integers(0, 2 ** 51, n) * 2.0 ** -52) * scale4
+    a4 = 2.0 ** -53 * (1.0 + 2.0 ** -52) * scale4
+    b4 = np.full(n, 1.0 - 2.0 ** -53)
+    got = []
+    for x, y, z in ((a, b, c), (a2, b2, c2), (a3, b3, c3), (a4, b4, c4)):
+        out = _fma(x, y, z)
+        for xi, yi, zi, oi in zip(x.tolist(), y.tolist(), z.tolist(),
+                                  out.tolist()):
+            ref = float(Fraction(xi) * Fraction(yi) + Fraction(zi))
+            got.append(oi == ref)
+    assert all(got), f"{got.count(False)} of {len(got)} misrounded"
+
+
+def _scalar_c012(z, rescale=False):
+    """c0, c1, c2 at one z with math.* (reference for the array _c012)."""
+    if abs(z) <= 1e-8:
+        c0 = 1.0 - z / 2.0 + z * z / 24.0 - z ** 3 / 720.0
+        c1 = 1.0 - z / 6.0 + z * z / 120.0 - z ** 3 / 5040.0
+    elif z > 0.0:
+        r = math.sqrt(z)
+        c0, c1 = math.cos(r), math.sin(r) / r
+    else:
+        r = math.sqrt(-z)
+        if rescale and r > 100.0:
+            e = math.exp(-2.0 * r)
+            c0, c1 = 0.5 * (1.0 + e), 0.5 * (1.0 - e) / r
+        else:
+            c0, c1 = math.cosh(r), math.sinh(r) / r
+    if abs(z) <= 1e-3:
+        c2 = -1.0 / 3.0 + z / 30.0 - z * z / 840.0 + z ** 3 / 45360.0
+    else:
+        c2 = (c0 - c1) / z
+    return c0, c1, c2
+
+
+def test_c012_equals_scalar_formulas():
+    from iksea.dynamics import _c012
+    rng = np.random.default_rng(3)
+    mag = np.concatenate([10.0 ** rng.uniform(-12, -8, 2000),
+                          10.0 ** rng.uniform(-8, -3, 2000),
+                          10.0 ** rng.uniform(-3, math.log10(700.0 ** 2),
+                                              20000)])
+    z = np.concatenate([mag, -mag, [0.0, 1e-8, -1e-8, 1e-3, -1e-3, -1e4]])
+    for rescale in (False, True):
+        got = np.array(_c012(z, rescale)).T.tolist()
+        ref = [list(_scalar_c012(x, rescale)) for x in z.tolist()]
+        assert got == ref
+    c0, c1, c2 = _c012(-2.5)
+    assert c0.shape == () and (float(c0), float(c1), float(c2)) == \
+        _scalar_c012(-2.5)
+    with pytest.raises(EvolutionOverflowError):
+        _c012(np.array([1.0, -(700.5 ** 2)]), rescale=True)
+
+
+def test_pow2_rounds_like_scalar_power():
+    from iksea.dynamics import _pow2
+    rng = np.random.default_rng(4)
+    x = np.concatenate([10.0 ** rng.uniform(-300, 300, 50000),
+                        [0.0, 1e150, 1.3e154, 1e200, np.inf, np.nan]])
+    with np.errstate(over="ignore"):
+        ref = [v ** 2 for v in x]            # float64 scalar power
+        got = _pow2(x)
+    np.testing.assert_array_equal(got, ref)
+    small = x[:50000] < 1e150
+    assert np.any(got[:50000][small] != x[:50000][small] ** 2)
+
+
+def _matrix_route(params, t, derivative="analytic"):
+    """Per-mode 2x2 route: propagator columns, np.vdot, fsum."""
+    vals = []
+    for phi in momentum_grid(params.n_sites):
+        v = block_propagator(params, float(phi), t).matrix[:, 0]
+        w = propagator_derivative(params, float(phi), t,
+                                  mode=derivative)[:, 0]
+        n2 = float(np.real(np.vdot(v, v)))
+        ww = float(np.real(np.vdot(w, w)))
+        vw = np.vdot(v, w)
+        vals.append(max(4.0 * (ww / n2 - abs(vw) ** 2 / (n2 * n2)), 0.0))
+    return math.fsum(vals)
+
+
+def test_kernel_matches_matrix_route():
+    p_broken = ChainParams(h=0.5, gamma=0.5, k_ksea=0.2, n_sites=64)
+    eps_sq = block_elements(p_broken, momentum_grid(64))[3]
+    r_max = math.sqrt(-eps_sq.min())
+    cases = [
+        (UNBROKEN, (0.0, 0.3, 2.0, 17.0)),
+        (ChainParams(h=1.2, gamma=0.0, k_ksea=0.6, n_sites=16), (0.0, 5.0)),
+        # broken modes below the rescale threshold, then some above it;
+        # up to r = 170 the unscaled matrix route stays finite (n^4 ~ e^{4r})
+        (p_broken, (0.0, 1.0, 10.0, 120.0 / r_max, 170.0 / r_max)),
+    ]
+    rescaled = 0
+    for p, times in cases:
+        for t in times:
+            z = block_elements(p, momentum_grid(p.n_sites))[3] * t * t
+            rescaled += int(np.sum(z < -100.0 ** 2))
+            for derivative in ("analytic", "fd"):
+                np.testing.assert_allclose(
+                    dynamical_qfi(p, t, derivative=derivative),
+                    _matrix_route(p, t, derivative), rtol=1e-12, atol=0)
+    assert rescaled > 0
+
+
+def test_kernel_equals_matrix_route_bit_for_bit():
+    # below the rescale threshold both routes do the same arithmetic
+    rng = np.random.default_rng(17)
+    checked = 0
+    for _ in range(150):
+        p = ChainParams(h=float(rng.uniform(-2.0, 2.0)),
+                        gamma=float(rng.uniform(0.0, 1.0)),
+                        k_ksea=float(rng.uniform(0.0, 1.0)),
+                        n_sites=int(2 * rng.integers(1, 33)))
+        r_max = math.sqrt(np.abs(block_elements(
+            p, momentum_grid(p.n_sites))[3]).max())
+        t = float(rng.uniform(0.0, 100.0 / r_max))
+        derivative = str(rng.choice(["analytic", "fd"]))
+        assert dynamical_qfi(p, t, derivative) == \
+            _matrix_route(p, t, derivative)
+        checked += p.n_sites // 2
+    assert checked > 2000
+
+
+def test_rescaled_frame_values_pinned():
+    # N = 1024 in the broken phase: at these times 78, 132 and 138 modes are
+    # evaluated in the rescaled frame (sqrt(-eps_sq) t > 100)
+    p = ChainParams(h=0.5, gamma=0.5, k_ksea=0.2, n_sites=1024)
+    assert dynamical_qfi(p, 300.0) == 104176251.20196481
+    assert dynamical_qfi(p, 800.0) == 200271599.1097164
+    assert dynamical_qfi(p, 1500.0) == 3176724244.0308056
+
+
+def test_oracle_suite_points_pinned():
+    # dynamics rows of the oracle suite (N = 6, gamma = 0.5, K = 0.2); the
+    # suite reports relative errors down to ~1e-12, so these stay exact
+    pinned = {
+        (1.5, 0.5): 0.027533879296150032,
+        (1.5, 2.0): 1.782602041251728,
+        (1.5, 5.0): 12.274875370675758,
+        (0.5, 0.5): 0.03026673646550848,
+        (0.5, 2.0): 2.8279624133461745,
+        (0.5, 5.0): 28.23605070344655,
+    }
+    for (h, t), value in pinned.items():
+        p = ChainParams(h=h, gamma=0.5, k_ksea=0.2, n_sites=6)
+        assert dynamical_qfi(p, t) == value
+
+
+def test_kernel_evaluates_block_elements_once(monkeypatch):
+    import iksea.dynamics as dyn
+    calls = []
+
+    def counting(params, phi):
+        calls.append(np.size(phi))
+        return block_elements(params, phi)
+
+    monkeypatch.setattr(dyn, "block_elements", counting)
+    p = ChainParams(h=0.5, gamma=0.5, k_ksea=0.2, n_sites=1024)
+    dynamical_qfi(p, 3.0)
+    assert calls == [512]
+    calls.clear()
+    dynamical_qfi(p, 3.0, derivative="fd")
+    assert calls == [512, 512, 512]

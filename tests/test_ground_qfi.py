@@ -179,6 +179,40 @@ def test_record_structure_and_fsum_total():
     assert rec.total == math.fsum(m.value for m in rec.per_mode)
 
 
+def test_per_mode_is_built_only_when_read(monkeypatch):
+    made = []
+
+    class Counting(iksea.ground.ModeContribution):
+        def __init__(self, *args):
+            made.append(args[0])
+            super().__init__(*args)
+
+    monkeypatch.setattr(iksea.ground, "ModeContribution", Counting)
+    p = ChainParams(h=0.5, gamma=0.5, k_ksea=0.2, n_sites=4096)
+    rec = ground_qfi(p)
+    assert made == []
+    modes = rec.per_mode
+    assert made == list(range(1, 2049))
+    assert len(modes) == 2048
+
+
+def test_per_mode_equals_stored_arrays():
+    p = ChainParams(h=0.5, gamma=0.5, k_ksea=0.2, n_sites=64)
+    rec = ground_qfi(p)
+    modes = rec.per_mode
+    assert [m.index for m in modes] == list(range(1, 33))
+    assert [m.phi for m in modes] == momentum_grid(64).tolist()
+    assert [m.phi for m in modes] == rec.phi.tolist()
+    assert [m.value for m in modes] == rec.values.tolist()
+    assert [m.branch == "real" for m in modes] == rec.real.tolist()
+    assert [m.near_singular for m in modes] == rec.near_singular.tolist()
+    assert rec.real.tolist() == (block_elements(p, rec.phi)[3] > 0).tolist()
+    assert not rec.real.all() and rec.real.any()
+    assert rec.total == math.fsum(rec.values.tolist())
+    with pytest.raises(ValueError):
+        rec.values[0] = 1.0      # the record's arrays are read-only
+
+
 def test_fd_oracle_matches_both_branches():
     # central finite differences on the normalized block eigenvector; the
     # conditioned sampler is dominated by real-branch modes, so a few
