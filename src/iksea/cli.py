@@ -18,23 +18,24 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
 from dataclasses import asdict
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from . import __version__
-from .config import COMMANDS, RunConfig
+from .config import RunConfig
 from .dynamics import dynamical_qfi
 from .errors import ConfigError, EvolutionOverflowError, IkseaError
 from .ground import ground_qfi
 from .model import ChainParams, classify_phase
 from .oracle import run_oracle_suite
 from .runner import Manifest, resolve_workers, run_grid
-from .scaling import exponent_vs_offset, kappa_sweep, power_law_fit
+from .scaling import ScalingFit, exponent_vs_offset, kappa_sweep, power_law_fit
 
 __all__ = ["main"]
 
@@ -82,68 +83,82 @@ def _model_params(cfg: RunConfig, n_sites: Optional[int] = None) -> ChainParams:
         raise ConfigError(f"invalid [model] parameters: {exc}") from exc
 
 
-def _phase_summary(p: ChainParams) -> dict:
-    info = classify_phase(p)
-    return {
-        "region": info.region,
-        "h_c": info.h_c,
-        "h_e": info.h_e,
-        "omega_pm": None if info.omega_pm is None else list(info.omega_pm),
-        "at_critical": info.at_critical,
-    }
+def _emit(manifest: Manifest, stem: str, fmt: str, suffix: str, body,
+          header: Optional[List[str]] = None) -> None:
+    """Write <stem><suffix>.<ext> and list it in the manifest.
+
+    With a header, body is a list of rows in data format fmt; without one,
+    body is written as JSON.  Commands get this bound to their run as
+    emit(suffix, body, header=None).
+    """
+    path = f"{stem}{suffix}.{fmt if header else 'json'}"
+    if header:
+        _write_rows(path, header, body, fmt)
+    else:
+        _write_json(path, body)
+    manifest.output(path)
+
+
+def _run_points(manifest: Manifest, fn: Callable, points: list,
+                name: Callable[[object], str], on_error: str = "raise"):
+    """Evaluate fn at each point, in order, through run_grid.
+
+    Each point is one manifest task called name(point).  Returns the
+    (point, value) pairs that succeeded.  A failure is recorded, then handled
+    by on_error: "raise" re-raises it; "skip-overflow" drops an
+    EvolutionOverflowError as a contracted skip and re-raises anything else;
+    "record" drops the point.
+    """
+    done = []
+    for x, (status, value) in zip(points, run_grid(fn, points)):
+        if status == "ok":
+            manifest.task(name(x), "ok")
+            done.append((x, value))
+        elif on_error == "skip-overflow" and isinstance(value, EvolutionOverflowError):
+            manifest.task(name(x), "skipped", f"overflow: {value}")
+        else:
+            manifest.task(name(x), "error", str(value))
+            if on_error != "record":
+                raise value
+    return done
+
+
+#: ScalingFit attributes written to the fit JSON files, in file order
+_FIT_FIELDS = ("exponent", "intercept", "amplitude", "r_squared", "window",
+               "n_points", "low_quality")
+
+
+def _fit_json(f: ScalingFit) -> dict:
+    return {name: getattr(f, name) for name in _FIT_FIELDS}
 
 
 # ---------------------------------------------------------------- commands
 
 
-def cmd_ground_qfi(cfg: RunConfig, out_dir: str, workers: int,
-                   fmt: str, manifest: Manifest) -> int:
-    n_values = cfg.get_ints("grid", "n_values", default=None)
-    h_values = cfg.get_floats("grid", "h_values", default=None)
-    if n_values is not None and len(n_values) == 0:
-        raise ConfigError("[grid] n_values is empty")
-    if h_values is not None and len(h_values) == 0:
-        raise ConfigError("[grid] h_values is empty")
+def cmd_ground_qfi(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
     base = _model_params(cfg)
-    ns = sorted(n_values) if n_values else [base.n_sites]
-    hs = sorted(h_values) if h_values else [base.h]
+    ns = sorted(cfg.get_ints("grid", "n_values", default=[base.n_sites]))
+    hs = sorted(cfg.get_floats("grid", "h_values", default=[base.h]))
     points = [base.replace(n_sites=n, h=h) for n in ns for h in hs]
 
-    results = run_grid(lambda p: ground_qfi(p), points, workers)
-    rows = []
-    for p, (status, payload) in zip(points, results):
-        if status == "error":
-            manifest.task(f"ground_qfi N={p.n_sites} h={p.h:g}", "error",
-                          str(payload))
-            raise payload
-        rec = payload
-        rows.append([p.n_sites, p.h, p.gamma, p.k_ksea,
-                     classify_phase(p).region, rec.total,
-                     rec.flag_near_singular])
-        manifest.task(f"ground_qfi N={p.n_sites} h={p.h:g}", "ok")
-
-    ext = "csv" if fmt == "csv" else "json"
-    data_path = os.path.join(out_dir, f"{cfg.prefix}.{ext}")
-    _write_rows(data_path,
-                ["N", "h", "gamma", "K", "phase", "qfi_total",
-                 "flag_near_singular"], rows, fmt)
-    summary = {
+    done = _run_points(manifest, ground_qfi, points,
+                       lambda p: f"ground_qfi N={p.n_sites} h={p.h:g}")
+    rows = [[p.n_sites, p.h, p.gamma, p.k_ksea, classify_phase(p).region,
+             rec.total, rec.flag_near_singular] for p, rec in done]
+    emit("", rows, ["N", "h", "gamma", "K", "phase", "qfi_total",
+                    "flag_near_singular"])
+    emit("_summary", {
         "command": "ground-qfi",
         "rows": len(rows),
-        "landmarks": {_fmt(h): _phase_summary(base.replace(h=h)) for h in hs},
-    }
-    summary_path = os.path.join(out_dir, f"{cfg.prefix}_summary.json")
-    _write_json(summary_path, summary)
-    manifest.output(data_path)
-    manifest.output(summary_path)
+        "landmarks": {_fmt(h): asdict(classify_phase(base.replace(h=h)))
+                      for h in hs},
+    })
     return 0
 
 
 def _time_grid(cfg: RunConfig) -> List[float]:
     values = cfg.get_floats("times", "values", default=None)
     if values is not None:
-        if not values:
-            raise ConfigError("[times] values is empty")
         return values
     start = cfg.get_float("times", "start", default=None)
     stop = cfg.get_float("times", "stop", default=None)
@@ -163,8 +178,7 @@ def _time_grid(cfg: RunConfig) -> List[float]:
     raise ConfigError(f"[times] spacing must be linear|geometric, got {spacing!r}")
 
 
-def cmd_dyn_qfi(cfg: RunConfig, out_dir: str, workers: int, fmt: str,
-                manifest: Manifest) -> int:
+def cmd_dyn_qfi(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
     params = _model_params(cfg)
     times = _time_grid(cfg)
     derivative = cfg.get_str("dynamics", "derivative", default="analytic")
@@ -174,27 +188,12 @@ def cmd_dyn_qfi(cfg: RunConfig, out_dir: str, workers: int, fmt: str,
     fd_step = cfg.get_float("dynamics", "fd_step", default=1e-6)
     phase = classify_phase(params).region
 
-    def one(t):
-        return dynamical_qfi(params, t, derivative=derivative, fd_step=fd_step)
-
-    results = run_grid(one, times, workers)
-    rows = []
-    for t, (status, payload) in zip(times, results):
-        if status == "error":
-            if isinstance(payload, EvolutionOverflowError):
-                # contracted skip: drop the row, record it in the manifest
-                manifest.task(f"dyn_qfi t={t:g}", "skipped",
-                              f"overflow: {payload}")
-                continue
-            manifest.task(f"dyn_qfi t={t:g}", "error", str(payload))
-            raise payload
-        rows.append([t, params.n_sites, payload, phase])
-        manifest.task(f"dyn_qfi t={t:g}", "ok")
-
-    ext = "csv" if fmt == "csv" else "json"
-    data_path = os.path.join(out_dir, f"{cfg.prefix}.{ext}")
-    _write_rows(data_path, ["t", "N", "qfi", "phase"], rows, fmt)
-    manifest.output(data_path)
+    done = _run_points(
+        manifest, lambda t: dynamical_qfi(params, t, derivative=derivative,
+                                          fd_step=fd_step),
+        times, lambda t: f"dyn_qfi t={t:g}", on_error="skip-overflow")
+    emit("", [[t, params.n_sites, qfi, phase] for t, qfi in done],
+         ["t", "N", "qfi", "phase"])
     return 0
 
 
@@ -206,104 +205,77 @@ def _sweep_fit_window(cfg: RunConfig):
     return None if lo is None else (lo, hi)
 
 
-def cmd_sweep(cfg: RunConfig, out_dir: str, workers: int, fmt: str,
-              manifest: Manifest) -> int:
+def _emit_mu_table(manifest: Manifest, emit: Callable, res, columns: dict,
+                   fits: dict) -> int:
+    """Write a dh or kappa sweep: one row and one fitted exponent mu per value.
+
+    columns maps each data column to its values, the swept variable first;
+    fits is the head of the fits JSON, to which the exponents are appended.
+    """
+    name = next(iter(columns))
+    for x in res.xs:
+        manifest.task(f"sweep {name}={x:g}", "ok")
+    emit("", list(zip(*columns.values())), list(columns))
+    fits["exponents"] = [
+        {name: float(x), "mu": float(mu), "r_squared": float(r2)}
+        for x, mu, r2 in zip(res.xs, res.ys, res.metadata["r_squared"])]
+    emit("_fits", fits)
+    return 0
+
+
+def _sweep_n_sites(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
+    ns = cfg.get_ints("sweep", "n_values")
+    base = _model_params(cfg, n_sites=min(ns))
+    done = _run_points(manifest, lambda n: ground_qfi(base.replace(n_sites=n)).total,
+                       sorted(ns), lambda n: f"sweep N={n}", on_error="record")
+    emit("", [[n, total] for n, total in done], ["N", "qfi_total"])
+    fit = None
+    if len(done) >= 3:
+        good_ns, totals = zip(*done)
+        fit = _fit_json(power_law_fit(good_ns, totals, window=_sweep_fit_window(cfg)))
+    emit("_fits", {"variable": "n_sites", "fit": fit})
+    return 3 if len(done) < len(ns) else 0
+
+
+def _sweep_dh(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
+    dhs = cfg.get_floats("sweep", "dh_values")
+    ns = cfg.get_ints("sweep", "n_values")
+    anchor = cfg.get_str("sweep", "anchor", default="h_c")
+    base = _model_params(cfg, n_sites=min(ns))
+    res = exponent_vs_offset(base, dhs, ns, anchor=anchor)
+    meta = res.metadata
+    return _emit_mu_table(manifest, emit, res, {
+        "dh": res.xs, "h": [meta["anchor_value"] + dh for dh in res.xs],
+        "mu": res.ys, "r_squared": meta["r_squared"], "phase": meta["phase"],
+    }, {"variable": "dh", "anchor": anchor, "anchor_value": meta["anchor_value"],
+        "phase_change": meta["phase_change"]})
+
+
+def _sweep_kappa(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
+    kappas = cfg.get_floats("sweep", "kappa_values")
+    ns = cfg.get_ints("sweep", "n_values")
+    gamma = cfg.get_float("model", "gamma")
+    h = cfg.get_float("model", "h", default=1.0)
+    enforce = cfg.get_bool("sweep", "enforce_window", default=False)
+    res = kappa_sweep(gamma, kappas, ns, h=h, enforce_window=enforce)
+    return _emit_mu_table(manifest, emit, res, {
+        "kappa": res.xs, "mu": res.ys, "r_squared": res.metadata["r_squared"],
+    }, {"variable": "kappa", "gamma": gamma, "h": h,
+        "out_of_window": [list(pair) for pair in res.metadata["out_of_window"]]})
+
+
+_SWEEPS = {"n_sites": _sweep_n_sites, "dh": _sweep_dh, "kappa": _sweep_kappa}
+
+
+def cmd_sweep(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
     variable = cfg.get_str("sweep", "variable")
-    ext = "csv" if fmt == "csv" else "json"
-    data_path = os.path.join(out_dir, f"{cfg.prefix}.{ext}")
-    fits_path = os.path.join(out_dir, f"{cfg.prefix}_fits.json")
-    failures = 0
-
-    if variable == "n_sites":
-        ns = cfg.get_ints("sweep", "n_values")
-        if not ns:
-            raise ConfigError("[sweep] n_values is empty")
-        base = _model_params(cfg, n_sites=min(ns))
-        points = sorted(ns)
-        results = run_grid(
-            lambda n: ground_qfi(base.replace(n_sites=n)).total,
-            points, workers)
-        rows, xs, ys = [], [], []
-        for n, (status, payload) in zip(points, results):
-            if status == "error":
-                manifest.task(f"sweep N={n}", "error", str(payload))
-                failures += 1
-                continue
-            manifest.task(f"sweep N={n}", "ok")
-            rows.append([n, payload])
-            xs.append(float(n))
-            ys.append(payload)
-        _write_rows(data_path, ["N", "qfi_total"], rows, fmt)
-        fit_body = {"variable": "n_sites", "fit": None}
-        if len(xs) >= 3:
-            f = power_law_fit(np.asarray(xs), np.asarray(ys),
-                              window=_sweep_fit_window(cfg))
-            fit_body["fit"] = {
-                "exponent": f.exponent, "intercept": f.intercept,
-                "amplitude": f.amplitude, "r_squared": f.r_squared,
-                "window": list(f.window), "n_points": f.n_points,
-                "low_quality": f.low_quality,
-            }
-        _write_json(fits_path, fit_body)
-
-    elif variable == "dh":
-        dhs = cfg.get_floats("sweep", "dh_values")
-        ns = cfg.get_ints("sweep", "n_values")
-        if not dhs or not ns:
-            raise ConfigError("[sweep] dh_values and n_values must be non-empty")
-        anchor = cfg.get_str("sweep", "anchor", default="h_c")
-        base = _model_params(cfg, n_sites=min(ns))
-        res = exponent_vs_offset(base, dhs, ns, anchor=anchor)
-        rows = [[dh, res.metadata["anchor_value"] + dh, mu, r2, ph]
-                for dh, mu, r2, ph in zip(res.xs, res.ys,
-                                          res.metadata["r_squared"],
-                                          res.metadata["phase"])]
-        for row in rows:
-            manifest.task(f"sweep dh={row[0]:g}", "ok")
-        _write_rows(data_path, ["dh", "h", "mu", "r_squared", "phase"], rows, fmt)
-        _write_json(fits_path, {
-            "variable": "dh", "anchor": anchor,
-            "anchor_value": res.metadata["anchor_value"],
-            "phase_change": res.metadata["phase_change"],
-            "exponents": [{"dh": float(dh), "mu": float(mu), "r_squared": float(r2)}
-                          for dh, mu, r2 in zip(res.xs, res.ys,
-                                                res.metadata["r_squared"])],
-        })
-
-    elif variable == "kappa":
-        kappas = cfg.get_floats("sweep", "kappa_values")
-        ns = cfg.get_ints("sweep", "n_values")
-        if not kappas or not ns:
-            raise ConfigError("[sweep] kappa_values and n_values must be non-empty")
-        gamma = cfg.get_float("model", "gamma")
-        h = cfg.get_float("model", "h", default=1.0)
-        enforce = cfg.get_bool("sweep", "enforce_window", default=False)
-        res = kappa_sweep(gamma, kappas, ns, h=h, enforce_window=enforce)
-        rows = [[kap, mu, r2] for kap, mu, r2
-                in zip(res.xs, res.ys, res.metadata["r_squared"])]
-        for row in rows:
-            manifest.task(f"sweep kappa={row[0]:g}", "ok")
-        _write_rows(data_path, ["kappa", "mu", "r_squared"], rows, fmt)
-        _write_json(fits_path, {
-            "variable": "kappa", "gamma": gamma, "h": h,
-            "out_of_window": [[kap, n] for kap, n in res.metadata["out_of_window"]],
-            "exponents": [{"kappa": float(kap), "mu": float(mu),
-                           "r_squared": float(r2)}
-                          for kap, mu, r2 in zip(res.xs, res.ys,
-                                                 res.metadata["r_squared"])],
-        })
-
-    else:
+    if variable not in _SWEEPS:
         raise ConfigError(
             f"[sweep] variable must be n_sites|dh|kappa, got {variable!r}")
-
-    manifest.output(data_path)
-    manifest.output(fits_path)
-    return 3 if failures else 0
+    return _SWEEPS[variable](cfg, manifest, emit)
 
 
-def cmd_fit(cfg: RunConfig, out_dir: str, workers: int, fmt: str,
-            manifest: Manifest) -> int:
+def cmd_fit(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
     src = cfg.get_str("fit", "input")
     x_col = cfg.get_str("fit", "x_column")
     y_col = cfg.get_str("fit", "y_column")
@@ -323,58 +295,58 @@ def cmd_fit(cfg: RunConfig, out_dir: str, workers: int, fmt: str,
                 ys.append(float(rec[y_col]))
     except OSError as exc:
         raise ConfigError(f"cannot read [fit] input {src!r}: {exc}") from exc
+    except TypeError as exc:
+        # csv.DictReader fills the cells missing from a short row with None
+        raise ConfigError(
+            f"line {reader.line_num} of {src!r} has too few cells") from exc
     except ValueError as exc:
         raise ConfigError(f"non-numeric data in {src!r}: {exc}") from exc
-    f = power_law_fit(np.asarray(xs), np.asarray(ys),
-                      window=_sweep_fit_window(cfg))
-    out_path = os.path.join(out_dir, f"{cfg.prefix}_fit.json")
-    _write_json(out_path, {
-        "input": os.path.basename(src), "x_column": x_col, "y_column": y_col,
-        "exponent": f.exponent, "intercept": f.intercept,
-        "amplitude": f.amplitude, "r_squared": f.r_squared,
-        "window": list(f.window), "n_points": f.n_points,
-        "low_quality": f.low_quality,
-    })
+    f = power_law_fit(xs, ys, window=_sweep_fit_window(cfg))
+    emit("_fit", {"input": os.path.basename(src), "x_column": x_col,
+                  "y_column": y_col, **_fit_json(f)})
     manifest.task("fit", "ok")
-    manifest.output(out_path)
     return 0
 
 
-def cmd_oracle_check(cfg: RunConfig, out_dir: str, workers: int, fmt: str,
-                     manifest: Manifest, seed_override: Optional[int]) -> int:
+def cmd_oracle_check(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
     sizes = cfg.get_ints("oracle", "sizes", default=[4, 6, 8])
     n_points = cfg.get_int("oracle", "points", default=20)
     include_dynamics = cfg.get_bool("oracle", "include_dynamics", default=True)
     corrupt_scale = cfg.get_float("oracle", "corrupt_scale", default=1.0)
     if any(n > 14 for n in sizes):
         raise ConfigError("[oracle] sizes must stay <= 14 (dense capacity)")
-    seed = seed_override if seed_override is not None else cfg.seed
-    # the suite runs its dense jobs one after the other; --workers is unused
-    report = run_oracle_suite(sizes=tuple(sizes), n_points=n_points, seed=seed,
-                              include_dynamics=include_dynamics,
+    report = run_oracle_suite(sizes=tuple(sizes), n_points=n_points,
+                              seed=cfg.seed, include_dynamics=include_dynamics,
                               corrupt_scale=corrupt_scale)
-    out_path = os.path.join(out_dir, f"{cfg.prefix}_report.json")
-    _write_json(out_path, report)
+    emit("_report", report)
     for row in report["rows"]:
         manifest.task(row["quantity"], "ok" if row["pass"] else "failed",
                       row["detail"])
-    manifest.output(out_path)
-    for row in report["rows"]:
         mark = "pass" if row["pass"] else "FAIL"
         print(f"[{mark}] {row['quantity']}: rel_err={row['rel_err']:.3e}")
     print(f"oracle-check: {'all checks passed' if report['ok'] else 'FAILED'}")
     return 0 if report["ok"] else 4
 
 
-def cmd_phase(cfg: RunConfig) -> int:
+def cmd_phase(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
     params = _model_params(cfg)
-    body = _phase_summary(params)
+    body = asdict(classify_phase(params))
     body["params"] = asdict(params)
     print(json.dumps(body, indent=1))
     return 0
 
 
 # ------------------------------------------------------------------- main
+
+#: command name -> (help line, handler); phase prints and writes no files
+COMMAND_TABLE = {
+    "ground-qfi": ("ground-state QFI over an (N, h) grid", cmd_ground_qfi),
+    "dyn-qfi": ("dynamical QFI time series", cmd_dyn_qfi),
+    "sweep": ("scaling sweeps (variable = n_sites | dh | kappa)", cmd_sweep),
+    "fit": ("power-law fit of two CSV columns", cmd_fit),
+    "oracle-check": ("cross-check against the dense oracle", cmd_oracle_check),
+    "phase": ("print phase-diagram info for the model parameters", cmd_phase),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -384,22 +356,15 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "ground-qfi": "ground-state QFI over an (N, h) grid",
-        "dyn-qfi": "dynamical QFI time series",
-        "sweep": "scaling sweeps (variable = n_sites | dh | kappa)",
-        "fit": "power-law fit of two CSV columns",
-        "oracle-check": "cross-check against the dense oracle",
-        "phase": "print phase-diagram info for the model parameters",
-    }
-    for name in COMMANDS:
-        sp = sub.add_parser(name, help=descriptions[name])
+    for name, (help_line, _) in COMMAND_TABLE.items():
+        sp = sub.add_parser(name, help=help_line)
         sp.add_argument("--config", required=True, metavar="PATH",
                         help="run configuration file")
         sp.add_argument("--out", default=".", metavar="DIR",
                         help="output directory (default: current)")
         sp.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="worker threads (default: IKSEA_WORKERS or 1)")
+                        help="worker count recorded in the manifest (default: "
+                             "IKSEA_WORKERS or 1; runs are serial)")
         sp.add_argument("--seed", type=int, default=None, metavar="U64",
                         help="override the config seed")
         sp.add_argument("--format", choices=["csv", "json"], default="csv",
@@ -414,41 +379,28 @@ def main(argv: Optional[List[str]] = None) -> int:
         if cfg.command != args.command:
             raise ConfigError(
                 f"config is for {cfg.command!r} but {args.command!r} was invoked")
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError("--seed must be non-negative")
-        workers = resolve_workers(args.workers)
-        out_dir = args.out
-        os.makedirs(out_dir, exist_ok=True)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    manifest = Manifest(command=cfg.command, config_text=cfg.to_text(),
-                        seed=args.seed if args.seed is not None else cfg.seed,
-                        workers=workers, version=cfg.version)
-    try:
-        if cfg.command == "phase":
-            return cmd_phase(cfg)
-        if cfg.command == "ground-qfi":
-            code = cmd_ground_qfi(cfg, out_dir, workers, args.format, manifest)
-        elif cfg.command == "dyn-qfi":
-            code = cmd_dyn_qfi(cfg, out_dir, workers, args.format, manifest)
-        elif cfg.command == "sweep":
-            code = cmd_sweep(cfg, out_dir, workers, args.format, manifest)
-        elif cfg.command == "fit":
-            code = cmd_fit(cfg, out_dir, workers, args.format, manifest)
-        else:
-            code = cmd_oracle_check(cfg, out_dir, workers, args.format,
-                                    manifest, args.seed)
+        if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError("--seed must be non-negative")
+            cfg.seed = args.seed
+        manifest = Manifest(command=cfg.command, config_text=cfg.to_text(),
+                            seed=cfg.seed, workers=resolve_workers(args.workers),
+                            version=cfg.version)
+        os.makedirs(args.out, exist_ok=True)
+        emit = functools.partial(_emit, manifest,
+                                 os.path.join(args.out, cfg.prefix), args.format)
+        code = COMMAND_TABLE[cfg.command][1](cfg, manifest, emit)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except IkseaError as exc:
+        # only ConfigError can come before the manifest exists
         print(f"compute error: {exc}", file=sys.stderr)
         manifest.task("compute", "error", str(exc))
-        manifest.write(out_dir, cfg.prefix)
+        manifest.write(args.out, cfg.prefix)
         return 3
-    manifest.write(out_dir, cfg.prefix)
+    if cfg.command != "phase":
+        manifest.write(args.out, cfg.prefix)
     return code
 
 

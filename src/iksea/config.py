@@ -7,7 +7,7 @@ Grammar (INI-style, parsed with the stdlib configparser):
     key = value
 
 * values are bare strings; numbers use C locale ('.' decimal point)
-* list values are whitespace-separated, e.g. ``n_values = 1024 2048 4096``
+* lists are whitespace-separated and non-empty, e.g. ``n_values = 1024 2048``
 * booleans: true/false (case-insensitive), 1/0, yes/no
 * section and key names are case-sensitive and lower-case by convention
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 import configparser
 import io
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from .errors import ConfigError
 
@@ -37,6 +37,48 @@ def _parser() -> configparser.ConfigParser:
         inline_comment_prefixes=None, strict=True)
     cp.optionxform = str  # keep key case
     return cp
+
+
+_MISSING = object()
+
+
+def _getter(parse, what: str):
+    """Typed accessor get(section, key, default) that parses with `parse`.
+
+    An absent key gives `default`, or a ConfigError when none is passed; a
+    stripped value that `parse` rejects with ValueError raises
+    ConfigError("[section] key = 'raw' is not <what>"), and an empty list
+    raises ConfigError("[section] key is empty").
+    """
+    def get(self, section: str, key: str, default=_MISSING):
+        sec = self.sections.get(section, {})
+        if key not in sec:
+            if default is _MISSING:
+                raise ConfigError(f"missing [{section}] {key}")
+            return default
+        raw = sec[key]
+        try:
+            value = parse(raw.strip())
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key} = {raw!r} is not {what}") from exc
+        if value == []:
+            raise ConfigError(f"[{section}] {key} is empty")
+        return value
+    return get
+
+
+def _list_of(parse):
+    """Parser of a whitespace-separated list of parse(token) values."""
+    return lambda raw: [parse(tok) for tok in raw.split()]
+
+
+def _parse_bool(raw: str) -> bool:
+    low = raw.lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(raw)
 
 
 @dataclass
@@ -97,69 +139,12 @@ class RunConfig:
 
     # -- typed accessors ----------------------------------------------------
 
-    _MISSING = object()
-
-    def _raw(self, section: str, key: str, default):
-        sec = self.sections.get(section)
-        if sec is None or key not in sec:
-            if default is RunConfig._MISSING:
-                raise ConfigError(f"missing [{section}] {key}")
-            return None
-        return sec[key]
-
     def has(self, section: str, key: str) -> bool:
         return key in self.sections.get(section, {})
 
-    def get_str(self, section: str, key: str, default=_MISSING) -> Optional[str]:
-        raw = self._raw(section, key, default)
-        return (default if default is not RunConfig._MISSING else None) \
-            if raw is None else raw.strip()
-
-    def get_float(self, section: str, key: str, default=_MISSING) -> Optional[float]:
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return None if default is RunConfig._MISSING else default
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from exc
-
-    def get_int(self, section: str, key: str, default=_MISSING) -> Optional[int]:
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return None if default is RunConfig._MISSING else default
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer") from exc
-
-    def get_bool(self, section: str, key: str, default=_MISSING) -> Optional[bool]:
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return None if default is RunConfig._MISSING else default
-        low = raw.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not a boolean")
-
-    def get_floats(self, section: str, key: str, default=_MISSING) -> Optional[List[float]]:
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return None if default is RunConfig._MISSING else default
-        try:
-            return [float(tok) for tok in raw.split()]
-        except ValueError as exc:
-            raise ConfigError(
-                f"[{section}] {key} = {raw!r} is not a list of numbers") from exc
-
-    def get_ints(self, section: str, key: str, default=_MISSING) -> Optional[List[int]]:
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return None if default is RunConfig._MISSING else default
-        try:
-            return [int(tok) for tok in raw.split()]
-        except ValueError as exc:
-            raise ConfigError(
-                f"[{section}] {key} = {raw!r} is not a list of integers") from exc
+    get_str = _getter(str, "a string")
+    get_float = _getter(float, "a number")
+    get_int = _getter(int, "an integer")
+    get_bool = _getter(_parse_bool, "a boolean")
+    get_floats = _getter(_list_of(float), "a list of numbers")
+    get_ints = _getter(_list_of(int), "a list of integers")

@@ -148,107 +148,79 @@ def block_ground_state(params: ChainParams, phi: float) -> BlockGroundState:
     return BlockGroundState(u, v, float(norm), -eps, branch)
 
 
-def _qfi_real_eigvec(g, ap, eps_sq):
-    """Real-branch QFI via 4 (u v / (eps A))^2; regular on gamma = K."""
-    eps = np.sqrt(eps_sq)
-    u = ap
-    v = eps - g
-    a = u * u + v * v
-    if np.ndim(a) == 0:
-        return 0.0 if a == 0.0 else float(4.0 * (u * v) ** 2 / (eps_sq * a * a))
-    out = np.zeros_like(np.asarray(a, dtype=float))
-    ok = a > 0
-    out[ok] = 4.0 * (u[ok] * v[ok]) ** 2 / (eps_sq[ok] * a[ok] * a[ok])
-    return out
+def _mode_qfi(params: ChainParams, phi: np.ndarray, numbered: bool = True):
+    """Per-mode ground QFI at the angles phi: (eps_sq, values, near_singular).
 
-
-def block_qfi_real(params: ChainParams, phi: float) -> float:
-    """QFI contribution of a real-branch mode (eps_sq > 0)."""
-    g, ap, am, eps_sq = block_elements(params, float(phi))
-    g, ap, am, eps_sq = float(g), float(ap), float(am), float(eps_sq)
-    _check_not_exceptional(phi, g, ap, am, eps_sq)
-    if eps_sq < 0.0:
-        raise BranchError(
-            f"mode at phi={phi:.12g} has eps_sq={eps_sq:.6g} < 0; use block_qfi_imag")
-    gam, k = params.gamma, params.k_ksea
-    eps = math.sqrt(eps_sq)
-    s = math.sin(float(phi))
-    den = gam * g + eps * k
-    num = gam * gam - k * k
-    if abs(den) <= 1e-10 * max(1.0, abs(gam * g), eps * k):
-        # den vanishes only on gamma = K with g < 0, where the closed form is
-        # 0/0; the eigenvector form gives the regular limit.
-        val = _qfi_real_eigvec(g, ap, eps_sq)
-    else:
-        val = s * s * num * num / (eps_sq * den * den)
-    if val >= NEAR_SINGULAR_CONTRIB:
-        warnings.warn(NearSingularWarning(
-            f"mode at phi={phi:.12g}: QFI contribution {val:.3e} is within 1e6 "
-            f"of float overflow"))
-    return float(val)
-
-
-def block_qfi_imag(params: ChainParams, phi: float) -> float:
-    """QFI contribution of an imaginary-branch mode (eps_sq < 0)."""
-    g, ap, am, eps_sq = block_elements(params, float(phi))
-    g, ap, am, eps_sq = float(g), float(ap), float(am), float(eps_sq)
-    _check_not_exceptional(phi, g, ap, am, eps_sq)
-    if eps_sq > 0.0:
-        raise BranchError(
-            f"mode at phi={phi:.12g} has eps_sq={eps_sq:.6g} > 0; use block_qfi_real")
-    gam, k = params.gamma, params.k_ksea
-    val = (gam * gam - k * k) / (-eps_sq * gam * gam)
-    if val >= NEAR_SINGULAR_CONTRIB:
-        warnings.warn(NearSingularWarning(
-            f"mode at phi={phi:.12g}: QFI contribution {val:.3e} is within 1e6 "
-            f"of float overflow"))
-    return float(val)
-
-
-def ground_qfi(params: ChainParams) -> QfiRecord:
-    """Total ground-state QFI over the positive-momentum grid.
-
-    Vectorised over modes; the per-mode contributions (each >= 0) are summed
-    with math.fsum in ascending mode order and kept as arrays on the record.
-    A defective mode anywhere on the grid raises ExceptionalModeError naming
-    the offending angle.
+    The one ground kernel: ground_qfi runs it on the momentum grid and the
+    single-mode functions on one angle.  A defective block raises
+    ExceptionalModeError at the first such angle (named as mode p = i + 1
+    when `numbered`).  Where the real-branch closed form is not finite
+    (0/0 on gamma = K with g < 0) the eigenvector form, regular there, gives
+    the limit.  Contributions within 1e6 of float overflow warn
+    NearSingularWarning.
     """
-    phi = momentum_grid(params.n_sites)
     g, ap, am, eps_sq = block_elements(params, phi)
-    tol = exceptional_tolerance(g, ap, am)
-    exc = np.abs(eps_sq) <= tol
+    exc = np.abs(eps_sq) <= exceptional_tolerance(g, ap, am)
     if exc.any():
         i = int(np.argmax(exc))
-        raise ExceptionalModeError(phi[i], mode_index=i + 1)
+        raise ExceptionalModeError(phi[i], mode_index=i + 1 if numbered else None)
 
     gam, k = params.gamma, params.k_ksea
-    s = np.sin(phi)
-    vals = np.empty_like(eps_sq)
+    num = gam * gam - k * k
     real = eps_sq > 0.0
-
-    if real.any():
-        er = np.sqrt(eps_sq[real])
-        den = gam * g[real] + er * k
-        num = gam * gam - k * k
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fr = s[real] ** 2 * num * num / (eps_sq[real] * den * den)
-        bad = ~np.isfinite(fr)
-        if bad.any():
-            fr[bad] = _qfi_real_eigvec(g[real][bad], ap[real][bad], eps_sq[real][bad])
-        vals[real] = fr
-    imag = ~real
-    if imag.any():
-        vals[imag] = (gam * gam - k * k) / (-eps_sq[imag] * gam * gam)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        den = gam * g + np.sqrt(eps_sq) * k
+        vals = np.where(real, np.sin(phi) ** 2 * num * num / (eps_sq * den * den),
+                        num / (-eps_sq * gam * gam))
+        # where the real-branch closed form is 0/0, use 4 (u v / (eps A))^2
+        bad = real & ~np.isfinite(vals)
+        e2, u = eps_sq[bad], ap[bad]
+        v = np.sqrt(e2) - g[bad]
+        a = u * u + v * v
+        vals[bad] = np.where(a > 0, 4.0 * (u * v) ** 2 / (e2 * a * a), 0.0)
 
     near = vals >= NEAR_SINGULAR_CONTRIB
     if near.any():
         warnings.warn(NearSingularWarning(
             f"{int(near.sum())} mode(s) contribute within 1e6 of float overflow "
             f"at h={params.h:.12g}"))
-    total = math.fsum(vals.tolist())
+    return eps_sq, vals, near
+
+
+def _block_qfi(params: ChainParams, phi: float, real: bool) -> float:
+    """The kernel's value at one angle, refused on the other branch."""
+    eps_sq, vals, _ = _mode_qfi(params, np.array([float(phi)]), numbered=False)
+    if (eps_sq[0] > 0.0) != real:
+        sign, other = ("<", "imag") if real else (">", "real")
+        raise BranchError(f"mode at phi={float(phi):.12g} has eps_sq="
+                          f"{eps_sq[0]:.6g} {sign} 0; use block_qfi_{other}")
+    return float(vals[0])
+
+
+def block_qfi_real(params: ChainParams, phi: float) -> float:
+    """QFI contribution of a real-branch mode (eps_sq > 0)."""
+    return _block_qfi(params, phi, real=True)
+
+
+def block_qfi_imag(params: ChainParams, phi: float) -> float:
+    """QFI contribution of an imaginary-branch mode (eps_sq < 0)."""
+    return _block_qfi(params, phi, real=False)
+
+
+def ground_qfi(params: ChainParams) -> QfiRecord:
+    """Total ground-state QFI over the positive-momentum grid.
+
+    The per-mode contributions (each >= 0) are summed with math.fsum in
+    ascending mode order and kept as arrays on the record.  A defective mode
+    anywhere on the grid raises ExceptionalModeError naming the offending
+    angle.
+    """
+    phi = momentum_grid(params.n_sites)
+    eps_sq, vals, near = _mode_qfi(params, phi)
+    real = eps_sq > 0.0
     for a in (phi, vals, real, near):
         a.flags.writeable = False
-    return QfiRecord(total=float(total), params=params,
+    return QfiRecord(total=math.fsum(vals.tolist()), params=params,
                      flag_near_singular=bool(near.any()), phi=phi,
                      values=vals, real=real, near_singular=near)
 

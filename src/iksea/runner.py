@@ -1,9 +1,9 @@
 """Sweep execution and run-manifest bookkeeping.
 
-Grid points are independent.  With a worker budget above one they are
-dispatched to a thread pool; by default they run one after the other.
-Results come back in submission order no matter when workers finish, and
-per-point failures are captured rather than aborting the whole sweep.
+Grid points run one after the other, in input order, and per-point failures
+are captured rather than aborting the whole sweep.  The worker count
+(``--workers`` / ``IKSEA_WORKERS``) selects no code path: it is validated and
+recorded in the manifest, so that existing scripts and configs keep working.
 """
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ import hashlib
 import json
 import os
 import platform
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .errors import ConfigError, IkseaError
@@ -28,47 +28,36 @@ WORKERS_ENV = "IKSEA_WORKERS"
 
 
 def resolve_workers(flag: Optional[int] = None) -> int:
-    """Worker budget: --workers flag > IKSEA_WORKERS env > 1."""
-    if flag is not None:
-        if flag < 1:
-            raise ConfigError(f"--workers must be >= 1, got {flag}")
-        return int(flag)
-    env = os.environ.get(WORKERS_ENV)
-    if env is not None and env.strip():
+    """Recorded worker count: --workers flag > IKSEA_WORKERS env > 1."""
+    name, value = "--workers", flag
+    if flag is None:
+        env = os.environ.get(WORKERS_ENV, "")
+        if not env.strip():
+            return 1
+        name = WORKERS_ENV
         try:
-            val = int(env)
+            value = int(env)
         except ValueError as exc:
             raise ConfigError(
                 f"{WORKERS_ENV}={env!r} is not an integer") from exc
-        if val < 1:
-            raise ConfigError(f"{WORKERS_ENV} must be >= 1, got {val}")
-        return val
-    return 1
+    if value < 1:
+        raise ConfigError(f"{name} must be >= 1, got {value}")
+    return int(value)
 
 
-def run_grid(fn: Callable, items: Sequence, workers: int
-             ) -> List[Tuple[str, object]]:
-    """Order-restoring map with per-item failure capture.
+def run_grid(fn: Callable, items: Sequence) -> List[Tuple[str, object]]:
+    """Serial map with per-item failure capture.
 
     Returns one ("ok", value) or ("error", exception) pair per item, in the
-    input order.  Items run on a pool of `workers` threads when workers > 1.
+    input order; only IkseaError is captured.
     """
-    results: List[Optional[Tuple[str, object]]] = [None] * len(items)
-
-    def run_one(i):
+    results: List[Tuple[str, object]] = []
+    for item in items:
         try:
-            results[i] = ("ok", fn(items[i]))
+            results.append(("ok", fn(item)))
         except IkseaError as exc:
-            results[i] = ("error", exc)
-
-    indices = range(len(items))
-    if workers <= 1 or len(items) <= 1:
-        for i in indices:
-            run_one(i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_one, indices))
-    return results  # type: ignore[return-value]
+            results.append(("error", exc))
+    return results
 
 
 def sha256_file(path: str) -> str:
@@ -84,7 +73,8 @@ class Manifest:
 
     The manifest is the only emitted file containing timestamps; data files
     stay byte-reproducible across runs.  "version" is the config-format tag;
-    "package_version", "python" and "numpy" name the software that ran.
+    "package_version", "python", "numpy" and "scipy" name the software that
+    ran.
     """
 
     def __init__(self, command: str, config_text: str, seed: int,
@@ -115,6 +105,7 @@ class Manifest:
             "package_version": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
             "seed": self.seed,
             "workers": self.workers,
             "started": self.started,

@@ -8,12 +8,13 @@ import platform
 
 import numpy as np
 import pytest
+import scipy
 
 from iksea.cli import main
 from iksea.config import RunConfig
 from iksea.errors import ConfigError
 from iksea.ground import ground_qfi
-from iksea.model import ChainParams
+from iksea.model import ChainParams, momentum_grid
 from iksea.runner import resolve_workers, sha256_file
 
 
@@ -74,6 +75,22 @@ def test_config_error_cases():
         cfg.get_str("model", "missing")                  # required, no default
     with pytest.raises(ConfigError):
         RunConfig.from_file("/nonexistent/path.cfg")
+
+
+def test_config_empty_list_is_error(tmp_path, capsys):
+    cfg = RunConfig.from_text("[run]\ncommand = phase\n[grid]\nn_values =\n"
+                              "h_values = 1 x\n")
+    with pytest.raises(ConfigError, match=r"\[grid\] n_values is empty"):
+        cfg.get_ints("grid", "n_values")
+    with pytest.raises(ConfigError, match="is not a list of numbers"):
+        cfg.get_floats("grid", "h_values")
+    assert cfg.get_ints("grid", "missing", default=None) is None
+    # an empty oracle size list used to reach the sampler and crash
+    cfg_path = write_cfg(tmp_path / "run.cfg",
+                         ORACLE_CFG.replace("sizes = 4", "sizes ="))
+    assert main(["oracle-check", "--config", cfg_path,
+                 "--out", str(tmp_path)]) == 2
+    assert "[oracle] sizes is empty" in capsys.readouterr().err
 
 
 # -------------------------------------------------------------- ground-qfi
@@ -359,6 +376,51 @@ n_values = 64 128 256
     assert main(["sweep", "--config", strict, "--out", str(out)]) == 3
 
 
+def test_sweep_n_sites_records_failed_points(tmp_path):
+    # gamma = K and h = -cos(pi/4) put a mode exactly on phi = pi/4, an
+    # exceptional point, when pi/4 is on the grid (2p - 1) pi/N: for N = 4
+    # and 12, not for N = 8, 16 or 24
+    h = -float(np.cos(np.pi / 4))
+    for n in (4, 12):
+        assert np.any(np.abs(momentum_grid(n) - np.pi / 4) < 1e-15)
+    for n in (8, 16, 24):
+        assert np.min(np.abs(momentum_grid(n) - np.pi / 4)) > 0.1
+    cfg_path = write_cfg(tmp_path / "run.cfg", f"""\
+[run]
+command = sweep
+
+[model]
+h = {h!r}
+gamma = 0.4
+k_ksea = 0.4
+n_sites = 8
+
+[sweep]
+variable = n_sites
+n_values = 24 4 16 12 8
+""")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 3
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["N", "qfi_total"]
+    assert [int(r[0]) for r in rows[1:]] == [8, 16, 24]
+    for r in rows[1:]:
+        p = ChainParams(h=h, gamma=0.4, k_ksea=0.4, n_sites=int(r[0]))
+        assert r[1] == "%.17g" % ground_qfi(p).total
+    fits = json.loads((out / "sweep_fits.json").read_text())
+    assert fits["fit"]["n_points"] == 3
+    manifest = json.loads((out / "sweep_manifest.json").read_text())
+    errors = [t for t in manifest["tasks"] if t["status"] == "error"]
+    assert [t["name"] for t in errors] == ["sweep N=4", "sweep N=12"]
+    assert all("phi=" in t["detail"] for t in errors)
+    assert sorted(t["name"] for t in manifest["tasks"]
+                  if t["status"] == "ok") == ["sweep N=16", "sweep N=24",
+                                              "sweep N=8"]
+    assert {o["path"] for o in manifest["outputs"]} == {"sweep.csv",
+                                                        "sweep_fits.json"}
+
+
 def test_sweep_unknown_variable(tmp_path):
     txt = SWEEP_CFG.replace("variable = n_sites", "variable = disorder")
     cfg_path = write_cfg(tmp_path / "run.cfg", txt)
@@ -407,6 +469,25 @@ x_column = N
 y_column = qfi_total
 """)
     assert main(["fit", "--config", missing, "--out", str(tmp_path)]) == 2
+
+
+def test_fit_short_row_is_config_error(tmp_path, capsys):
+    # csv.DictReader fills the missing cell of a short row with None
+    (tmp_path / "short.csv").write_text("N,qfi_total\n8,1.0\n16\n32,9.0\n",
+                                        encoding="utf-8")
+    cfg_path = write_cfg(tmp_path / "fit.cfg", """\
+[run]
+command = fit
+
+[fit]
+input = short.csv
+x_column = N
+y_column = qfi_total
+""")
+    assert main(["fit", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "short.csv" in err
+    assert not (tmp_path / "fit_fit.json").exists()
 
 
 # ------------------------------------------------------------- oracle-check
@@ -538,4 +619,37 @@ def test_manifest_records_versions(tmp_path, monkeypatch):
     assert manifest["package_version"] == iksea.__version__
     assert manifest["python"] == platform.python_version()
     assert manifest["numpy"] == np.__version__
+    assert manifest["scipy"] == scipy.__version__
     assert manifest["workers"] == 1
+
+
+# --------------------------------------------------------- shipped configs
+
+
+REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+
+
+def test_shipped_configs_match_recorded_digests(tmp_path):
+    # the benchmark's recorded outputs pin every shipped config's exit code
+    # and data-file digests; any change to a data file byte shows here
+    with open(os.path.join(REPO, "bench", "reference", "outputs.json"),
+              encoding="utf-8") as fh:
+        reference = json.load(fh)
+    cfg_dir = os.path.join(REPO, "configs")
+    names = sorted(f[:-4] for f in os.listdir(cfg_dir) if f.endswith(".cfg"))
+    assert len(names) == 8
+    for name in names:
+        path = os.path.join(cfg_dir, name + ".cfg")
+        command = RunConfig.from_file(path).command
+        out = tmp_path / name
+        code = main([command, "--config", path, "--out", str(out),
+                     "--workers", "1"])
+        recorded = reference[name]
+        assert code == recorded["exit"], name
+        if recorded["exit"] != 0:
+            continue
+        data = sorted(f for f in os.listdir(out)
+                      if not f.endswith("_manifest.json"))
+        assert data == sorted(recorded["files"]), name
+        for fname, entry in recorded["files"].items():
+            assert sha256_file(str(out / fname)) == entry["sha256"], fname

@@ -164,6 +164,18 @@ def test_per_mode_branches_match_zero_crossings():
         assert m.value >= 0.0
 
 
+def test_single_mode_views_equal_kernel_bit_for_bit():
+    # block_qfi_real / block_qfi_imag are views on the ground_qfi kernel:
+    # on every grid mode, both branches present, they return its value exactly
+    p = ChainParams(h=0.5, gamma=0.5, k_ksea=0.2, n_sites=64)
+    rec = ground_qfi(p)
+    assert rec.real.any() and not rec.real.all()
+    for phi, real, value in zip(rec.phi, rec.real, rec.values):
+        view = block_qfi_real if real else block_qfi_imag
+        assert view(p, phi) == value
+        assert view(p, float(phi)) == value
+
+
 def test_record_structure_and_fsum_total():
     p = ChainParams(h=0.5, gamma=0.5, k_ksea=0.2, n_sites=6)
     rec = ground_qfi(p)
