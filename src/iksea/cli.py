@@ -293,6 +293,8 @@ def cmd_fit(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
             for rec in reader:
                 xs.append(float(rec[x_col]))
                 ys.append(float(rec[y_col]))
+    except ConfigError:
+        raise
     except OSError as exc:
         raise ConfigError(f"cannot read [fit] input {src!r}: {exc}") from exc
     except TypeError as exc:
@@ -386,7 +388,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         manifest = Manifest(command=cfg.command, config_text=cfg.to_text(),
                             seed=cfg.seed, workers=resolve_workers(args.workers),
                             version=cfg.version)
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create --out {args.out!r}: {exc}") from exc
         emit = functools.partial(_emit, manifest,
                                  os.path.join(args.out, cfg.prefix), args.format)
         code = COMMAND_TABLE[cfg.command][1](cfg, manifest, emit)

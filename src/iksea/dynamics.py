@@ -30,8 +30,8 @@ dynamical_qfi needs only the first columns, which have the closed forms
 so it evaluates every mode at once with array operations.  Each operation
 rounds as the 2x2 complex matrix route (block_propagator,
 propagator_derivative, np.vdot) does, which keeps the totals bit for bit
-equal to that route's.  Totals are accumulated with math.fsum in ascending
-mode order.
+equal to that route's.  Totals are exactly rounded sums, equal to math.fsum,
+in ascending mode order (model.exact_sum; math.fsum below EXACT_SUM_CUTOVER).
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .errors import (
     NumericalConsistencyError,
     ParameterError,
 )
-from .model import ChainParams, block_elements, block_matrix, momentum_grid
+from .model import ChainParams, block_elements, block_matrix, exact_sum, momentum_grid
 
 __all__ = [
     "BlockPropagator",
@@ -298,7 +298,7 @@ def dynamical_qfi(params: ChainParams, t: float, derivative: str = "analytic",
             f"per-mode dynamical QFI {vals[i]:.6e} < {_CLAMP_FLOOR:g} at "
             f"phi={phi[i]:.12g}, t={t:g}: beyond round-off, indicates a bug")
     vals = np.where(vals < 0.0, 0.0, vals)
-    return float(math.fsum(vals.tolist()))
+    return exact_sum(vals)
 
 
 def qfi_time_series(params: ChainParams, times, derivative: str = "analytic",

@@ -13,9 +13,9 @@ and the field-estimation QFI of the Dirac-normalised state splits by branch:
     imaginary branch (eps_sq < 0):
         F = (gamma^2 - K^2) / (-eps_sq gamma^2)
 
-The total over the positive-momentum grid is accumulated with exact
-compensated summation (math.fsum) in ascending mode order, so results are
-bit-for-bit reproducible.
+The total over the positive-momentum grid is the exactly rounded sum, equal
+to math.fsum, in ascending mode order (model.exact_sum; math.fsum itself
+below EXACT_SUM_CUTOVER modes), so results are bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .errors import (
 from .model import (
     ChainParams,
     block_elements,
+    exact_sum,
     exceptional_field,
     exceptional_tolerance,
     momentum_grid,
@@ -210,17 +211,17 @@ def block_qfi_imag(params: ChainParams, phi: float) -> float:
 def ground_qfi(params: ChainParams) -> QfiRecord:
     """Total ground-state QFI over the positive-momentum grid.
 
-    The per-mode contributions (each >= 0) are summed with math.fsum in
-    ascending mode order and kept as arrays on the record.  A defective mode
-    anywhere on the grid raises ExceptionalModeError naming the offending
-    angle.
+    The per-mode contributions (each >= 0) are kept as arrays on the record
+    and summed exactly rounded, equal to math.fsum, in ascending mode order
+    (exact_sum; math.fsum itself below EXACT_SUM_CUTOVER modes).  A defective
+    mode anywhere on the grid raises ExceptionalModeError naming its angle.
     """
     phi = momentum_grid(params.n_sites)
     eps_sq, vals, near = _mode_qfi(params, phi)
     real = eps_sq > 0.0
     for a in (phi, vals, real, near):
         a.flags.writeable = False
-    return QfiRecord(total=math.fsum(vals.tolist()), params=params,
+    return QfiRecord(total=exact_sum(vals), params=params,
                      flag_near_singular=bool(near.any()), phi=phi,
                      values=vals, real=real, near_singular=near)
 

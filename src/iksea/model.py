@@ -23,6 +23,7 @@ pair (PT-broken modes), eps_sq = 0 an exceptional (defective) mode.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -47,6 +48,8 @@ __all__ = [
 
 #: relative floor used when deciding a mode is numerically exceptional
 EXC_TOL = 1e-12
+#: array size from which exact_sum beats math.fsum (measured crossover ~1 k)
+EXACT_SUM_CUTOVER = 1024
 
 
 @dataclass(frozen=True)
@@ -134,6 +137,27 @@ def exceptional_tolerance(g, a_plus, a_minus):
     """Scale-aware threshold below which eps_sq is treated as exactly zero."""
     return EXC_TOL * np.maximum(1.0, np.maximum(np.asarray(g) ** 2,
                                                 np.abs(a_plus * a_minus)))
+
+
+def exact_sum(values: np.ndarray) -> float:
+    """math.fsum(values.tolist()) of a 1-D float64 array, bit for bit.
+
+    Integer and 26-bit fraction parts of the significands (np.frexp) are summed
+    per exponent (np.bincount, exact below 2^26 values), then rounded once.
+    """
+    if not (EXACT_SUM_CUTOVER <= values.size < 2 ** 26
+            and np.abs(values).max() < 2.0 ** 1022 / values.size):
+        return math.fsum(values.tolist())   # also non-finite and overflow
+    m, e = np.frexp(values)
+    e0 = int(e.min())
+    e -= e0
+    m *= 2.0 ** 27
+    hi = np.trunc(m)
+    bins = zip(np.bincount(e, hi).tolist(), np.bincount(e, m - hi).tolist())
+    exact = sum(((int(w) << 26) + int(f * 2.0 ** 26)) << k
+                for k, (w, f) in enumerate(bins))
+    total = float(exact << e0 - 53) if e0 >= 53 else exact / (1 << 53 - e0)
+    return total if abs(total) >= 2.0 ** -1022 else math.fsum(values.tolist())
 
 
 def dispersion(params: ChainParams, phi):

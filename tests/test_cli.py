@@ -490,6 +490,26 @@ y_column = qfi_total
     assert not (tmp_path / "fit_fit.json").exists()
 
 
+def test_fit_missing_column_names_the_columns(tmp_path, capsys):
+    # the column check raises ConfigError, itself a ValueError, inside the
+    # try that turns a bad number into "non-numeric data"
+    (tmp_path / "d.csv").write_text("N,qfi_total\n8,1.0\n16,4.0\n",
+                                    encoding="utf-8")
+    cfg_path = write_cfg(tmp_path / "fit.cfg", """\
+[run]
+command = fit
+
+[fit]
+input = d.csv
+x_column = N
+y_column = nope
+""")
+    assert main(["fit", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: input ")
+    assert "lacks columns 'N'/'nope'" in err and "non-numeric" not in err
+
+
 # ------------------------------------------------------------- oracle-check
 
 
@@ -569,6 +589,19 @@ n_sites = 8
     assert len(body["omega_pm"]) == 2
     assert body["params"]["n_sites"] == 8
     assert os.listdir(out) == []
+
+
+def test_out_naming_a_file_is_config_error(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path / "run.cfg",
+                         "[run]\ncommand = phase\n[model]\nh = 0.5\n"
+                         "gamma = 0.5\nk_ksea = 0.2\nn_sites = 8\n")
+    out = tmp_path / "taken"
+    out.write_text("not a directory", encoding="utf-8")
+    assert main(["phase", "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot create --out ")
+    assert repr(str(out)) in err
+    assert out.read_text(encoding="utf-8") == "not a directory"
 
 
 def test_workers_resolution(tmp_path, monkeypatch):

@@ -15,7 +15,14 @@ from iksea.dynamics import (
 )
 from iksea.errors import EvolutionOverflowError, ParameterError
 from iksea.ground import block_ground_state
-from iksea.model import ChainParams, block_elements, block_matrix, momentum_grid
+from iksea.model import (
+    EXACT_SUM_CUTOVER,
+    ChainParams,
+    block_elements,
+    block_matrix,
+    exact_sum,
+    momentum_grid,
+)
 
 BROKEN = ChainParams(h=0.5, gamma=0.5, k_ksea=0.2, n_sites=8)
 UNBROKEN = ChainParams(h=1.5, gamma=0.5, k_ksea=0.2, n_sites=8)
@@ -365,6 +372,25 @@ def test_kernel_equals_matrix_route_bit_for_bit():
             _matrix_route(p, t, derivative)
         checked += p.n_sites // 2
     assert checked > 2000
+
+
+@pytest.mark.parametrize("h", [0.5, 1.5])
+@pytest.mark.parametrize("derivative", ["analytic", "fd"])
+def test_total_is_fsum_above_the_cutover(monkeypatch, h, derivative):
+    # 4096 modes take exact_sum's array path, not math.fsum itself
+    import iksea.dynamics as dyn
+    summed = []
+
+    def keeping(values):
+        summed.append(values.copy())
+        return exact_sum(values)
+
+    monkeypatch.setattr(dyn, "exact_sum", keeping)
+    p = ChainParams(h=h, gamma=0.5, k_ksea=0.2, n_sites=8192)
+    total = dynamical_qfi(p, 3.0, derivative)
+    (vals,) = summed
+    assert vals.size == 4096 > EXACT_SUM_CUTOVER and vals.min() > 0.0
+    assert total == math.fsum(vals.tolist())
 
 
 def test_rescaled_frame_values_pinned():

@@ -22,7 +22,13 @@ from iksea.ground import (
     block_qfi_real,
     ground_qfi,
 )
-from iksea.model import ChainParams, block_elements, momentum_grid, zero_crossings
+from iksea.model import (
+    EXACT_SUM_CUTOVER,
+    ChainParams,
+    block_elements,
+    momentum_grid,
+    zero_crossings,
+)
 from iksea.oracle import block_fd_qfi, sample_conditioned_params
 
 
@@ -223,6 +229,15 @@ def test_per_mode_equals_stored_arrays():
     assert rec.total == math.fsum(rec.values.tolist())
     with pytest.raises(ValueError):
         rec.values[0] = 1.0      # the record's arrays are read-only
+
+
+@pytest.mark.parametrize("h, gamma, k", [
+    (0.5, 0.5, 0.2), (1.0, 0.5, 0.2), (1.5, 0.5, 0.2), (0.5, 0.4, 0.4)])
+def test_total_is_fsum_above_the_cutover(h, gamma, k):
+    # 32768 modes take exact_sum's array path, not math.fsum itself
+    rec = ground_qfi(ChainParams(h=h, gamma=gamma, k_ksea=k, n_sites=2 ** 16))
+    assert rec.values.size > 16 * EXACT_SUM_CUTOVER
+    assert rec.total == math.fsum(rec.values.tolist())
 
 
 def test_fd_oracle_matches_both_branches():
