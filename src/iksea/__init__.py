@@ -40,22 +40,16 @@ from .model import (
     classify_phase,
 )
 from .ground import (
-    BlockGroundState,
-    ModeContribution,
     QfiRecord,
-    block_ground_state,
     block_qfi_real,
     block_qfi_imag,
     ground_qfi,
     asymptotic_qfi,
 )
 from .dynamics import (
-    BlockPropagator,
-    EvolvedBlockState,
     DynQfiSeries,
     block_propagator,
     propagator_derivative,
-    evolve_block,
     dynamical_qfi,
     qfi_time_series,
 )

@@ -186,6 +186,8 @@ def cmd_dyn_qfi(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
         raise ConfigError(
             f"[dynamics] derivative must be analytic|fd, got {derivative!r}")
     fd_step = cfg.get_float("dynamics", "fd_step", default=1e-6)
+    if not 0.0 < fd_step < np.inf:
+        raise ConfigError(f"[dynamics] fd_step must be finite and > 0, got {fd_step!r}")
     phase = classify_phase(params).region
 
     done = _run_points(
@@ -315,8 +317,11 @@ def cmd_oracle_check(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
     n_points = cfg.get_int("oracle", "points", default=20)
     include_dynamics = cfg.get_bool("oracle", "include_dynamics", default=True)
     corrupt_scale = cfg.get_float("oracle", "corrupt_scale", default=1.0)
-    if any(n > 14 for n in sizes):
-        raise ConfigError("[oracle] sizes must stay <= 14 (dense capacity)")
+    if any(n % 2 or not 2 <= n <= 14 for n in sizes):
+        raise ConfigError(f"[oracle] sizes must be even integers in [2, 14] "
+                          f"(dense capacity), got {sizes}")
+    if n_points < 0:
+        raise ConfigError(f"[oracle] points must be >= 0, got {n_points}")
     report = run_oracle_suite(sizes=tuple(sizes), n_points=n_points,
                               seed=cfg.seed, include_dynamics=include_dynamics,
                               corrupt_scale=corrupt_scale)

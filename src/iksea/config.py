@@ -139,9 +139,6 @@ class RunConfig:
 
     # -- typed accessors ----------------------------------------------------
 
-    def has(self, section: str, key: str) -> bool:
-        return key in self.sections.get(section, {})
-
     get_str = _getter(str, "a string")
     get_float = _getter(float, "a number")
     get_int = _getter(int, "an integer")

@@ -51,12 +51,9 @@ from .errors import (
 from .model import ChainParams, block_elements, block_matrix, exact_sum, momentum_grid
 
 __all__ = [
-    "BlockPropagator",
-    "EvolvedBlockState",
     "DynQfiSeries",
     "block_propagator",
     "propagator_derivative",
-    "evolve_block",
     "dynamical_qfi",
     "qfi_time_series",
 ]
@@ -69,27 +66,6 @@ _RESCALE_ARG = 100.0
 
 #: negative per-mode contributions beyond this are treated as real errors
 _CLAMP_FLOOR = -1e-10
-
-
-@dataclass(frozen=True)
-class BlockPropagator:
-    matrix: np.ndarray   # 2x2 complex
-    time: float
-    eps_sq: float
-
-
-@dataclass(frozen=True)
-class EvolvedBlockState:
-    """Normalised evolved block state with its normalisation bookkeeping.
-
-    raw_norm is ||U(t)|0>||; norm_factor = 1/raw_norm is the multiplier that
-    normalises the evolved state (it equals 1 in the Hermitian limit).
-    """
-
-    state: np.ndarray
-    raw_norm: float
-    norm_factor: float
-    time: float
 
 
 @dataclass(frozen=True)
@@ -194,19 +170,15 @@ def _c012(z, rescale: bool = False):
     return c0.reshape(shape), c1.reshape(shape), c2.reshape(shape)
 
 
-def block_propagator(params: ChainParams, phi: float, t: float) -> BlockPropagator:
-    """Closed-form block propagator U(t) = c0 I - i t c1 H.
+def block_propagator(params: ChainParams, phi: float, t: float) -> np.ndarray:
+    """Closed-form 2x2 block propagator U(t) = c0 I - i t c1 H.
 
     Well defined on every branch, including exactly at exceptional points
     (z = 0).  Raises EvolutionOverflowError when |Im eps| * t would overflow.
     """
     _, _, _, eps_sq = block_elements(params, float(phi))
-    eps_sq = float(eps_sq)
-    z = eps_sq * t * t
-    c0, c1, _ = map(float, _c012(z))
-    h = block_matrix(params, phi)
-    u = c0 * np.eye(2, dtype=complex) - 1j * t * c1 * h
-    return BlockPropagator(matrix=u, time=float(t), eps_sq=eps_sq)
+    c0, c1, _ = map(float, _c012(float(eps_sq) * t * t))
+    return c0 * np.eye(2, dtype=complex) - 1j * t * c1 * block_matrix(params, phi)
 
 
 def propagator_derivative(params: ChainParams, phi: float, t: float,
@@ -217,8 +189,8 @@ def propagator_derivative(params: ChainParams, phi: float, t: float,
     it is retained as an independent cross-check of the analytic formula.
     """
     if mode == "fd":
-        up = block_propagator(params.replace(h=params.h + fd_step), phi, t).matrix
-        um = block_propagator(params.replace(h=params.h - fd_step), phi, t).matrix
+        up = block_propagator(params.replace(h=params.h + fd_step), phi, t)
+        um = block_propagator(params.replace(h=params.h - fd_step), phi, t)
         return (up - um) / (2.0 * fd_step)
     if mode != "analytic":
         raise ParameterError(f"unknown derivative mode {mode!r}")
@@ -230,15 +202,6 @@ def propagator_derivative(params: ChainParams, phi: float, t: float,
     d = np.diag([-1.0, 1.0]).astype(complex)
     return (-g * t * t * c1) * np.eye(2, dtype=complex) \
         + (-1j * g * t ** 3 * c2) * h + (-1j * t * c1) * d
-
-
-def evolve_block(params: ChainParams, phi: float, t: float) -> EvolvedBlockState:
-    """Evolve the block vacuum [1, 0] and normalise."""
-    u = block_propagator(params, phi, t).matrix
-    v = u[:, 0].copy()
-    raw = float(np.linalg.norm(v))
-    return EvolvedBlockState(state=v / raw, raw_norm=raw,
-                             norm_factor=1.0 / raw, time=float(t))
 
 
 def _columns(params: ChainParams, phi: np.ndarray, t: float, rescale: bool):
@@ -262,10 +225,13 @@ def dynamical_qfi(params: ChainParams, t: float, derivative: str = "analytic",
     (block_propagator, propagator_derivative, np.vdot) rounds it, so the
     total is the same to the last bit.  Per-mode contributions in
     [-1e-10, 0) are clamped to zero (round-off); anything more negative
-    raises NumericalConsistencyError.
+    raises NumericalConsistencyError.  With derivative="fd", fd_step must
+    be finite and > 0, else ParameterError.
     """
     if derivative not in ("analytic", "fd"):
         raise ParameterError(f"unknown derivative mode {derivative!r}")
+    if derivative == "fd" and not 0.0 < fd_step < math.inf:
+        raise ParameterError(f"fd_step must be finite and > 0, got {fd_step!r}")
     t = float(t)
     phi = momentum_grid(params.n_sites)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

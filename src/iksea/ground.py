@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Tuple
 
 import numpy as np
 
@@ -46,10 +45,7 @@ from .model import (
 )
 
 __all__ = [
-    "BlockGroundState",
-    "ModeContribution",
     "QfiRecord",
-    "block_ground_state",
     "block_qfi_real",
     "block_qfi_imag",
     "ground_qfi",
@@ -62,41 +58,11 @@ NEAR_SINGULAR_CONTRIB = np.finfo(float).max / 1e6
 
 
 @dataclass(frozen=True)
-class BlockGroundState:
-    """Unnormalised right ground eigenvector of one 2x2 momentum block.
-
-    u, v : components on {|0>, c_p^dag c_{-p}^dag |0>}
-    dirac_norm : A = |u|^2 + |v|^2
-    energy : ground eigenvalue -eps (largest imaginary part on the broken branch)
-    branch : "real" or "imag"
-    """
-
-    u: complex
-    v: complex
-    dirac_norm: float
-    energy: complex
-    branch: str
-
-    def vector(self) -> np.ndarray:
-        return np.array([self.u, self.v], dtype=complex)
-
-
-@dataclass(frozen=True)
-class ModeContribution:
-    index: int          # p = 1 .. N/2
-    phi: float
-    branch: str
-    value: float
-    near_singular: bool
-
-
-@dataclass(frozen=True)
 class QfiRecord:
     """Total ground QFI with its per-mode arrays (ascending mode order).
 
-    phi, values, real (True on the real branch) and near_singular are
-    read-only arrays over the grid; per_mode builds one ModeContribution per
-    mode from them on demand.
+    phi and values are read-only arrays over the grid; flag_near_singular is
+    set when any value is within 1e6 of float overflow.
     """
 
     total: float
@@ -104,49 +70,6 @@ class QfiRecord:
     flag_near_singular: bool
     phi: np.ndarray = field(repr=False, compare=False)
     values: np.ndarray = field(repr=False, compare=False)
-    real: np.ndarray = field(repr=False, compare=False)
-    near_singular: np.ndarray = field(repr=False, compare=False)
-
-    @property
-    def per_mode(self) -> Tuple[ModeContribution, ...]:
-        return tuple(
-            ModeContribution(p, phi, "real" if real else "imag", val, near)
-            for p, phi, real, val, near in zip(
-                range(1, self.phi.size + 1), self.phi.tolist(),
-                self.real.tolist(), self.values.tolist(),
-                self.near_singular.tolist()))
-
-
-def _check_not_exceptional(phi, g, ap, am, eps_sq, index=None):
-    if abs(eps_sq) <= exceptional_tolerance(g, ap, am):
-        raise ExceptionalModeError(phi, mode_index=index)
-
-
-def block_ground_state(params: ChainParams, phi: float) -> BlockGroundState:
-    """Ground eigenvector of the block at angle phi.
-
-    Raises ExceptionalModeError when the block is defective (eps_sq = 0
-    within tolerance).  For the diagonal block a_plus = 0 (gamma = K = 0)
-    the canonical basis vector is returned.
-    """
-    g, ap, am, eps_sq = block_elements(params, float(phi))
-    g, ap, am, eps_sq = float(g), float(ap), float(am), float(eps_sq)
-    _check_not_exceptional(phi, g, ap, am, eps_sq)
-    if eps_sq > 0.0:
-        eps = complex(math.sqrt(eps_sq))
-        branch = "real"
-    else:
-        eps = -1j * math.sqrt(-eps_sq)
-        branch = "imag"
-    if ap == 0.0:
-        # block is diagonal: ground state is a basis vector.  (On the grid
-        # sin(phi) > 0, so this happens only for gamma = K = 0.)
-        u, v = (1.0 + 0j, 0j) if g > 0 else (0j, 1.0 + 0j)
-        return BlockGroundState(u, v, 1.0, -abs(g), "real")
-    u = complex(ap)
-    v = eps - g
-    norm = abs(u) ** 2 + abs(v) ** 2
-    return BlockGroundState(u, v, float(norm), -eps, branch)
 
 
 def _mode_qfi(params: ChainParams, phi: np.ndarray, numbered: bool = True):
@@ -217,13 +140,10 @@ def ground_qfi(params: ChainParams) -> QfiRecord:
     mode anywhere on the grid raises ExceptionalModeError naming its angle.
     """
     phi = momentum_grid(params.n_sites)
-    eps_sq, vals, near = _mode_qfi(params, phi)
-    real = eps_sq > 0.0
-    for a in (phi, vals, real, near):
-        a.flags.writeable = False
+    _, vals, near = _mode_qfi(params, phi)
+    phi.flags.writeable = vals.flags.writeable = False
     return QfiRecord(total=exact_sum(vals), params=params,
-                     flag_near_singular=bool(near.any()), phi=phi,
-                     values=vals, real=real, near_singular=near)
+                     flag_near_singular=bool(near.any()), phi=phi, values=vals)
 
 
 def asymptotic_qfi(params: ChainParams, regime: str) -> float:
@@ -274,7 +194,8 @@ def asymptotic_qfi(params: ChainParams, regime: str) -> float:
         p = min(max(round((s + 1.0) / 2.0), 1), n // 2)   # nearest grid mode
         phi = (2 * p - 1) * np.pi / n
         g, ap, am, eps_sq = map(float, block_elements(params.replace(h=h), phi))
-        _check_not_exceptional(phi, g, ap, am, eps_sq, index=p)
+        if abs(eps_sq) <= exceptional_tolerance(g, ap, am):
+            raise ExceptionalModeError(phi, mode_index=p)
         x = abs(s - (2 * p - 1))
         return float((n / np.pi) ** 2 / (gam * gam * x * x))
     if regime == "near_degenerate":

@@ -145,9 +145,9 @@ def exact_sum(values: np.ndarray) -> float:
     Integer and 26-bit fraction parts of the significands (np.frexp) are summed
     per exponent (np.bincount, exact below 2^26 values), then rounded once.
     """
-    if not (EXACT_SUM_CUTOVER <= values.size < 2 ** 26
+    if not (EXACT_SUM_CUTOVER <= values.size < 2 ** 26 and values.any()
             and np.abs(values).max() < 2.0 ** 1022 / values.size):
-        return math.fsum(values.tolist())   # also non-finite and overflow
+        return math.fsum(values.tolist())   # also all-zero, non-finite, overflow
     m, e = np.frexp(values)
     e0 = int(e.min())
     e -= e0

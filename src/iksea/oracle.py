@@ -23,7 +23,6 @@ value must not depend on the chain parameters.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -38,13 +37,12 @@ from .errors import (
     LevelCrossingError,
 )
 from .dynamics import dynamical_qfi
-from .ground import block_ground_state, ground_qfi
-from .model import ChainParams, block_elements, dispersion, momentum_grid
+from .ground import ground_qfi
+from .model import ChainParams, block_elements, block_matrix, dispersion, momentum_grid
 
 __all__ = [
     "DENSE_CAP",
     "EVOLUTION_CAP",
-    "DenseOperator",
     "SpectralDecomposition",
     "dense_hamiltonian",
     "parity_vector",
@@ -68,19 +66,12 @@ EVOLUTION_CAP = 12
 
 
 @dataclass(frozen=True)
-class DenseOperator:
-    matrix: np.ndarray
-    n_sites: int
-
-
-@dataclass(frozen=True)
 class SpectralDecomposition:
     eigenvalues: np.ndarray
     right_vectors: np.ndarray    # columns, embedded in the full 2^N space
-    sector: str
 
 
-def dense_hamiltonian(params: ChainParams, scale: float = 1.0) -> DenseOperator:
+def dense_hamiltonian(params: ChainParams, scale: float = 1.0) -> np.ndarray:
     """Full 2^N dense Hamiltonian, assembled bond by bond from Pauli action.
 
     scale multiplies the whole operator (test hook for the calibration
@@ -112,7 +103,7 @@ def dense_hamiltonian(params: ChainParams, scale: float = 1.0) -> DenseOperator:
         h_mat[a, a] += (h / 2.0) * (1.0 - 2.0 * bj)
     if scale != 1.0:
         h_mat *= scale
-    return DenseOperator(matrix=h_mat, n_sites=n)
+    return h_mat
 
 
 def parity_vector(n_sites: int) -> np.ndarray:
@@ -127,25 +118,22 @@ def even_sector_indices(n_sites: int) -> np.ndarray:
     return np.nonzero(parity_vector(n_sites) == 1)[0]
 
 
-def sector_hamiltonian(params: ChainParams, sector: str = "even",
+def sector_hamiltonian(params: ChainParams,
                        scale: float = 1.0) -> Tuple[np.ndarray, np.ndarray]:
-    """(restricted matrix, basis indices) for one parity sector."""
-    dense = dense_hamiltonian(params, scale=scale)
-    par = parity_vector(params.n_sites)
-    want = 1 if sector == "even" else -1
-    idx = np.nonzero(par == want)[0]
-    return dense.matrix[np.ix_(idx, idx)], idx
+    """(restricted matrix, basis indices) for the even parity sector."""
+    idx = even_sector_indices(params.n_sites)
+    return dense_hamiltonian(params, scale=scale)[np.ix_(idx, idx)], idx
 
 
-def spectral_decomposition(params: ChainParams, sector: str = "even",
+def spectral_decomposition(params: ChainParams,
                            scale: float = 1.0) -> SpectralDecomposition:
-    """Eigen-decomposition of one parity sector with residual checks.
+    """Eigen-decomposition of the even parity sector with residual checks.
 
     Raises ExceptionalModeError when the sector matrix is (numerically)
     defective: eigenvector matrix close to singular or residuals beyond
     1e-8 * ||H||.
     """
-    mat, idx = sector_hamiltonian(params, sector, scale=scale)
+    mat, idx = sector_hamiltonian(params, scale=scale)
     vals, vecs = np.linalg.eig(mat)
     scale_h = np.linalg.norm(mat, ord=2)
     resid = np.linalg.norm(mat @ vecs - vecs * vals[None, :], axis=0)
@@ -159,7 +147,7 @@ def spectral_decomposition(params: ChainParams, sector: str = "even",
                    f"{np.linalg.cond(vecs):.3e} indicates a defective sector")
     full = np.zeros((1 << params.n_sites, vals.size), dtype=complex)
     full[idx, :] = vecs
-    return SpectralDecomposition(eigenvalues=vals, right_vectors=full, sector=sector)
+    return SpectralDecomposition(eigenvalues=vals, right_vectors=full)
 
 
 def _select_ground(vals: np.ndarray) -> int:
@@ -177,13 +165,12 @@ def _select_ground(vals: np.ndarray) -> int:
     return int(group[np.argmin(vals.real[group])])
 
 
-def spectral_ground_state(params: ChainParams, sector: str = "even",
-                          scale: float = 1.0):
+def spectral_ground_state(params: ChainParams, scale: float = 1.0):
     """(normalised ground vector in the full space, its eigenvalue).
 
     Gauge fixed by making the largest-magnitude component real positive.
     """
-    dec = spectral_decomposition(params, sector, scale=scale)
+    dec = spectral_decomposition(params, scale=scale)
     i = _select_ground(dec.eigenvalues)
     vec = dec.right_vectors[:, i].copy()
     vec /= np.linalg.norm(vec)
@@ -227,7 +214,7 @@ def _match_multisets(a: np.ndarray, b: np.ndarray):
 def spectrum_match_error(params: ChainParams, scale: float = 1.0) -> float:
     """Max matched distance between dense even-sector eigenvalues and the
     block-generated multiset."""
-    mat, _ = sector_hamiltonian(params, "even", scale=scale)
+    mat, _ = sector_hamiltonian(params, scale=scale)
     dense_vals = np.linalg.eigvals(mat)
     block_vals = block_even_multiset(params)
     if dense_vals.size != block_vals.size:
@@ -244,7 +231,7 @@ def fit_energy_scale(params: ChainParams, scale: float = 1.0) -> Tuple[float, fl
     Returns (s, c, max_residual).  s and c are real by construction of the
     model (both routes produce conjugation-symmetric spectra).
     """
-    mat, _ = sector_hamiltonian(params, "even", scale=scale)
+    mat, _ = sector_hamiltonian(params, scale=scale)
     dense_vals = np.linalg.eigvals(mat)
     block_vals = block_even_multiset(params)
     a, b = _match_multisets(dense_vals, block_vals)
@@ -316,10 +303,14 @@ def fd_qfi_ground(params: ChainParams, delta: float = 1e-5,
 
 
 def block_fd_qfi(params: ChainParams, phi: float, delta: float = 1e-6) -> float:
-    """Single-mode QFI by finite differences on the normalised block state."""
+    """Single-mode QFI by finite differences on the normalised block state.
+
+    The ground vector comes from np.linalg.eig of the 2x2 block, picked by
+    _select_ground, not from the closed forms it checks.
+    """
     def unit(p):
-        st = block_ground_state(p, phi)
-        return st.vector() / math.sqrt(st.dirac_norm)
+        vals, vecs = np.linalg.eig(block_matrix(p, phi))
+        return vecs[:, _select_ground(vals)]
 
     psi0 = unit(params)
     psip = unit(params.replace(h=params.h + delta))
@@ -330,10 +321,10 @@ def block_fd_qfi(params: ChainParams, phi: float, delta: float = 1e-6) -> float:
 def _evolved_dense_state(params: ChainParams, t: float, scale_cal: float,
                          corrupt: float = 1.0) -> np.ndarray:
     dense = dense_hamiltonian(params, scale=corrupt)
-    dim = dense.matrix.shape[0]
+    dim = dense.shape[0]
     psi = np.zeros(dim, dtype=complex)
     psi[dim - 1] = 1.0               # all spins down = fermionic vacuum
-    out = sla.expm(-1j * dense.matrix * (scale_cal * t)) @ psi
+    out = sla.expm(-1j * dense * (scale_cal * t)) @ psi
     return out / np.linalg.norm(out)
 
 

@@ -99,7 +99,7 @@ def test_criterion_03_heisenberg_at_exceptional_point():
             p = tpl.replace(n_sites=n)
             rec = ground_qfi(p)
             totals.append(rec.total)
-            dominant.append(max(m.value for m in rec.per_mode))
+            dominant.append(rec.values.max())
             preds.append(asymptotic_qfi(p, "exceptional"))
         return np.asarray(totals), np.asarray(dominant), np.asarray(preds)
 

@@ -56,7 +56,8 @@ def test_config_roundtrip_and_defaults(tmp_path):
     assert cfg.get_float("model", "h") == 1.2
     assert cfg.get_ints("grid", "n_values") == [8, 4]
     assert cfg.get_str("model", "nope", default="x") == "x"
-    assert cfg.has("grid", "h_values") and not cfg.has("grid", "t_values")
+    assert "h_values" in cfg.sections["grid"]
+    assert "t_values" not in cfg.sections["grid"]
 
 
 def test_config_error_cases():
@@ -265,6 +266,16 @@ def test_dyn_qfi_time_grid_spacings(tmp_path):
                                     "start = 1\nstop = 8\ncount = 4\n"
                                     "spacing = sqrt"))
     assert main(["dyn-qfi", "--config", bad, "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("step", ["0", "-1e-6", "nan", "inf"])
+def test_dyn_qfi_bad_fd_step_is_config_error(tmp_path, capsys, step):
+    cfg_path = write_cfg(tmp_path / "run.cfg", DYN_CFG + (
+        f"\n[dynamics]\nderivative = fd\nfd_step = {step}\n"))
+    assert main(["dyn-qfi", "--config", cfg_path,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: [dynamics] fd_step must be finite and > 0")
 
 
 # -------------------------------------------------------------------- sweep
@@ -565,6 +576,20 @@ def test_oracle_check_caps_sizes(tmp_path):
                          ORACLE_CFG.replace("sizes = 4", "sizes = 16"))
     assert main(["oracle-check", "--config", cfg_path,
                  "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("line, bad", [
+    ("sizes = 4", "sizes = 5"), ("sizes = 4", "sizes = 4 0"),
+    ("points = 3", "points = -3")])
+def test_oracle_check_bad_sizes_or_points_is_config_error(tmp_path, capsys,
+                                                          line, bad):
+    cfg_path = write_cfg(tmp_path / "run.cfg", ORACLE_CFG.replace(line, bad))
+    out = tmp_path / "out"
+    assert main(["oracle-check", "--config", cfg_path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: [oracle] {bad.split()[0]} ")
+    assert "all checks passed" not in captured.out
+    assert not (out / "oracle_check_report.json").exists()
 
 
 # ------------------------------------------------------------ phase/workers

@@ -9,12 +9,10 @@ from scipy.linalg import expm
 from iksea.dynamics import (
     block_propagator,
     dynamical_qfi,
-    evolve_block,
     propagator_derivative,
     qfi_time_series,
 )
 from iksea.errors import EvolutionOverflowError, ParameterError
-from iksea.ground import block_ground_state
 from iksea.model import (
     EXACT_SUM_CUTOVER,
     ChainParams,
@@ -45,7 +43,7 @@ def test_propagator_matches_dense_expm():
         _, _, _, eps_sq = block_elements(p, phi)
         if abs(eps_sq) * t * t > 1e4:   # keep expm well-conditioned
             continue
-        u = block_propagator(p, phi, t).matrix
+        u = block_propagator(p, phi, t)
         ref = expm(-1j * t * block_matrix(p, phi).astype(complex))
         np.testing.assert_allclose(u, ref, rtol=1e-10, atol=1e-12)
 
@@ -59,7 +57,7 @@ def test_propagator_is_unimodular():
                 _, _, _, eps_sq = block_elements(p, float(phi))
                 if math.sqrt(abs(eps_sq)) * t > 30:
                     continue
-                u = block_propagator(p, float(phi), t).matrix
+                u = block_propagator(p, float(phi), t)
                 scale = max(1.0, float(np.abs(u).max()) ** 2)
                 np.testing.assert_allclose(np.linalg.det(u), 1.0, rtol=0,
                                            atol=1e-13 * scale)
@@ -69,9 +67,9 @@ def test_propagator_composition():
     for p in (BROKEN, UNBROKEN):
         phi = float(momentum_grid(p.n_sites)[1])
         for t1, t2 in ((0.3, 0.9), (1.5, 2.5), (4.0, 6.0)):
-            u1 = block_propagator(p, phi, t1).matrix
-            u2 = block_propagator(p, phi, t2).matrix
-            u12 = block_propagator(p, phi, t1 + t2).matrix
+            u1 = block_propagator(p, phi, t1)
+            u2 = block_propagator(p, phi, t2)
+            u12 = block_propagator(p, phi, t1 + t2)
             scale = max(1.0, float(np.abs(u12).max()))
             np.testing.assert_allclose(u2 @ u1, u12, rtol=1e-9,
                                        atol=1e-9 * scale)
@@ -83,7 +81,7 @@ def test_exceptional_block_is_still_evolvable():
     p = ChainParams(h=h, gamma=0.4, k_ksea=0.4, n_sites=4)
     phi = np.pi / 4
     t = 3.7
-    u = block_propagator(p, phi, t).matrix
+    u = block_propagator(p, phi, t)
     hm = block_matrix(p, phi).astype(complex)
     np.testing.assert_allclose(u, np.eye(2) - 1j * t * hm, rtol=0, atol=1e-14)
     ref = expm(-1j * t * hm)
@@ -131,29 +129,28 @@ def test_hermitian_limit_preserves_norm():
     p = ChainParams(h=1.2, gamma=0.0, k_ksea=0.6, n_sites=8)
     for phi in momentum_grid(8):
         for t in (0.7, 3.0, 15.0):
-            st = evolve_block(p, float(phi), t)
-            np.testing.assert_allclose(st.raw_norm, 1.0, rtol=0, atol=1e-10)
-            np.testing.assert_allclose(st.norm_factor * st.raw_norm, 1.0,
-                                       rtol=0, atol=1e-12)
-            np.testing.assert_allclose(np.linalg.norm(st.state), 1.0,
-                                       rtol=0, atol=1e-12)
-
-
-def test_norm_factor_inverts_raw_norm_on_broken_branch():
-    phi = _broken_phi(BROKEN)
-    st = evolve_block(BROKEN, phi, 12.0)
-    assert st.raw_norm > 1.0   # broken modes amplify the vacuum component
-    np.testing.assert_allclose(st.norm_factor * st.raw_norm, 1.0, rtol=1e-14)
-    np.testing.assert_allclose(np.linalg.norm(st.state), 1.0, rtol=1e-12)
+            v = block_propagator(p, float(phi), t)[:, 0]
+            np.testing.assert_allclose(np.linalg.norm(v), 1.0, rtol=0,
+                                       atol=1e-10)
 
 
 def test_long_time_broken_mode_converges_to_dominant_eigenvector():
     phi = _broken_phi(BROKEN)
-    st = evolve_block(BROKEN, phi, 50.0)
-    gs = block_ground_state(BROKEN, phi)
-    target = gs.vector() / np.sqrt(gs.dirac_norm)
-    overlap = abs(np.vdot(target, st.state))
+    # broken modes amplify the vacuum component
+    assert np.linalg.norm(block_propagator(BROKEN, phi, 12.0)[:, 0]) > 1.0
+    v = block_propagator(BROKEN, phi, 50.0)[:, 0]
+    vals, vecs = np.linalg.eig(block_matrix(BROKEN, phi))
+    target = vecs[:, np.argmax(vals.imag)]     # the growing eigenvector
+    overlap = abs(np.vdot(target, v / np.linalg.norm(v)))
     assert overlap >= 1.0 - 1e-8
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-6, math.nan, math.inf])
+def test_fd_step_must_be_finite_and_positive(step):
+    with pytest.raises(ParameterError, match="fd_step"):
+        dynamical_qfi(UNBROKEN, 1.0, "fd", step)
+    assert dynamical_qfi(UNBROKEN, 1.0, "analytic", step) == \
+        dynamical_qfi(UNBROKEN, 1.0)
 
 
 def test_qfi_zero_at_time_zero():
@@ -322,7 +319,7 @@ def _matrix_route(params, t, derivative="analytic"):
     """Per-mode 2x2 route: propagator columns, np.vdot, fsum."""
     vals = []
     for phi in momentum_grid(params.n_sites):
-        v = block_propagator(params, float(phi), t).matrix[:, 0]
+        v = block_propagator(params, float(phi), t)[:, 0]
         w = propagator_derivative(params, float(phi), t,
                                   mode=derivative)[:, 0]
         n2 = float(np.real(np.vdot(v, v)))

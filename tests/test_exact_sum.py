@@ -122,3 +122,18 @@ def test_large_sizes_take_the_array_path(monkeypatch):
     assert calls == []
     assert exact_sum(small) == want_small
     assert calls == [CUT - 1]
+
+
+@pytest.mark.parametrize("signs", ["+", "-", "mixed"])
+def test_all_zero_sums_skip_the_array_pass(monkeypatch, signs):
+    x = np.zeros(4 * CUT)
+    if signs == "-":
+        x = -x
+    elif signs == "mixed":
+        x[::3] = -0.0
+
+    def never(*args):
+        raise AssertionError("all-zero input entered the array pass")
+
+    monkeypatch.setattr(iksea.model.np, "frexp", never)
+    assert_same_as_fsum(x)

@@ -17,7 +17,6 @@ from iksea.errors import (
 )
 from iksea.ground import (
     asymptotic_qfi,
-    block_ground_state,
     block_qfi_imag,
     block_qfi_real,
     ground_qfi,
@@ -26,10 +25,23 @@ from iksea.model import (
     EXACT_SUM_CUTOVER,
     ChainParams,
     block_elements,
+    block_matrix,
     momentum_grid,
     zero_crossings,
 )
-from iksea.oracle import block_fd_qfi, sample_conditioned_params
+from iksea.oracle import _select_ground, block_fd_qfi, sample_conditioned_params
+
+
+def eig_ground(p, phi):
+    """(energy, (u, v)) of the block ground state from np.linalg.eig.
+
+    The eigenvector is scaled to u = a_plus, where the closed form reads
+    (u, v) = (a_plus, eps - g) with Dirac norm A = |u|^2 + |v|^2.
+    """
+    vals, vecs = np.linalg.eig(block_matrix(p, phi))
+    i = _select_ground(vals)
+    ap = complex(block_elements(p, phi)[1])
+    return vals[i], (ap, vecs[1, i] * ap / vecs[0, i])
 
 
 def test_imag_branch_frozen_value():
@@ -45,24 +57,28 @@ def test_real_branch_frozen_value():
                                0.005151926868506159, rtol=1e-14)
 
 
-def test_block_ground_state_frozen():
+def test_ground_eigenvector_frozen():
+    # the frozen eigenvector (u, v), its Dirac norm A and energy give the
+    # frozen real-branch QFI 4 (u v / (eps A))^2 of the kernel
     p = ChainParams(h=2.0, gamma=0.2, k_ksea=0.5, n_sites=4)
-    st = block_ground_state(p, np.pi / 2)
-    assert st.branch == "real"
-    np.testing.assert_allclose(st.u, 0.7, rtol=1e-15)
-    np.testing.assert_allclose(st.v, 0.051828452868319275, rtol=1e-13)
-    np.testing.assert_allclose(st.dirac_norm, 0.4926861885267235, rtol=1e-13)
-    np.testing.assert_allclose(st.energy, -2.0518284528683193, rtol=1e-14)
-    np.testing.assert_allclose(st.vector(), [st.u, st.v], rtol=0)
+    energy, (u, v) = eig_ground(p, np.pi / 2)
+    np.testing.assert_allclose(u, 0.7, rtol=1e-15)
+    np.testing.assert_allclose(v, 0.051828452868319275, rtol=1e-13)
+    np.testing.assert_allclose(abs(u) ** 2 + abs(v) ** 2, 0.4926861885267235,
+                               rtol=1e-13)
+    np.testing.assert_allclose(energy, -2.0518284528683193, rtol=1e-14)
+    a, eps = 0.4926861885267235, 2.0518284528683193
+    np.testing.assert_allclose(
+        block_qfi_real(p, np.pi / 2),
+        4.0 * (0.7 * 0.051828452868319275 / (eps * a)) ** 2, rtol=1e-13)
 
     # broken branch: eps = -i sqrt(-eps_sq), ground energy has +Im
     pb = ChainParams(h=0.5, gamma=0.5, k_ksea=0.2, n_sites=6)
-    stb = block_ground_state(pb, 2 * np.pi / 3)
-    assert stb.branch == "imag"
+    energy, (_, v) = eig_ground(pb, 2 * np.pi / 3)
     r = math.sqrt(0.1575)
-    np.testing.assert_allclose(stb.energy, 1j * r, rtol=1e-13)
-    np.testing.assert_allclose(stb.v, -1j * r, rtol=1e-13, atol=1e-15)
-    assert stb.energy.imag > 0
+    np.testing.assert_allclose(energy, 1j * r, rtol=1e-13)
+    np.testing.assert_allclose(v, -1j * r, rtol=1e-13, atol=1e-15)
+    assert energy.imag > 0
 
 
 def test_dirac_norm_closed_form_real_branch():
@@ -75,11 +91,12 @@ def test_dirac_norm_closed_form_real_branch():
         g, ap, am, eps_sq = block_elements(p, phi)
         if eps_sq <= 1e-8:
             continue
-        st = block_ground_state(p, phi)
+        _, (u, v) = eig_ground(p, phi)
         s2 = np.sin(phi) ** 2
         a_closed = (2 * p.k_ksea * (p.gamma + p.k_ksea) * s2
                     + 2 * g * (g - np.sqrt(eps_sq)))
-        np.testing.assert_allclose(st.dirac_norm, a_closed, rtol=1e-10)
+        np.testing.assert_allclose(abs(u) ** 2 + abs(v) ** 2, a_closed,
+                                   rtol=1e-10)
 
 
 def test_real_branch_closed_form_equals_eigenvector_form():
@@ -93,9 +110,10 @@ def test_real_branch_closed_form_equals_eigenvector_form():
         g, ap, am, eps_sq = block_elements(p, phi)
         if eps_sq <= 1e-4:
             continue
-        st = block_ground_state(p, phi)
+        _, (u, v) = eig_ground(p, phi)
         eps = np.sqrt(eps_sq)
-        via_state = 4.0 * (st.u.real * st.v.real / (eps * st.dirac_norm)) ** 2
+        a = abs(u) ** 2 + abs(v) ** 2
+        via_state = 4.0 * (u.real * v.real / (eps * a)) ** 2
         np.testing.assert_allclose(block_qfi_real(p, phi), via_state,
                                    rtol=1e-9, atol=1e-30)
         checked += 1
@@ -121,8 +139,6 @@ def test_exceptional_mode_error_names_the_angle():
     assert "phi=" in str(err)
     # the single-mode entry points refuse the same block
     with pytest.raises(ExceptionalModeError):
-        block_ground_state(p, np.pi / 4)
-    with pytest.raises(ExceptionalModeError):
         block_qfi_real(p, np.pi / 4)
 
 
@@ -134,16 +150,16 @@ def test_gamma_equals_k_line_is_finite():
         warnings.simplefilter("error")
         rec = ground_qfi(p)
     np.testing.assert_allclose(rec.total, 27.113671605275588, rtol=1e-12)
-    vals = [m.value for m in rec.per_mode]
     np.testing.assert_allclose(
-        vals, [0.0, 0.0, 26.563268860007877, 0.55040274526771], rtol=1e-12)
-    assert all(m.branch == "real" for m in rec.per_mode)
+        rec.values, [0.0, 0.0, 26.563268860007877, 0.55040274526771],
+        rtol=1e-12)
+    assert (block_elements(p, rec.phi)[3] > 0).all()
     assert rec.flag_near_singular is False
 
     # single-mode route agrees with the record
     grid = momentum_grid(8)
-    for m, phi in zip(rec.per_mode, grid):
-        np.testing.assert_allclose(block_qfi_real(p, phi), m.value,
+    for value, phi in zip(rec.values, grid):
+        np.testing.assert_allclose(block_qfi_real(p, phi), value,
                                    rtol=1e-12, atol=1e-300)
 
 
@@ -152,22 +168,25 @@ def test_gamma_k_zero_gives_zero_qfi():
     p = ChainParams(h=2.0, gamma=0.0, k_ksea=0.0, n_sites=6)
     rec = ground_qfi(p)
     assert rec.total == 0.0
-    st = block_ground_state(p, np.pi / 6)
-    np.testing.assert_allclose(st.vector(), [1.0, 0.0], rtol=0)
-    assert st.dirac_norm == 1.0
+    # the diagonal block's ground state is a field-independent basis vector
+    vals, vecs = np.linalg.eig(block_matrix(p, np.pi / 6))
+    np.testing.assert_allclose(vecs[:, _select_ground(vals)], [1.0, 0.0],
+                               rtol=0)
     # g < 0 flips to the other basis vector
-    st2 = block_ground_state(p.replace(h=-2.0), np.pi / 6)
-    np.testing.assert_allclose(st2.vector(), [0.0, 1.0], rtol=0)
+    vals, vecs = np.linalg.eig(block_matrix(p.replace(h=-2.0), np.pi / 6))
+    np.testing.assert_allclose(vecs[:, _select_ground(vals)], [0.0, 1.0],
+                               rtol=0)
 
 
 def test_per_mode_branches_match_zero_crossings():
     p = ChainParams(h=0.5, gamma=0.5, k_ksea=0.2, n_sites=64)
     lo, hi = zero_crossings(p)
     rec = ground_qfi(p)
-    for m in rec.per_mode:
-        inside = lo < m.phi < hi
-        assert m.branch == ("imag" if inside else "real")
-        assert m.value >= 0.0
+    real = block_elements(p, rec.phi)[3] > 0
+    for phi, is_real, value in zip(rec.phi, real, rec.values):
+        inside = lo < phi < hi
+        assert is_real == (not inside)
+        assert value >= 0.0
 
 
 def test_single_mode_views_equal_kernel_bit_for_bit():
@@ -175,8 +194,9 @@ def test_single_mode_views_equal_kernel_bit_for_bit():
     # on every grid mode, both branches present, they return its value exactly
     p = ChainParams(h=0.5, gamma=0.5, k_ksea=0.2, n_sites=64)
     rec = ground_qfi(p)
-    assert rec.real.any() and not rec.real.all()
-    for phi, real, value in zip(rec.phi, rec.real, rec.values):
+    real_modes = block_elements(p, rec.phi)[3] > 0
+    assert real_modes.any() and not real_modes.all()
+    for phi, real, value in zip(rec.phi, real_modes, rec.values):
         view = block_qfi_real if real else block_qfi_imag
         assert view(p, phi) == value
         assert view(p, float(phi)) == value
@@ -187,48 +207,26 @@ def test_record_structure_and_fsum_total():
     rec = ground_qfi(p)
     np.testing.assert_allclose(rec.total, 21.649674098050713, rtol=1e-13)
     np.testing.assert_allclose(
-        [m.value for m in rec.per_mode],
+        rec.values,
         [0.006702926086341442, 13.109393579072478, 8.533577592891895],
         rtol=1e-13)
-    assert [m.index for m in rec.per_mode] == [1, 2, 3]
-    np.testing.assert_allclose([m.phi for m in rec.per_mode], momentum_grid(6))
+    np.testing.assert_allclose(rec.phi, momentum_grid(6))
     assert rec.params == p
     # total is the fsum of the per-mode values, bit for bit
-    assert rec.total == math.fsum(m.value for m in rec.per_mode)
-
-
-def test_per_mode_is_built_only_when_read(monkeypatch):
-    made = []
-
-    class Counting(iksea.ground.ModeContribution):
-        def __init__(self, *args):
-            made.append(args[0])
-            super().__init__(*args)
-
-    monkeypatch.setattr(iksea.ground, "ModeContribution", Counting)
-    p = ChainParams(h=0.5, gamma=0.5, k_ksea=0.2, n_sites=4096)
-    rec = ground_qfi(p)
-    assert made == []
-    modes = rec.per_mode
-    assert made == list(range(1, 2049))
-    assert len(modes) == 2048
+    assert rec.total == math.fsum(rec.values.tolist())
 
 
 def test_per_mode_equals_stored_arrays():
     p = ChainParams(h=0.5, gamma=0.5, k_ksea=0.2, n_sites=64)
     rec = ground_qfi(p)
-    modes = rec.per_mode
-    assert [m.index for m in modes] == list(range(1, 33))
-    assert [m.phi for m in modes] == momentum_grid(64).tolist()
-    assert [m.phi for m in modes] == rec.phi.tolist()
-    assert [m.value for m in modes] == rec.values.tolist()
-    assert [m.branch == "real" for m in modes] == rec.real.tolist()
-    assert [m.near_singular for m in modes] == rec.near_singular.tolist()
-    assert rec.real.tolist() == (block_elements(p, rec.phi)[3] > 0).tolist()
-    assert not rec.real.all() and rec.real.any()
+    assert rec.phi.tolist() == momentum_grid(64).tolist()
+    assert rec.values.shape == (32,)
+    real = block_elements(p, rec.phi)[3] > 0
+    assert not real.all() and real.any()
     assert rec.total == math.fsum(rec.values.tolist())
-    with pytest.raises(ValueError):
-        rec.values[0] = 1.0      # the record's arrays are read-only
+    for a in (rec.phi, rec.values):
+        with pytest.raises(ValueError):
+            a[0] = 1.0           # the record's arrays are read-only
 
 
 @pytest.mark.parametrize("h, gamma, k", [
@@ -278,18 +276,19 @@ def test_field_derivative_identities_real_branch():
         if eps_sq < 0.05:
             continue
         eps = math.sqrt(eps_sq)
-        sp = block_ground_state(p.replace(h=p.h + delta), phi)
-        sm = block_ground_state(p.replace(h=p.h - delta), phi)
-        st = block_ground_state(p, phi)
-        d_eps = (-sp.energy.real + sm.energy.real) / (2 * delta)
-        d_u = (sp.u - sm.u) / (2 * delta)
-        d_v = (sp.v - sm.v) / (2 * delta)
-        d_a = (sp.dirac_norm - sm.dirac_norm) / (2 * delta)
+        ep, (up, vp) = eig_ground(p.replace(h=p.h + delta), phi)
+        em, (um, vm) = eig_ground(p.replace(h=p.h - delta), phi)
+        _, (_, v) = eig_ground(p, phi)
+        d_eps = (-ep.real + em.real) / (2 * delta)
+        d_u = (up - um) / (2 * delta)
+        d_v = (vp - vm) / (2 * delta)
+        d_a = (abs(up) ** 2 + abs(vp) ** 2
+               - abs(um) ** 2 - abs(vm) ** 2) / (2 * delta)
         np.testing.assert_allclose(d_eps, g / eps, rtol=1e-6)
         assert abs(d_u) < 1e-12
-        np.testing.assert_allclose(d_v.real, -st.v.real / eps, rtol=1e-5,
+        np.testing.assert_allclose(d_v.real, -v.real / eps, rtol=1e-5,
                                    atol=1e-8)
-        np.testing.assert_allclose(d_a, -2 * st.v.real ** 2 / eps, rtol=1e-5,
+        np.testing.assert_allclose(d_a, -2 * v.real ** 2 / eps, rtol=1e-5,
                                    atol=1e-8)
         checked += 1
 
@@ -303,7 +302,7 @@ def test_near_singular_flag_plumbing(monkeypatch):
     with pytest.warns(NearSingularWarning):
         rec = ground_qfi(p)
     assert rec.flag_near_singular is True
-    assert any(m.near_singular for m in rec.per_mode)
+    assert (rec.values >= 1.0).any()
     with pytest.warns(NearSingularWarning):
         block_qfi_imag(p, 2 * np.pi / 3)
 

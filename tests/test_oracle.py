@@ -30,19 +30,19 @@ UNBROKEN = ChainParams(h=1.5, gamma=0.5, k_ksea=0.2, n_sites=6)
 
 def test_dense_hamiltonian_basic_structure():
     for p in (BROKEN, UNBROKEN):
-        hm = dense_hamiltonian(p).matrix
+        hm = dense_hamiltonian(p)
         assert hm.shape == (64, 64)
         np.testing.assert_allclose(np.trace(hm), 0.0, atol=1e-12)
     # no anisotropy: the chain is Hermitian exactly
     ph = ChainParams(h=0.7, gamma=0.0, k_ksea=0.4, n_sites=4)
-    hm = dense_hamiltonian(ph).matrix
+    hm = dense_hamiltonian(ph)
     np.testing.assert_allclose(hm, hm.conj().T, atol=0)
 
 
 def test_dense_hamiltonian_commutes_with_parity():
     par = parity_vector(6).astype(float)
     for p in (BROKEN, UNBROKEN):
-        hm = dense_hamiltonian(p).matrix
+        hm = dense_hamiltonian(p)
         comm = hm * par[None, :] - par[:, None] * hm
         # [H, P] = 0 means H never connects the two parity sectors
         np.testing.assert_allclose(comm, 0.0, atol=1e-14)

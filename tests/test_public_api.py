@@ -1,0 +1,76 @@
+"""The public API, pinned: each module's __all__ and the package namespace.
+
+Adding or deleting a public name needs a deliberate edit here, and an
+__all__ entry that no longer resolves fails.
+"""
+
+import importlib
+
+import pytest
+
+PUBLIC = {
+    "iksea.model": [
+        "ChainParams", "PhaseInfo", "momentum_grid", "block_matrix",
+        "block_elements", "dispersion", "exceptional_tolerance", "gamma_eff",
+        "critical_field", "exceptional_field", "zero_crossings",
+        "classify_phase",
+    ],
+    "iksea.ground": [
+        "QfiRecord", "block_qfi_real", "block_qfi_imag", "ground_qfi",
+        "asymptotic_qfi", "NEAR_SINGULAR_CONTRIB",
+    ],
+    "iksea.dynamics": [
+        "DynQfiSeries", "block_propagator", "propagator_derivative",
+        "dynamical_qfi", "qfi_time_series",
+    ],
+    "iksea.scaling": [
+        "ScalingFit", "SweepResult", "power_law_fit", "geometric_size_grid",
+        "size_exponent", "exponent_vs_offset", "kappa_sweep", "time_exponent",
+    ],
+    "iksea.config": ["RunConfig", "COMMANDS"],
+    "iksea.runner": [
+        "resolve_workers", "run_grid", "sha256_file", "Manifest", "WORKERS_ENV",
+    ],
+    "iksea.oracle": [
+        "DENSE_CAP", "EVOLUTION_CAP", "SpectralDecomposition",
+        "dense_hamiltonian", "parity_vector", "even_sector_indices",
+        "sector_hamiltonian", "spectral_decomposition", "spectral_ground_state",
+        "block_even_multiset", "spectrum_match_error", "fd_qfi_ground",
+        "block_fd_qfi", "dense_evolution_qfi", "calibrate_energy_scale",
+        "fit_energy_scale", "sample_conditioned_params", "run_oracle_suite",
+    ],
+    "iksea.cli": ["main"],
+}
+
+#: iksea.__all__ is every public name bound in the package, which includes
+#: the submodules its imports load
+PACKAGE = sorted([
+    "BranchError", "CalibrationError", "CapacityError", "ChainParams",
+    "ConfigError", "DomainError", "DynQfiSeries", "EvolutionOverflowError",
+    "ExceptionalModeError", "IkseaError", "InsufficientDataError",
+    "LevelCrossingError", "NearSingularWarning", "NumericalConsistencyError",
+    "OutOfWindowError", "ParameterError", "PhaseInfo", "QfiRecord",
+    "RunConfig", "ScalingFit", "SweepResult", "asymptotic_qfi",
+    "block_elements", "block_matrix", "block_propagator", "block_qfi_imag",
+    "block_qfi_real", "classify_phase", "critical_field", "dispersion",
+    "dynamical_qfi", "exceptional_field", "exponent_vs_offset", "gamma_eff",
+    "geometric_size_grid", "ground_qfi", "kappa_sweep", "momentum_grid",
+    "power_law_fit", "propagator_derivative", "qfi_time_series",
+    "size_exponent", "time_exponent", "zero_crossings",
+    "config", "dynamics", "errors", "ground", "model", "scaling",
+])
+
+
+@pytest.mark.parametrize("module", sorted(PUBLIC))
+def test_module_all_is_pinned_and_resolves(module):
+    mod = importlib.import_module(module)
+    assert mod.__all__ == PUBLIC[module]
+    for name in mod.__all__:
+        assert hasattr(mod, name), f"{module}.__all__ lists missing {name!r}"
+
+
+def test_package_all_is_pinned_and_resolves():
+    import iksea
+    assert sorted(iksea.__all__) == PACKAGE
+    for name in iksea.__all__:
+        assert hasattr(iksea, name), f"iksea.__all__ lists missing {name!r}"
