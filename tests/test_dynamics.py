@@ -134,10 +134,23 @@ def test_hermitian_limit_preserves_norm():
                                        atol=1e-10)
 
 
+def test_norm_factor_inverts_raw_norm_on_broken_branch():
+    from iksea.dynamics import _columns
+    phi = _broken_phi(BROKEN)
+    v = block_propagator(BROKEN, phi, 12.0)[:, 0]
+    raw_norm = np.linalg.norm(v)
+    assert raw_norm > 1.0   # broken modes amplify the vacuum component
+    # the kernel's U|0> = (v0r + i v0i, i v1i) has the same raw norm
+    (vr, vi, vi1), _ = _columns(BROKEN, np.array([phi]), 12.0, rescale=False)
+    np.testing.assert_allclose(
+        np.sqrt(vr[0] ** 2 + vi[0] ** 2 + vi1[0] ** 2), raw_norm, rtol=1e-14)
+    norm_factor = 1.0 / raw_norm
+    np.testing.assert_allclose(norm_factor * raw_norm, 1.0, rtol=1e-14)
+    np.testing.assert_allclose(np.linalg.norm(norm_factor * v), 1.0, rtol=1e-12)
+
+
 def test_long_time_broken_mode_converges_to_dominant_eigenvector():
     phi = _broken_phi(BROKEN)
-    # broken modes amplify the vacuum component
-    assert np.linalg.norm(block_propagator(BROKEN, phi, 12.0)[:, 0]) > 1.0
     v = block_propagator(BROKEN, phi, 50.0)[:, 0]
     vals, vecs = np.linalg.eig(block_matrix(BROKEN, phi))
     target = vecs[:, np.argmax(vals.imag)]     # the growing eigenvector
