@@ -10,6 +10,8 @@ command-line front end.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     IkseaError,
     ParameterError,
@@ -65,4 +67,5 @@ from .scaling import (
 )
 from .config import RunConfig
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], _ModuleType)]

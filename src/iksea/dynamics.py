@@ -187,8 +187,11 @@ def propagator_derivative(params: ChainParams, phi: float, t: float,
 
     mode="fd" uses a central difference of block_propagator with step fd_step;
     it is retained as an independent cross-check of the analytic formula.
+    fd_step must be finite and > 0, else ParameterError.
     """
     if mode == "fd":
+        if not 0.0 < fd_step < math.inf:
+            raise ParameterError(f"fd_step must be finite and > 0, got {fd_step!r}")
         up = block_propagator(params.replace(h=params.h + fd_step), phi, t)
         um = block_propagator(params.replace(h=params.h - fd_step), phi, t)
         return (up - um) / (2.0 * fd_step)

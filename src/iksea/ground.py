@@ -13,9 +13,10 @@ and the field-estimation QFI of the Dirac-normalised state splits by branch:
     imaginary branch (eps_sq < 0):
         F = (gamma^2 - K^2) / (-eps_sq gamma^2)
 
-The total over the positive-momentum grid is the exactly rounded sum, equal
-to math.fsum, in ascending mode order (model.exact_sum; math.fsum itself
-below EXACT_SUM_CUTOVER modes), so results are bit-for-bit reproducible.
+The grid is evaluated in L2-sized blocks of modes, with the same bits as one
+whole-grid pass.  The total is the exactly rounded sum, equal to math.fsum,
+in ascending mode order (model.exact_sum; math.fsum itself below
+EXACT_SUM_CUTOVER modes), so results are bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .errors import (
 )
 from .model import (
     ChainParams,
+    _elements,
     block_elements,
     exact_sum,
     exceptional_field,
@@ -55,6 +57,8 @@ __all__ = [
 
 #: per-mode contributions at or above this value flag the record as near-singular
 NEAR_SINGULAR_CONTRIB = np.finfo(float).max / 1e6
+#: modes per block of ground_qfi (2^12 .. 2^16 measured alike, a whole grid slower)
+_BLOCK = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -72,29 +76,29 @@ class QfiRecord:
     values: np.ndarray = field(repr=False, compare=False)
 
 
-def _mode_qfi(params: ChainParams, phi: np.ndarray, numbered: bool = True):
-    """Per-mode ground QFI at the angles phi: (eps_sq, values, near_singular).
+def _mode_qfi(params: ChainParams, phi: np.ndarray, offset: int | None = 0):
+    """Per-mode ground QFI at the angles phi: (eps_sq, values).
 
-    The one ground kernel: ground_qfi runs it on the momentum grid and the
-    single-mode functions on one angle.  A defective block raises
-    ExceptionalModeError at the first such angle (named as mode p = i + 1
-    when `numbered`).  Where the real-branch closed form is not finite
-    (0/0 on gamma = K with g < 0) the eigenvector form, regular there, gives
-    the limit.  Contributions within 1e6 of float overflow warn
-    NearSingularWarning.
+    The one ground kernel: ground_qfi runs it on blocks of the momentum grid
+    and the single-mode functions on one angle.  A defective block raises
+    ExceptionalModeError at the first such angle, named as mode
+    p = offset + i + 1 (unnumbered when offset is None).  Where the
+    real-branch closed form is not finite (0/0 on gamma = K with g < 0) the
+    eigenvector form, regular there, gives the limit.
     """
-    g, ap, am, eps_sq = block_elements(params, phi)
+    s, g, ap, am, eps_sq = _elements(params, phi)
     exc = np.abs(eps_sq) <= exceptional_tolerance(g, ap, am)
     if exc.any():
         i = int(np.argmax(exc))
-        raise ExceptionalModeError(phi[i], mode_index=i + 1 if numbered else None)
+        raise ExceptionalModeError(
+            phi[i], mode_index=None if offset is None else offset + i + 1)
 
     gam, k = params.gamma, params.k_ksea
     num = gam * gam - k * k
     real = eps_sq > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         den = gam * g + np.sqrt(eps_sq) * k
-        vals = np.where(real, np.sin(phi) ** 2 * num * num / (eps_sq * den * den),
+        vals = np.where(real, s * s * num * num / (eps_sq * den * den),
                         num / (-eps_sq * gam * gam))
         # where the real-branch closed form is 0/0, use 4 (u v / (eps A))^2
         bad = real & ~np.isfinite(vals)
@@ -102,18 +106,21 @@ def _mode_qfi(params: ChainParams, phi: np.ndarray, numbered: bool = True):
         v = np.sqrt(e2) - g[bad]
         a = u * u + v * v
         vals[bad] = np.where(a > 0, 4.0 * (u * v) ** 2 / (e2 * a * a), 0.0)
+    return eps_sq, vals
 
-    near = vals >= NEAR_SINGULAR_CONTRIB
-    if near.any():
+
+def _warn_near_singular(params: ChainParams, count: int) -> None:
+    """NearSingularWarning for count contributions within 1e6 of overflow."""
+    if count:
         warnings.warn(NearSingularWarning(
-            f"{int(near.sum())} mode(s) contribute within 1e6 of float overflow "
+            f"{count} mode(s) contribute within 1e6 of float overflow "
             f"at h={params.h:.12g}"))
-    return eps_sq, vals, near
 
 
 def _block_qfi(params: ChainParams, phi: float, real: bool) -> float:
     """The kernel's value at one angle, refused on the other branch."""
-    eps_sq, vals, _ = _mode_qfi(params, np.array([float(phi)]), numbered=False)
+    eps_sq, vals = _mode_qfi(params, np.array([float(phi)]), offset=None)
+    _warn_near_singular(params, int(vals[0] >= NEAR_SINGULAR_CONTRIB))
     if (eps_sq[0] > 0.0) != real:
         sign, other = ("<", "imag") if real else (">", "real")
         raise BranchError(f"mode at phi={float(phi):.12g} has eps_sq="
@@ -137,13 +144,18 @@ def ground_qfi(params: ChainParams) -> QfiRecord:
     The per-mode contributions (each >= 0) are kept as arrays on the record
     and summed exactly rounded, equal to math.fsum, in ascending mode order
     (exact_sum; math.fsum itself below EXACT_SUM_CUTOVER modes).  A defective
-    mode anywhere on the grid raises ExceptionalModeError naming its angle.
+    mode anywhere on the grid raises ExceptionalModeError naming its angle;
+    values within 1e6 of float overflow warn once per call, with their count.
     """
     phi = momentum_grid(params.n_sites)
-    _, vals, near = _mode_qfi(params, phi)
+    vals = np.empty_like(phi)
+    for i in range(0, phi.size, _BLOCK):
+        vals[i:i + _BLOCK] = _mode_qfi(params, phi[i:i + _BLOCK], offset=i)[1]
+    near = int(np.count_nonzero(vals >= NEAR_SINGULAR_CONTRIB))
+    _warn_near_singular(params, near)
     phi.flags.writeable = vals.flags.writeable = False
     return QfiRecord(total=exact_sum(vals), params=params,
-                     flag_near_singular=bool(near.any()), phi=phi, values=vals)
+                     flag_near_singular=near > 0, phi=phi, values=vals)
 
 
 def asymptotic_qfi(params: ChainParams, regime: str) -> float:

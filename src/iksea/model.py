@@ -50,6 +50,10 @@ __all__ = [
 EXC_TOL = 1e-12
 #: array size from which exact_sum beats math.fsum (measured crossover ~1 k)
 EXACT_SUM_CUTOVER = 1024
+#: values per block of exact_sum's array pass (its temporaries stay in L2)
+_SUM_BLOCK = 2 ** 14
+#: np.frexp exponents of float64 values are >= this
+_FREXP_MIN = -1073
 
 
 @dataclass(frozen=True)
@@ -108,8 +112,18 @@ def momentum_grid(n_sites: int) -> np.ndarray:
     """Antiperiodic momentum angles phi_p = (2p-1)pi/N for p = 1..N/2."""
     if n_sites < 2 or n_sites % 2 != 0:
         raise ParameterError(f"n_sites must be an even integer >= 2, got {n_sites!r}")
-    p = np.arange(1, n_sites // 2 + 1)
-    return (2 * p - 1) * np.pi / n_sites
+    return np.arange(1, n_sites, 2) * np.pi / n_sites
+
+
+def _elements(params: ChainParams, phi):
+    """(sin phi, g, a_plus, a_minus, eps_sq) at angle(s) phi."""
+    phi = np.asarray(phi, dtype=float)
+    s = np.sin(phi)
+    g = params.h + np.cos(phi)
+    a_plus = (params.gamma + params.k_ksea) * s
+    a_minus = (params.gamma - params.k_ksea) * s
+    eps_sq = g * g + (params.k_ksea**2 - params.gamma**2) * s * s
+    return s, g, a_plus, a_minus, eps_sq
 
 
 def block_elements(params: ChainParams, phi):
@@ -118,13 +132,7 @@ def block_elements(params: ChainParams, phi):
     eps_sq is computed as g^2 + (K^2 - gamma^2) sin^2(phi), which is exactly
     g^2 - a_plus*a_minus and manifestly real.
     """
-    phi = np.asarray(phi, dtype=float)
-    s = np.sin(phi)
-    g = params.h + np.cos(phi)
-    a_plus = (params.gamma + params.k_ksea) * s
-    a_minus = (params.gamma - params.k_ksea) * s
-    eps_sq = g * g + (params.k_ksea**2 - params.gamma**2) * s * s
-    return g, a_plus, a_minus, eps_sq
+    return _elements(params, phi)[1:]
 
 
 def block_matrix(params: ChainParams, phi: float) -> np.ndarray:
@@ -143,20 +151,24 @@ def exact_sum(values: np.ndarray) -> float:
     """math.fsum(values.tolist()) of a 1-D float64 array, bit for bit.
 
     Integer and 26-bit fraction parts of the significands (np.frexp) are summed
-    per exponent (np.bincount, exact below 2^26 values), then rounded once.
+    per exponent (np.bincount, exact below 2^26 values) in blocks of
+    _SUM_BLOCK values, added as Python ints and rounded once.
     """
     if not (EXACT_SUM_CUTOVER <= values.size < 2 ** 26 and values.any()
-            and np.abs(values).max() < 2.0 ** 1022 / values.size):
+            and max(values.max(), -values.min()) < 2.0 ** 1022 / values.size):
         return math.fsum(values.tolist())   # also all-zero, non-finite, overflow
-    m, e = np.frexp(values)
-    e0 = int(e.min())
-    e -= e0
-    m *= 2.0 ** 27
-    hi = np.trunc(m)
-    bins = zip(np.bincount(e, hi).tolist(), np.bincount(e, m - hi).tolist())
-    exact = sum(((int(w) << 26) + int(f * 2.0 ** 26)) << k
-                for k, (w, f) in enumerate(bins))
-    total = float(exact << e0 - 53) if e0 >= 53 else exact / (1 << 53 - e0)
+    exact = 0                               # in units of 2^(_FREXP_MIN - 53)
+    for i in range(0, values.size, _SUM_BLOCK):
+        m, e = np.frexp(values[i:i + _SUM_BLOCK])
+        e0 = int(e.min())
+        e -= e0
+        m *= 2.0 ** 27
+        hi = np.trunc(m)
+        m -= hi
+        bins = zip(np.bincount(e, hi).tolist(), np.bincount(e, m).tolist())
+        exact += sum(((int(w) << 26) + int(f * 2.0 ** 26)) << k
+                     for k, (w, f) in enumerate(bins)) << e0 - _FREXP_MIN
+    total = exact / (1 << 53 - _FREXP_MIN)
     return total if abs(total) >= 2.0 ** -1022 else math.fsum(values.tolist())
 
 

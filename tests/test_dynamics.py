@@ -164,6 +164,10 @@ def test_fd_step_must_be_finite_and_positive(step):
         dynamical_qfi(UNBROKEN, 1.0, "fd", step)
     assert dynamical_qfi(UNBROKEN, 1.0, "analytic", step) == \
         dynamical_qfi(UNBROKEN, 1.0)
+    with pytest.raises(ParameterError, match="fd_step"):
+        propagator_derivative(UNBROKEN, 0.5, 1.0, mode="fd", fd_step=step)
+    assert (propagator_derivative(UNBROKEN, 0.5, 1.0, fd_step=step)
+            == propagator_derivative(UNBROKEN, 0.5, 1.0)).all()
 
 
 def test_qfi_zero_at_time_zero():

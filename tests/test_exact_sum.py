@@ -137,3 +137,13 @@ def test_all_zero_sums_skip_the_array_pass(monkeypatch, signs):
 
     monkeypatch.setattr(iksea.model.np, "frexp", never)
     assert_same_as_fsum(x)
+
+
+@pytest.mark.parametrize("n", [2 ** 14 - 1, 2 ** 14, 2 ** 14 + 1, 3 * 2 ** 14 + 5])
+def test_block_boundaries_equal_fsum(n):
+    # blocks of 2^14 values with different smallest exponents
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-150, 150, n)
+    x[-1] = 1e-300
+    assert_same_as_fsum(x)
+    assert_same_as_fsum(np.abs(x[::-1]))

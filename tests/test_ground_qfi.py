@@ -365,3 +365,44 @@ def test_asymptotic_qfi_domain_errors():
     with pytest.raises(ParameterError):
         asymptotic_qfi(ChainParams(h=1.0, gamma=0.5, k_ksea=0.2, n_sites=100),
                        "no_such_regime")
+
+
+B = iksea.ground._BLOCK
+
+
+@pytest.mark.parametrize("half", [B - 1, B, B + 1, 2 * B + 1, 3 * 2 ** 12])
+@pytest.mark.parametrize("h, gamma, k", [
+    (1.0, 0.2, 0.5),      # unbroken, K > gamma
+    (0.5, 0.5, 0.2),      # broken: both branches on one grid
+    (0.5, 0.3, 0.3),      # gamma = K: eigenvector fallback for g < 0
+])
+def test_blocked_values_equal_one_whole_grid_pass(half, h, gamma, k):
+    p = ChainParams(h=h, gamma=gamma, k_ksea=k, n_sites=2 * half)
+    rec = ground_qfi(p)
+    _, whole = iksea.ground._mode_qfi(p, momentum_grid(p.n_sites))
+    assert (rec.values.view(np.int64) == whole.view(np.int64)).all()
+    assert rec.total == math.fsum(whole.tolist())
+
+
+def test_exceptional_mode_in_a_later_block_keeps_its_global_index():
+    # the tangency angle 3 pi/4 of h = h_e = sqrt(2) is grid mode 8195 at
+    # N = 21852, in the second block
+    p = ChainParams(h=math.sqrt(2.0), gamma=1.0, k_ksea=0.0, n_sites=21852)
+    with pytest.raises(ExceptionalModeError) as exc_info:
+        ground_qfi(p)
+    assert exc_info.value.mode_index == 8195
+    assert 8195 > B
+
+
+def test_near_singular_warns_once_per_call_with_the_total(monkeypatch):
+    p = ChainParams(h=0.5, gamma=0.5, k_ksea=0.2, n_sites=2 * (2 * B + 1))
+    threshold = float(np.median(ground_qfi(p).values))
+    monkeypatch.setattr(iksea.ground, "NEAR_SINGULAR_CONTRIB", threshold)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rec = ground_qfi(p)
+    count = int(np.count_nonzero(rec.values >= threshold))
+    assert count > B                  # spread over more than one block
+    assert [type(w.message) for w in caught] == [NearSingularWarning]
+    assert str(caught[0].message).startswith(f"{count} mode(s)")
+    assert rec.flag_near_singular is True

@@ -31,6 +31,13 @@ def test_momentum_grid_small_sizes():
         assert grid[0] > 0.0 and grid[-1] < np.pi
 
 
+@pytest.mark.parametrize("n", [2, 4, 6, 1000, 21852, 2 ** 20])
+def test_momentum_grid_equals_the_textbook_formula_bit_for_bit(n):
+    p = np.arange(1, n // 2 + 1)
+    want = (2 * p - 1) * np.pi / n
+    assert (momentum_grid(n).view(np.int64) == want.view(np.int64)).all()
+
+
 def test_momentum_grid_rejects_odd_or_tiny():
     with pytest.raises(ParameterError):
         momentum_grid(5)

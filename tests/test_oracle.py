@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from iksea.dynamics import dynamical_qfi
-from iksea.errors import CapacityError, LevelCrossingError
+from iksea.errors import CapacityError, ExceptionalModeError, LevelCrossingError
 from iksea.ground import ground_qfi
 from iksea.model import ChainParams
 from iksea.oracle import (
@@ -20,6 +20,7 @@ from iksea.oracle import (
     run_oracle_suite,
     sample_conditioned_params,
     sector_hamiltonian,
+    spectral_decomposition,
     spectral_ground_state,
     spectrum_match_error,
 )
@@ -49,13 +50,16 @@ def test_dense_hamiltonian_commutes_with_parity():
 
 
 def test_parity_sector_sizes():
-    for n in (4, 6, 8):
+    for n in (2, 4, 6, 8):
         idx = even_sector_indices(n)
         assert idx.size == 2 ** (n - 1)
-        m, idx2 = sector_hamiltonian(ChainParams(h=1.0, gamma=0.3, k_ksea=0.4,
-                                                 n_sites=n))
+        p = ChainParams(h=1.0, gamma=0.3, k_ksea=0.4, n_sites=n)
+        m, idx2 = sector_hamiltonian(p, scale=1.3)
         assert m.shape == (2 ** (n - 1),) * 2
         np.testing.assert_array_equal(idx, idx2)
+        # built on the sector basis, it is the dense matrix's block bit for bit
+        want = dense_hamiltonian(p, scale=1.3)[np.ix_(idx, idx)]
+        assert (m.view(np.int64) == want.view(np.int64)).all()
 
 
 def test_spectrum_closed_under_conjugation():
@@ -80,9 +84,42 @@ def test_block_multiset_matches_dense_spectrum():
         assert ms.size == 2 ** (p.n_sites - 1)
 
 
+def _eig_then(monkeypatch, spoil):
+    """Make np.linalg.eig return its result passed through spoil."""
+    eig = np.linalg.eig
+
+    def spoiled(mat):
+        vals, vecs = eig(mat)
+        return spoil(vals.copy(), vecs.copy())
+
+    monkeypatch.setattr(np.linalg, "eig", spoiled)
+
+
+def test_spectral_decomposition_rejects_a_large_residual(monkeypatch):
+    def perturb(vals, vecs):
+        vecs[0, 1] += 1e-3
+        return vals, vecs
+
+    _eig_then(monkeypatch, perturb)
+    with pytest.raises(ExceptionalModeError, match="residual .* exceeds"):
+        spectral_decomposition(UNBROKEN)
+
+
+def test_spectral_decomposition_rejects_a_singular_eigenbasis(monkeypatch):
+    def repeat(vals, vecs):
+        vals[1], vecs[:, 1] = vals[0], vecs[:, 0]
+        return vals, vecs
+
+    _eig_then(monkeypatch, repeat)
+    with pytest.raises(ExceptionalModeError, match="condition number"):
+        spectral_decomposition(UNBROKEN)
+
+
 def test_capacity_errors():
     with pytest.raises(CapacityError):
         dense_hamiltonian(ChainParams(h=1.0, gamma=0.3, k_ksea=0.4, n_sites=16))
+    with pytest.raises(CapacityError):
+        sector_hamiltonian(ChainParams(h=1.0, gamma=0.3, k_ksea=0.4, n_sites=16))
     with pytest.raises(CapacityError):
         dense_evolution_qfi(ChainParams(h=1.0, gamma=0.3, k_ksea=0.4,
                                         n_sites=14), 1.0)

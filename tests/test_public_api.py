@@ -42,8 +42,8 @@ PUBLIC = {
     "iksea.cli": ["main"],
 }
 
-#: iksea.__all__ is every public name bound in the package, which includes
-#: the submodules its imports load
+#: iksea.__all__ is every public name bound in the package, except the
+#: submodules its imports load
 PACKAGE = sorted([
     "BranchError", "CalibrationError", "CapacityError", "ChainParams",
     "ConfigError", "DomainError", "DynQfiSeries", "EvolutionOverflowError",
@@ -57,7 +57,6 @@ PACKAGE = sorted([
     "geometric_size_grid", "ground_qfi", "kappa_sweep", "momentum_grid",
     "power_law_fit", "propagator_derivative", "qfi_time_series",
     "size_exponent", "time_exponent", "zero_crossings",
-    "config", "dynamics", "errors", "ground", "model", "scaling",
 ])
 
 
