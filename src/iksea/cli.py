@@ -29,8 +29,8 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig
-from .dynamics import dynamical_qfi
-from .errors import ConfigError, EvolutionOverflowError, IkseaError
+from .dynamics import _qfi_totals, _value
+from .errors import ConfigError, EvolutionOverflowError, IkseaError, ParameterError
 from .ground import ground_qfi
 from .model import ChainParams, classify_phase
 from .oracle import run_oracle_suite
@@ -189,12 +189,15 @@ def cmd_dyn_qfi(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
     if not 0.0 < fd_step < np.inf:
         raise ConfigError(f"[dynamics] fd_step must be finite and > 0, got {fd_step!r}")
     phase = classify_phase(params).region
+    try:
+        totals = _qfi_totals(params, times, derivative, fd_step)
+    except ParameterError as exc:
+        raise ConfigError(f"invalid [times]: {exc}") from exc
 
     done = _run_points(
-        manifest, lambda t: dynamical_qfi(params, t, derivative=derivative,
-                                          fd_step=fd_step),
-        times, lambda t: f"dyn_qfi t={t:g}", on_error="skip-overflow")
-    emit("", [[t, params.n_sites, qfi, phase] for t, qfi in done],
+        manifest, lambda tq: _value(tq[1]), list(zip(times, totals)),
+        lambda tq: f"dyn_qfi t={tq[0]:g}", on_error="skip-overflow")
+    emit("", [[t, params.n_sites, qfi, phase] for (t, _), qfi in done],
          ["t", "N", "qfi", "phase"])
     return 0
 

@@ -22,24 +22,26 @@ That quotient is invariant under a common rescaling of (U, dU), so broken
 modes with sqrt(-z) large are evaluated in an exponentially rescaled frame;
 their saturation plateau stays representable all the way to the cosh cutoff.
 
-dynamical_qfi needs only the first columns, which have the closed forms
+The QFI needs only the first columns, which have the closed forms
 
     v = (c0 + i t c1 g,  -i t c1 a_minus),
     w = (-g t^2 c1 + i (-b g + t c1),  i b a_minus),   b = -g t^3 c2,
 
-so it evaluates every mode at once with array operations.  Each operation
-rounds as the 2x2 complex matrix route (block_propagator,
+so qfi_time_series evaluates a whole grid of times with array operations on
+row blocks of (time, mode) pairs; dynamical_qfi is its one-time view.  Each
+operation rounds as the 2x2 complex matrix route (block_propagator,
 propagator_derivative, np.vdot) does, which keeps the totals bit for bit
-equal to that route's.  Totals are exactly rounded sums, equal to math.fsum,
-in ascending mode order (model.exact_sum; math.fsum below EXACT_SUM_CUTOVER).
+equal to that route's: cos, sin and powers come from numpy, whose float64
+loops give the C math library's values (a test pins this), while cosh and
+sinh, which numpy rounds differently, go through math.  Totals are exactly
+rounded sums, equal to math.fsum, in ascending mode order (model.exact_sum;
+math.fsum below EXACT_SUM_CUTOVER).
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -67,6 +69,9 @@ _RESCALE_ARG = 100.0
 #: negative per-mode contributions beyond this are treated as real errors
 _CLAMP_FLOOR = -1e-10
 
+#: (time, mode) pairs per row block of _qfi_totals (temporaries stay in L2)
+_BLOCK = 2 ** 13
+
 
 @dataclass(frozen=True)
 class DynQfiSeries:
@@ -76,23 +81,14 @@ class DynQfiSeries:
     derivative: str
 
 
-def _libm(fn, x, *args) -> np.ndarray:
-    """fn(x_i, *args) for each entry of x, through Python's math/float ops.
-
-    numpy's exp, cosh, sinh and power round differently from the C math
-    library on some arguments; evaluating them this way keeps every value
-    equal to the scalar formula.
-    """
-    return np.fromiter(map(fn, x.tolist(), *map(repeat, args)), float, x.size)
+def _libm(fn, x) -> np.ndarray:
+    """fn(x_i) for each entry of x, through Python's math module."""
+    return np.fromiter(map(fn, x.tolist()), float, x.size)
 
 
 def _pow2(x: np.ndarray) -> np.ndarray:
     """x ** 2 as a float64 scalar rounds it (libm pow, not x * x)."""
-    out = _libm(math.pow, np.minimum(x, 1e150), 2.0)
-    big = x > 1e150       # math.pow raises where the square overflows
-    if big.any():
-        out[big] = [a ** 2 for a in x[big]]
-    return out
+    return np.float_power(x, 2.0)
 
 
 def _two_sum(a, b):
@@ -107,7 +103,7 @@ def _split(a):
     return hi, a - hi
 
 
-def _fma(a, b, c):
+def _fma(a, b, c, a_split=None, b_split=None):
     """Correctly rounded a*b + c, elementwise.
 
     np.vdot of complex 2-vectors goes through OpenBLAS zdotc, whose short
@@ -115,17 +111,31 @@ def _fma(a, b, c):
     reproduced bit for bit with the same single rounding.  Algorithm: exact
     product and sum (Dekker, Knuth), then the error terms added with
     rounding to odd, which makes the final round-to-nearest correct
-    (Boldo & Melquiond 2008).
+    (Boldo & Melquiond 2008).  a_split, b_split: _split(a), _split(b).
     """
     ph = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
+    ah, al = a_split or _split(a)
+    bh, bl = b_split or _split(b)
     pl = ((ah * bh - ph) + ah * bl + al * bh) + al * bl
     th, tl = _two_sum(c, ph)
     s, e = _two_sum(tl, pl)
-    inexact_even = (e != 0.0) & ((s.view(np.int64) & 1) == 0)
-    s = np.where(inexact_even, np.nextafter(s, np.copysign(np.inf, e)), s)
-    return th + s
+    # to odd: an inexact, even s steps one ulp towards s + e, which is +1 on
+    # its int64 view away from zero and -1 towards zero
+    bits = s.view(np.int64)
+    fix = ((bits & 1) == 0) & (e != 0.0)
+    return th + (bits + fix - ((fix & ((bits ^ e.view(np.int64)) < 0)) << 1)
+                 ).view(np.float64)
+
+
+def _overflow(z_min: float, z_max: float):
+    """The EvolutionOverflowError of _c012 on z in [z_min, z_max], or None."""
+    r = math.sqrt(-z_min) if z_min < -1e-8 else 0.0
+    if r > _OVERFLOW_ARG or z_max == math.inf:
+        arg = f"cosh argument {r:.6g} exceeds {_OVERFLOW_ARG:g}" \
+            if r > _OVERFLOW_ARG else "cos argument eps_sq t^2 is infinite"
+        return EvolutionOverflowError(
+            f"{arg}; the requested time overflows double precision")
+    return None
 
 
 def _c012(z, rescale: bool = False):
@@ -134,15 +144,17 @@ def _c012(z, rescale: bool = False):
     Returns arrays of the shape of z.  With rescale=True, entries whose
     r = sqrt(-z) exceeds _RESCALE_ARG come multiplied by e^{-r} (the
     rescaled frame of dynamical_qfi).  Raises EvolutionOverflowError when
-    any r exceeds _OVERFLOW_ARG.
+    any r exceeds _OVERFLOW_ARG or any z > 0 overflows.
     """
     z = np.asarray(z, dtype=float)
-    shape, z = z.shape, z.ravel()
+    err = _overflow(z.min(), z.max())
+    if err is not None:
+        raise err
     c0, c1, c2 = np.empty_like(z), np.empty_like(z), np.empty_like(z)
     az = np.abs(z)
     series = az <= 1e-3
     zs = z[series]
-    z3 = _libm(operator.pow, zs, 3)
+    z3 = np.float_power(zs, 3.0)
     # the c0, c1 series stand for |z| <= 1e-8; the closed forms below
     # overwrite the rest
     c0[series] = 1.0 - zs / 2.0 + zs * zs / 24.0 - z3 / 720.0
@@ -152,22 +164,19 @@ def _c012(z, rescale: bool = False):
     tiny = az <= 1e-8
     trig = (z > 0.0) & ~tiny
     hyp = ~(trig | tiny)
-    if hyp.any() and r[hyp].max() > _OVERFLOW_ARG:
-        raise EvolutionOverflowError(
-            f"cosh argument {r[hyp].max():.6g} exceeds {_OVERFLOW_ARG:g}; "
-            f"the requested time overflows double precision")
     scaled = hyp & (r > _RESCALE_ARG) if rescale else np.zeros_like(hyp)
     hyp &= ~scaled
-    for mask, f0, f1 in ((trig, math.cos, math.sin),
-                         (hyp, math.cosh, math.sinh)):
-        c0[mask] = _libm(f0, r[mask])
-        c1[mask] = _libm(f1, r[mask]) / r[mask]
+    np.cos(r, out=c0, where=trig)
+    np.sin(r, out=c1, where=trig)
+    c0[hyp] = _libm(math.cosh, r[hyp])
+    c1[hyp] = _libm(math.sinh, r[hyp])
     # e^{-r} cosh r = (1 + e^{-2r})/2 and e^{-r} sinh r = (1 - e^{-2r})/2;
     # for r > 100, e^{-2r} < 2^-288 vanishes against 1 in double precision
     c0[scaled] = 0.5
-    c1[scaled] = 0.5 / r[scaled]
-    c2[~series] = (c0[~series] - c1[~series]) / z[~series]
-    return c0.reshape(shape), c1.reshape(shape), c2.reshape(shape)
+    c1[scaled] = 0.5
+    np.divide(c1, r, out=c1, where=~tiny)
+    np.divide(c0 - c1, z, out=c2, where=~series)
+    return c0, c1, c2
 
 
 def block_propagator(params: ChainParams, phi: float, t: float) -> np.ndarray:
@@ -207,74 +216,124 @@ def propagator_derivative(params: ChainParams, phi: float, t: float,
         + (-1j * g * t ** 3 * c2) * h + (-1j * t * c1) * d
 
 
-def _columns(params: ChainParams, phi: np.ndarray, t: float, rescale: bool):
+def _columns(params: ChainParams, phi: np.ndarray, t, rescale: bool,
+             elements=None):
     """U|0> = (c0 + i t c1 g, -i t c1 a_minus) at every angle in phi.
 
-    Returns the nonzero parts (Re v0, Im v0, Im v1) and the block elements
-    and coefficients dU/dh needs.
+    t is a time or a column of times.  Returns the nonzero parts (Re v0,
+    Im v0, Im v1) and the block elements and coefficients dU/dh needs;
+    elements is block_elements(params, phi), if already known.
     """
-    g, _, am, eps_sq = block_elements(params, phi)
+    g, _, am, eps_sq = elements or block_elements(params, phi)
     c0, c1, c2 = _c012(eps_sq * t * t, rescale)
     tc1 = t * c1
     return (c0, tc1 * g, -(tc1 * am)), (g, am, c1, c2, tc1)
+
+
+def _mode_values(sets, elements, phi, t, fd_step: float) -> np.ndarray:
+    """Per-mode QFI (the Gram form), one row per time in the column t.
+
+    sets is [params] for the analytic derivative, the parameters at h,
+    h + fd_step and h - fd_step for fd; elements are their block elements.
+    """
+    v, (g, am, c1, c2, tc1) = _columns(sets[0], phi, t, len(sets) == 1,
+                                       elements[0])
+    if len(sets) == 1:
+        b = (-g * np.float_power(t, 3.0)) * c2
+        w = (-g * t * t * c1, b * -g + tc1, b * am)
+    else:
+        vp, vm = (_columns(p, phi, t, False, e)[0]
+                  for p, e in zip(sets[1:], elements[1:]))
+        scale = 1.0 / (2.0 * fd_step)
+        w = tuple((p - m) * scale for p, m in zip(vp, vm))
+    (vr, vi, vi1), (wr, wi, wi1) = v, w
+    # np.vdot as zdotc sums it, fma(x1, y1, x0 * y0) per component;
+    # the terms in Re v1 = Re w1 = 0 are exact and drop out
+    sv, sw = _split(vi1), _split(wi1)
+    n2 = vr * vr + _fma(vi1, vi1, vi * vi, sv, sv)
+    ww = wr * wr + _fma(wi1, wi1, wi * wi, sw, sw)
+    vw2 = _pow2(np.hypot(vr * wr + _fma(vi1, wi1, vi * wi, sv, sw),
+                         vr * wi - vi * wr))
+    return 4.0 * (ww / n2 - vw2 / (n2 * n2))
+
+
+def _qfi_totals(params: ChainParams, times, derivative: str,
+                fd_step: float) -> list:
+    """Total dynamical QFI at each time, or the IkseaError raised there.
+
+    block_elements runs once per parameter set, the Gram form on row blocks
+    of about _BLOCK (time, mode) pairs and exact_sum once per row.  A time
+    that fails leaves the other rows unchanged.
+    """
+    if derivative not in ("analytic", "fd"):
+        raise ParameterError(f"unknown derivative mode {derivative!r}")
+    if derivative == "fd" and not 0.0 < fd_step < math.inf:
+        raise ParameterError(f"fd_step must be finite and > 0, got {fd_step!r}")
+    times = np.asarray(times, dtype=float).ravel()
+    if not np.isfinite(times).all():
+        raise ParameterError(f"times must be finite, got {times.tolist()!r}")
+    phi = momentum_grid(params.n_sites)
+    sets = [params] if derivative == "analytic" else [
+        params, params.replace(h=params.h + fd_step),
+        params.replace(h=params.h - fd_step)]
+    elements = [block_elements(p, phi) for p in sets]
+    out = [None] * times.size
+    for *_, eps_sq in elements:   # z = eps_sq t t is monotone in eps_sq
+        lo, hi = float(eps_sq.min()), float(eps_sq.max())
+        out = [err or _overflow(lo * t * t, hi * t * t)
+               for err, t in zip(out, times.tolist())]
+    todo = [i for i, err in enumerate(out) if err is None]
+    step = max(1, _BLOCK // phi.size)
+    for k in range(0, len(todo), step):
+        rows = todo[k:k + step]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            vals = _mode_values(sets, elements, phi, times[rows, None], fd_step)
+        for i, row in zip(rows, vals):
+            bad = ~np.isfinite(row) | (row < _CLAMP_FLOOR)
+            j, t = int(np.argmax(bad)), times[i]
+            if not bad[j]:
+                out[i] = exact_sum(np.where(row < 0.0, 0.0, row))
+            elif not math.isfinite(row[j]):
+                out[i] = EvolutionOverflowError(
+                    f"per-mode dynamical QFI overflowed double precision at "
+                    f"phi={phi[j]:.12g}, t={t:g} (mode={derivative})")
+            else:
+                out[i] = NumericalConsistencyError(
+                    f"per-mode dynamical QFI {row[j]:.6e} < {_CLAMP_FLOOR:g} at "
+                    f"phi={phi[j]:.12g}, t={t:g}: beyond round-off, indicates a bug")
+    return out
+
+
+def _value(total):
+    """total, or raise it if it is an error."""
+    if isinstance(total, Exception):
+        raise total
+    return total
 
 
 def dynamical_qfi(params: ChainParams, t: float, derivative: str = "analytic",
                   fd_step: float = 1e-6) -> float:
     """Total dynamical QFI of the evolved (normalised) state at time t.
 
-    All modes are evaluated at once from the closed-form columns v = U|0>
-    and w = (dU/dh)|0>, each component rounded as the 2x2 matrix route
-    (block_propagator, propagator_derivative, np.vdot) rounds it, so the
-    total is the same to the last bit.  Per-mode contributions in
-    [-1e-10, 0) are clamped to zero (round-off); anything more negative
-    raises NumericalConsistencyError.  With derivative="fd", fd_step must
-    be finite and > 0, else ParameterError.
+    The one-time view of qfi_time_series, equal to the 2x2 matrix route
+    (block_propagator, propagator_derivative, np.vdot) to the last bit.
+    Per-mode contributions in [-1e-10, 0) are clamped to zero (round-off);
+    anything more negative raises NumericalConsistencyError.  A non-finite
+    t, or derivative="fd" with fd_step not finite and > 0, raises
+    ParameterError.
     """
-    if derivative not in ("analytic", "fd"):
-        raise ParameterError(f"unknown derivative mode {derivative!r}")
-    if derivative == "fd" and not 0.0 < fd_step < math.inf:
-        raise ParameterError(f"fd_step must be finite and > 0, got {fd_step!r}")
-    t = float(t)
-    phi = momentum_grid(params.n_sites)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        v, (g, am, c1, c2, tc1) = _columns(params, phi, t,
-                                           rescale=derivative == "analytic")
-        if derivative == "analytic":
-            b = (-g * t ** 3) * c2
-            w = (-g * t * t * c1, b * -g + tc1, b * am)
-        else:
-            vp, _ = _columns(params.replace(h=params.h + fd_step), phi, t, False)
-            vm, _ = _columns(params.replace(h=params.h - fd_step), phi, t, False)
-            scale = 1.0 / (2.0 * fd_step)
-            w = tuple((p - m) * scale for p, m in zip(vp, vm))
-        (vr, vi, vi1), (wr, wi, wi1) = v, w
-        # np.vdot as zdotc sums it, fma(x1, y1, x0 * y0) per component;
-        # the terms in Re v1 = Re w1 = 0 are exact and drop out
-        n2 = vr * vr + _fma(vi1, vi1, vi * vi)
-        ww = wr * wr + _fma(wi1, wi1, wi * wi)
-        vw2 = _pow2(np.hypot(vr * wr + _fma(vi1, wi1, vi * wi),
-                             vr * wi - vi * wr))
-        vals = 4.0 * (ww / n2 - vw2 / (n2 * n2))
-    bad = ~np.isfinite(vals) | (vals < _CLAMP_FLOOR)
-    if bad.any():
-        i = int(np.argmax(bad))
-        if not math.isfinite(vals[i]):
-            raise EvolutionOverflowError(
-                f"per-mode dynamical QFI overflowed double precision at "
-                f"phi={phi[i]:.12g}, t={t:g} (mode={derivative})")
-        raise NumericalConsistencyError(
-            f"per-mode dynamical QFI {vals[i]:.6e} < {_CLAMP_FLOOR:g} at "
-            f"phi={phi[i]:.12g}, t={t:g}: beyond round-off, indicates a bug")
-    vals = np.where(vals < 0.0, 0.0, vals)
-    return exact_sum(vals)
+    return float(qfi_time_series(params, [t], derivative, fd_step).values[0])
 
 
 def qfi_time_series(params: ChainParams, times, derivative: str = "analytic",
                     fd_step: float = 1e-6) -> DynQfiSeries:
-    """Dynamical QFI evaluated on a grid of times (ascending recommended)."""
+    """Dynamical QFI on a grid of times, in one kernel call.
+
+    All modes and times are evaluated at once from the closed-form columns
+    v = U|0> and w = (dU/dh)|0>.  Each value is dynamical_qfi at that time,
+    bit for bit; the first time that fails raises its error.
+    """
     times = np.asarray(times, dtype=float)
-    vals = np.array([dynamical_qfi(params, float(t), derivative, fd_step)
-                     for t in times])
-    return DynQfiSeries(times=times, values=vals, params=params,
-                        derivative=derivative)
+    vals = [_value(v) for v in _qfi_totals(params, times, derivative, fd_step)]
+    return DynQfiSeries(times=times, values=np.array(vals, dtype=float),
+                        params=params, derivative=derivative)

@@ -152,20 +152,28 @@ def exact_sum(values: np.ndarray) -> float:
 
     Integer and 26-bit fraction parts of the significands (np.frexp) are summed
     per exponent (np.bincount, exact below 2^26 values) in blocks of
-    _SUM_BLOCK values, added as Python ints and rounded once.
+    _SUM_BLOCK values, added as Python ints and rounded once.  The block loop
+    skips all-zero blocks and leaves an inf or nan, a sum that could overflow
+    and a zero or subnormal total to math.fsum.
     """
-    if not (EXACT_SUM_CUTOVER <= values.size < 2 ** 26 and values.any()
-            and max(values.max(), -values.min()) < 2.0 ** 1022 / values.size):
-        return math.fsum(values.tolist())   # also all-zero, non-finite, overflow
-    exact = 0                               # in units of 2^(_FREXP_MIN - 53)
-    for i in range(0, values.size, _SUM_BLOCK):
-        m, e = np.frexp(values[i:i + _SUM_BLOCK])
+    n, exact = values.size, 0               # exact: units of 2^(_FREXP_MIN - 53)
+    if not EXACT_SUM_CUTOVER <= n < 2 ** 26:
+        return math.fsum(values.tolist())
+    top = 1022 - (n - 1).bit_length()       # all |v| < 2^top: |sum| < 2^1022
+    for i in range(0, n, _SUM_BLOCK):
+        block = values[i:i + _SUM_BLOCK]
+        if not block.any():
+            continue
+        m, e = np.frexp(block)
         e0 = int(e.min())
         e -= e0
         m *= 2.0 ** 27
         hi = np.trunc(m)
+        bins = np.bincount(e, hi).tolist()
+        if e0 + len(bins) - 1 > top or not math.isfinite(sum(bins)):
+            return math.fsum(values.tolist())
         m -= hi
-        bins = zip(np.bincount(e, hi).tolist(), np.bincount(e, m).tolist())
+        bins = zip(bins, np.bincount(e, m).tolist())
         exact += sum(((int(w) << 26) + int(f * 2.0 ** 26)) << k
                      for k, (w, f) in enumerate(bins)) << e0 - _FREXP_MIN
     total = exact / (1 << 53 - _FREXP_MIN)

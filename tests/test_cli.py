@@ -12,6 +12,7 @@ import scipy
 
 from iksea.cli import main
 from iksea.config import RunConfig
+from iksea.dynamics import dynamical_qfi
 from iksea.errors import ConfigError
 from iksea.ground import ground_qfi
 from iksea.model import ChainParams, momentum_grid
@@ -276,6 +277,36 @@ def test_dyn_qfi_bad_fd_step_is_config_error(tmp_path, capsys, step):
                  "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith(
         "config error: [dynamics] fd_step must be finite and > 0")
+
+
+def test_dyn_qfi_overflowing_oscillating_time_is_skipped(tmp_path):
+    # eps_sq t^2 = inf on the oscillating branch is a contracted overflow
+    # skip, like the hyperbolic branch, and the other times keep their rows
+    cfg_path = write_cfg(tmp_path / "run.cfg", DYN_CFG.replace(
+        "n_sites = 6", "n_sites = 8").replace("values = 0 1 2",
+                                              "values = 1 1e200 2"))
+    out = tmp_path / "out"
+    assert main(["dyn-qfi", "--config", cfg_path, "--out", str(out)]) == 0
+    with open(out / "dyn_qfi.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    params = ChainParams(h=1.5, gamma=0.5, k_ksea=0.2, n_sites=8)
+    assert [[float(r[0]), float(r[2])] for r in rows[1:]] == \
+        [[t, dynamical_qfi(params, t)] for t in (1.0, 2.0)]
+    manifest = json.loads((out / "dyn_qfi_manifest.json").read_text())
+    assert [(t["name"], t["status"]) for t in manifest["tasks"]] == [
+        ("dyn_qfi t=1", "ok"), ("dyn_qfi t=1e+200", "skipped"),
+        ("dyn_qfi t=2", "ok")]
+    assert manifest["tasks"][1]["detail"].startswith("overflow: ")
+
+
+@pytest.mark.parametrize("bad", ["inf", "nan", "-inf"])
+def test_dyn_qfi_non_finite_time_is_config_error(tmp_path, capsys, bad):
+    cfg_path = write_cfg(tmp_path / "run.cfg", DYN_CFG.replace(
+        "values = 0 1 2", f"values = 1 {bad} 2"))
+    assert main(["dyn-qfi", "--config", cfg_path,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: invalid [times]: times must be finite")
 
 
 # -------------------------------------------------------------------- sweep

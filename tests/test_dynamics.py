@@ -1,6 +1,7 @@
 """Block propagators, analytic field derivative, and dynamical QFI."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -447,3 +448,160 @@ def test_kernel_evaluates_block_elements_once(monkeypatch):
     calls.clear()
     dynamical_qfi(p, 3.0, derivative="fd")
     assert calls == [512, 512, 512]
+
+
+# ------------------------------------------------ time-series kernel
+
+
+def _libm_value(fn, *args):
+    """fn(*args) from the math module, with its range errors as IEEE values."""
+    try:
+        return fn(*args)
+    except OverflowError:                    # math.pow past the largest double
+        return math.copysign(math.inf, args[0]) if args[1] == 3.0 else math.inf
+    except ValueError:                       # math.cos(inf), math.sin(inf)
+        return math.nan
+
+
+def test_numpy_transcendentals_equal_libm_bit_for_bit():
+    # the kernel takes cos, sin and powers from numpy on the premise that its
+    # float64 loops return the C math library's values; this names the
+    # premise when a numpy build breaks it, before any data-file digest does
+    rng = np.random.default_rng(11)
+    mag = np.concatenate([10.0 ** rng.uniform(-300, 300, 60000),
+                          rng.uniform(0.0, 4000.0, 60000),
+                          10.0 ** rng.uniform(-12, -3, 20000),
+                          [0.0, 5e-324, 2.0 ** -1022, 1e-3, 1e150, 1.3e154,
+                           1e200, 1.7e308, np.pi, 1e22, np.inf, np.nan]])
+    x = np.concatenate([mag, -mag])
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        cases = [(np.cos(x), math.cos, ()), (np.sin(x), math.sin, ()),
+                 (np.float_power(x, 2.0), math.pow, (2.0,)),
+                 (np.float_power(x, 3.0), math.pow, (3.0,))]
+    for got, fn, extra in cases:
+        ref = np.array([_libm_value(fn, v, *extra) for v in x.tolist()])
+        same = (got.view(np.int64) == ref.view(np.int64)) \
+            | (np.isnan(got) & np.isnan(ref))
+        assert same.all(), (fn.__name__, extra, x[~same][:5])
+
+
+def _per_time(params, times, derivative="analytic"):
+    """Today's per-time route: one dynamical_qfi call per time."""
+    out = []
+    for t in times:
+        try:
+            out.append(dynamical_qfi(params, t, derivative))
+        except Exception as exc:               # noqa: BLE001 - compared below
+            out.append(exc)
+    return out
+
+
+def _assert_same_rows(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, Exception):
+            assert type(g) is type(w) and str(g) == str(w)
+        else:
+            assert not isinstance(g, Exception) and g == w
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_series_rows_at_the_block_edges_equal_the_per_time_route(extra):
+    from iksea.dynamics import _BLOCK, _qfi_totals
+    # 500 modes do not divide the block: each block holds 16 rows of times
+    p = ChainParams(h=0.5, gamma=0.5, k_ksea=0.2, n_sites=1000)
+    rows = _BLOCK // 500 + extra
+    times = np.geomspace(0.05, 900.0, rows)
+    _assert_same_rows(_qfi_totals(p, times, "analytic", 1e-6),
+                      _per_time(p, times))
+    series = qfi_time_series(p, times)
+    assert series.values.tolist() == _per_time(p, times)
+
+
+def test_series_equals_matrix_route_bit_for_bit():
+    # below the rescale threshold the matrix route does the same arithmetic
+    p = ChainParams(h=0.7, gamma=0.6, k_ksea=0.25, n_sites=24)
+    r_max = math.sqrt(np.abs(block_elements(p, momentum_grid(24))[3]).max())
+    times = [0.0, -0.4, 1e-5, 0.3, 2.0, 95.0 / r_max]
+    for derivative in ("analytic", "fd"):
+        series = qfi_time_series(p, times, derivative)
+        assert series.values.tolist() == [_matrix_route(p, t, derivative)
+                                          for t in times]
+
+
+@pytest.mark.parametrize("derivative", ["analytic", "fd"])
+def test_series_edge_rows_equal_the_per_time_route(derivative):
+    # t = 0, negative t, gamma = K (a_minus = 0) and both branches
+    from iksea.dynamics import _qfi_totals
+    times = [0.0, -2.5, 0.3, -0.3, 7.0, 0.0, 40.0]
+    for p in (BROKEN, UNBROKEN, ChainParams(h=0.5, gamma=0.4, k_ksea=0.4,
+                                            n_sites=64),
+              ChainParams(h=1.3, gamma=0.4, k_ksea=0.4, n_sites=2048)):
+        _assert_same_rows(_qfi_totals(p, times, derivative, 1e-6),
+                          _per_time(p, times, derivative))
+
+
+def test_failing_time_mid_series_leaves_other_rows_unchanged():
+    from iksea.dynamics import _qfi_totals
+    phi = _broken_phi(BROKEN)
+    t_bad = 720.0 / math.sqrt(-block_elements(BROKEN, phi)[3])
+    cases = [
+        (BROKEN, "analytic", [1.0, 2.0, t_bad, 3.0, 4.0]),
+        (BROKEN, "fd", [1.0, 500.0 / 720.0 * t_bad, 3.0]),
+        (UNBROKEN, "analytic", [1.0, 1e200, 2.0, 1e150, 3.0]),
+        # gamma = K: round-off below the clamp floor at t = 400
+        (ChainParams(h=0.5, gamma=0.5, k_ksea=0.5, n_sites=64), "analytic",
+         [1.0, 400.0, 2.0]),
+    ]
+    for p, derivative, times in cases:
+        got = _qfi_totals(p, times, derivative, 1e-6)
+        want = _per_time(p, times, derivative)
+        _assert_same_rows(got, want)
+        assert [isinstance(g, Exception) for g in got] == \
+            [isinstance(w, Exception) for w in want]
+        assert sum(isinstance(g, Exception) for g in got) >= 1
+        first = next(g for g in got if isinstance(g, Exception))
+        with pytest.raises(type(first), match=re.escape(str(first))):
+            qfi_time_series(p, times, derivative)
+
+
+def test_overflowing_oscillating_time_is_an_overflow_error():
+    # eps_sq t^2 overflows on the oscillating branch: the named overflow
+    # error, as on the hyperbolic branch, not a bare math domain error
+    phi = float(momentum_grid(8)[0])
+    for t in (1e200, -1e200, 1.5e154):
+        with pytest.raises(EvolutionOverflowError,
+                           match="the requested time overflows double precision"):
+            dynamical_qfi(UNBROKEN, t)
+        with pytest.raises(EvolutionOverflowError):
+            block_propagator(UNBROKEN, phi, t)
+        with pytest.raises(EvolutionOverflowError):
+            dynamical_qfi(UNBROKEN, t, derivative="fd")
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_non_finite_time_is_a_parameter_error(t):
+    with pytest.raises(ParameterError, match="times must be finite"):
+        dynamical_qfi(UNBROKEN, t)
+    with pytest.raises(ParameterError, match="times must be finite"):
+        qfi_time_series(BROKEN, [1.0, t, 2.0])
+
+
+def test_series_evaluates_block_elements_once(monkeypatch):
+    import iksea.dynamics as dyn
+    calls = []
+
+    def counting(params, phi):
+        calls.append(np.size(phi))
+        return block_elements(params, phi)
+
+    monkeypatch.setattr(dyn, "block_elements", counting)
+    p = ChainParams(h=0.5, gamma=0.5, k_ksea=0.2, n_sites=1024)
+    times = np.geomspace(0.1, 1500.0, 40)
+    assert qfi_time_series(p, times).values.shape == (40,)
+    assert calls == [512]
+    calls.clear()
+    # fd has no rescaled frame: the late rows overflow, but are evaluated
+    totals = dyn._qfi_totals(p, times, "fd", 1e-6)
+    assert calls == [512, 512, 512]
+    assert isinstance(totals[-1], EvolutionOverflowError) and totals[0] > 0.0
