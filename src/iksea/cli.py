@@ -4,8 +4,8 @@
                     [--format csv|json]
 
 Commands: ground-qfi, dyn-qfi, sweep, fit, oracle-check, phase.
-Exit codes: 0 success, 2 config error, 3 compute error, 4 oracle-check
-failure.
+Exit codes: 0 success, 2 config error (bad [model], [grid] and [sweep] values
+are found before any point runs), 3 compute error, 4 oracle-check failure.
 
 All data files are deterministic for a fixed config and seed: float cells are
 formatted with 17 significant digits, rows are emitted in a fixed order, line
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import os
 import sys
@@ -34,8 +35,9 @@ from .errors import ConfigError, EvolutionOverflowError, IkseaError, ParameterEr
 from .ground import ground_qfi
 from .model import ChainParams, classify_phase
 from .oracle import run_oracle_suite
-from .runner import Manifest, resolve_workers, run_grid
-from .scaling import ScalingFit, exponent_vs_offset, kappa_sweep, power_law_fit
+from .runner import Manifest, run_grid
+from .scaling import (ScalingFit, _kappa_values, _resolve_anchor,
+                      exponent_vs_offset, kappa_sweep, power_law_fit)
 
 __all__ = ["main"]
 
@@ -69,15 +71,13 @@ def _write_json(path: str, body) -> None:
         fh.write("\n")
 
 
-def _model_params(cfg: RunConfig, n_sites: Optional[int] = None) -> ChainParams:
-    n = n_sites if n_sites is not None else cfg.get_int("model", "n_sites")
+def _model_params(cfg: RunConfig, **given) -> ChainParams:
+    """ChainParams from [model], with the values in given in place of its own."""
+    for key in ("h", "gamma", "k_ksea", "n_sites"):
+        if key not in given:
+            given[key] = (cfg.get_int if key == "n_sites" else cfg.get_float)("model", key)
     try:
-        return ChainParams(
-            h=cfg.get_float("model", "h"),
-            gamma=cfg.get_float("model", "gamma"),
-            k_ksea=cfg.get_float("model", "k_ksea"),
-            n_sites=n,
-        )
+        return ChainParams(**given)
     except IkseaError as exc:
         # bad parameter values in the file are a config problem
         raise ConfigError(f"invalid [model] parameters: {exc}") from exc
@@ -139,7 +139,7 @@ def cmd_ground_qfi(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
     base = _model_params(cfg)
     ns = sorted(cfg.get_ints("grid", "n_values", default=[base.n_sites]))
     hs = sorted(cfg.get_floats("grid", "h_values", default=[base.h]))
-    points = [base.replace(n_sites=n, h=h) for n in ns for h in hs]
+    points = [_model_params(cfg, n_sites=n, h=h) for n in ns for h in hs]
 
     done = _run_points(manifest, ground_qfi, points,
                        lambda p: f"ground_qfi N={p.n_sites} h={p.h:g}")
@@ -182,15 +182,11 @@ def cmd_dyn_qfi(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
     params = _model_params(cfg)
     times = _time_grid(cfg)
     derivative = cfg.get_str("dynamics", "derivative", default="analytic")
-    if derivative not in ("analytic", "fd"):
-        raise ConfigError(
-            f"[dynamics] derivative must be analytic|fd, got {derivative!r}")
-    fd_step = cfg.get_float("dynamics", "fd_step", default=1e-6)
-    if not 0.0 < fd_step < np.inf:
-        raise ConfigError(f"[dynamics] fd_step must be finite and > 0, got {fd_step!r}")
+    if derivative != "analytic":
+        raise ConfigError(f"[dynamics] derivative = {derivative!r} was removed")
     phase = classify_phase(params).region
     try:
-        totals = _qfi_totals(params, times, derivative, fd_step)
+        totals = _qfi_totals(params, times)
     except ParameterError as exc:
         raise ConfigError(f"invalid [times]: {exc}") from exc
 
@@ -230,8 +226,8 @@ def _emit_mu_table(manifest: Manifest, emit: Callable, res, columns: dict,
 
 def _sweep_n_sites(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
     ns = cfg.get_ints("sweep", "n_values")
-    base = _model_params(cfg, n_sites=min(ns))
-    done = _run_points(manifest, lambda n: ground_qfi(base.replace(n_sites=n)).total,
+    params = {n: _model_params(cfg, n_sites=n) for n in ns}
+    done = _run_points(manifest, lambda n: ground_qfi(params[n]).total,
                        sorted(ns), lambda n: f"sweep N={n}", on_error="record")
     emit("", [[n, total] for n, total in done], ["N", "qfi_total"])
     fit = None
@@ -247,6 +243,12 @@ def _sweep_dh(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
     ns = cfg.get_ints("sweep", "n_values")
     anchor = cfg.get_str("sweep", "anchor", default="h_c")
     base = _model_params(cfg, n_sites=min(ns))
+    try:
+        h0 = _resolve_anchor(base, anchor)
+    except IkseaError as exc:
+        raise ConfigError(f"[sweep] {exc}") from exc
+    for n, dh in itertools.product(ns, dhs):
+        _model_params(cfg, n_sites=n, h=h0 + dh)
     res = exponent_vs_offset(base, dhs, ns, anchor=anchor)
     meta = res.metadata
     return _emit_mu_table(manifest, emit, res, {
@@ -261,8 +263,15 @@ def _sweep_kappa(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
     ns = cfg.get_ints("sweep", "n_values")
     gamma = cfg.get_float("model", "gamma")
     h = cfg.get_float("model", "h", default=1.0)
-    enforce = cfg.get_bool("sweep", "enforce_window", default=False)
-    res = kappa_sweep(gamma, kappas, ns, h=h, enforce_window=enforce)
+    if cfg.get_bool("sweep", "enforce_window", default=False):
+        raise ConfigError("[sweep] enforce_window = true was removed")
+    try:
+        _kappa_values(kappas)
+    except IkseaError as exc:
+        raise ConfigError(f"[sweep] {exc}") from exc
+    for n, kappa in itertools.product(ns, kappas):
+        _model_params(cfg, n_sites=n, h=h, k_ksea=gamma + kappa)
+    res = kappa_sweep(gamma, kappas, ns, h=h)
     return _emit_mu_table(manifest, emit, res, {
         "kappa": res.xs, "mu": res.ys, "r_squared": res.metadata["r_squared"],
     }, {"variable": "kappa", "gamma": gamma, "h": h,
@@ -277,6 +286,8 @@ def cmd_sweep(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
     if variable not in _SWEEPS:
         raise ConfigError(
             f"[sweep] variable must be n_sites|dh|kappa, got {variable!r}")
+    if variable != "n_sites" and _sweep_fit_window(cfg) is not None:
+        raise ConfigError("[fit] window_lo/window_hi apply to n_sites sweeps only")
     return _SWEEPS[variable](cfg, manifest, emit)
 
 
@@ -372,9 +383,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="run configuration file")
         sp.add_argument("--out", default=".", metavar="DIR",
                         help="output directory (default: current)")
-        sp.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="worker count recorded in the manifest (default: "
-                             "IKSEA_WORKERS or 1; runs are serial)")
+        sp.add_argument("--workers", type=int, default=1, metavar="N",
+                        help="worker count recorded in the manifest (default "
+                             "1; runs are serial)")
         sp.add_argument("--seed", type=int, default=None, metavar="U64",
                         help="override the config seed")
         sp.add_argument("--format", choices=["csv", "json"], default="csv",
@@ -393,8 +404,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             if args.seed < 0:
                 raise ConfigError("--seed must be non-negative")
             cfg.seed = args.seed
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         manifest = Manifest(command=cfg.command, config_text=cfg.to_text(),
-                            seed=cfg.seed, workers=resolve_workers(args.workers),
+                            seed=cfg.seed, workers=args.workers,
                             version=cfg.version)
         try:
             os.makedirs(args.out, exist_ok=True)

@@ -28,8 +28,9 @@ The QFI needs only the first columns, which have the closed forms
     w = (-g t^2 c1 + i (-b g + t c1),  i b a_minus),   b = -g t^3 c2,
 
 so qfi_time_series evaluates a whole grid of times with array operations on
-row blocks of (time, mode) pairs; dynamical_qfi is its one-time view.  Each
-operation rounds as the 2x2 complex matrix route (block_propagator,
+row blocks of (time, mode) pairs; dynamical_qfi is its one-time view (the
+kernel has no finite differences; propagator_derivative's mode="fd" checks
+it).  Each operation rounds as the 2x2 complex matrix route (block_propagator,
 propagator_derivative, np.vdot) does, which keeps the totals bit for bit
 equal to that route's: cos, sin and powers come from numpy, whose float64
 loops give the C math library's values (a test pins this), while cosh and
@@ -78,7 +79,6 @@ class DynQfiSeries:
     times: np.ndarray
     values: np.ndarray
     params: ChainParams
-    derivative: str
 
 
 def _libm(fn, x) -> np.ndarray:
@@ -210,10 +210,14 @@ def propagator_derivative(params: ChainParams, phi: float, t: float,
     g, eps_sq = float(g), float(eps_sq)
     z = eps_sq * t * t
     _, c1, c2 = map(float, _c012(z))
+    try:
+        t3 = t ** 3
+    except OverflowError as exc:   # |t| above about 5.6e102
+        raise EvolutionOverflowError(f"t^3 at t={t:g} overflows") from exc
     h = block_matrix(params, phi)
     d = np.diag([-1.0, 1.0]).astype(complex)
     return (-g * t * t * c1) * np.eye(2, dtype=complex) \
-        + (-1j * g * t ** 3 * c2) * h + (-1j * t * c1) * d
+        + (-1j * g * t3 * c2) * h + (-1j * t * c1) * d
 
 
 def _columns(params: ChainParams, phi: np.ndarray, t, rescale: bool,
@@ -230,23 +234,15 @@ def _columns(params: ChainParams, phi: np.ndarray, t, rescale: bool,
     return (c0, tc1 * g, -(tc1 * am)), (g, am, c1, c2, tc1)
 
 
-def _mode_values(sets, elements, phi, t, fd_step: float) -> np.ndarray:
+def _mode_values(params: ChainParams, elements, phi, t) -> np.ndarray:
     """Per-mode QFI (the Gram form), one row per time in the column t.
 
-    sets is [params] for the analytic derivative, the parameters at h,
-    h + fd_step and h - fd_step for fd; elements are their block elements.
+    elements is block_elements(params, phi).
     """
-    v, (g, am, c1, c2, tc1) = _columns(sets[0], phi, t, len(sets) == 1,
-                                       elements[0])
-    if len(sets) == 1:
-        b = (-g * np.float_power(t, 3.0)) * c2
-        w = (-g * t * t * c1, b * -g + tc1, b * am)
-    else:
-        vp, vm = (_columns(p, phi, t, False, e)[0]
-                  for p, e in zip(sets[1:], elements[1:]))
-        scale = 1.0 / (2.0 * fd_step)
-        w = tuple((p - m) * scale for p, m in zip(vp, vm))
-    (vr, vi, vi1), (wr, wi, wi1) = v, w
+    (vr, vi, vi1), (g, am, c1, c2, tc1) = _columns(params, phi, t, True,
+                                                   elements)
+    b = (-g * np.float_power(t, 3.0)) * c2
+    wr, wi, wi1 = -g * t * t * c1, b * -g + tc1, b * am
     # np.vdot as zdotc sums it, fma(x1, y1, x0 * y0) per component;
     # the terms in Re v1 = Re w1 = 0 are exact and drop out
     sv, sw = _split(vi1), _split(wi1)
@@ -257,37 +253,27 @@ def _mode_values(sets, elements, phi, t, fd_step: float) -> np.ndarray:
     return 4.0 * (ww / n2 - vw2 / (n2 * n2))
 
 
-def _qfi_totals(params: ChainParams, times, derivative: str,
-                fd_step: float) -> list:
+def _qfi_totals(params: ChainParams, times) -> list:
     """Total dynamical QFI at each time, or the IkseaError raised there.
 
-    block_elements runs once per parameter set, the Gram form on row blocks
-    of about _BLOCK (time, mode) pairs and exact_sum once per row.  A time
-    that fails leaves the other rows unchanged.
+    block_elements runs once, the Gram form on row blocks of about _BLOCK
+    (time, mode) pairs and exact_sum once per row.  A time that fails
+    leaves the other rows unchanged.
     """
-    if derivative not in ("analytic", "fd"):
-        raise ParameterError(f"unknown derivative mode {derivative!r}")
-    if derivative == "fd" and not 0.0 < fd_step < math.inf:
-        raise ParameterError(f"fd_step must be finite and > 0, got {fd_step!r}")
     times = np.asarray(times, dtype=float).ravel()
     if not np.isfinite(times).all():
         raise ParameterError(f"times must be finite, got {times.tolist()!r}")
     phi = momentum_grid(params.n_sites)
-    sets = [params] if derivative == "analytic" else [
-        params, params.replace(h=params.h + fd_step),
-        params.replace(h=params.h - fd_step)]
-    elements = [block_elements(p, phi) for p in sets]
-    out = [None] * times.size
-    for *_, eps_sq in elements:   # z = eps_sq t t is monotone in eps_sq
-        lo, hi = float(eps_sq.min()), float(eps_sq.max())
-        out = [err or _overflow(lo * t * t, hi * t * t)
-               for err, t in zip(out, times.tolist())]
+    elements = block_elements(params, phi)
+    # z = eps_sq t t is monotone in eps_sq
+    lo, hi = float(elements[3].min()), float(elements[3].max())
+    out = [_overflow(lo * t * t, hi * t * t) for t in times.tolist()]
     todo = [i for i, err in enumerate(out) if err is None]
     step = max(1, _BLOCK // phi.size)
     for k in range(0, len(todo), step):
         rows = todo[k:k + step]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            vals = _mode_values(sets, elements, phi, times[rows, None], fd_step)
+            vals = _mode_values(params, elements, phi, times[rows, None])
         for i, row in zip(rows, vals):
             bad = ~np.isfinite(row) | (row < _CLAMP_FLOOR)
             j, t = int(np.argmax(bad)), times[i]
@@ -296,7 +282,7 @@ def _qfi_totals(params: ChainParams, times, derivative: str,
             elif not math.isfinite(row[j]):
                 out[i] = EvolutionOverflowError(
                     f"per-mode dynamical QFI overflowed double precision at "
-                    f"phi={phi[j]:.12g}, t={t:g} (mode={derivative})")
+                    f"phi={phi[j]:.12g}, t={t:g}")
             else:
                 out[i] = NumericalConsistencyError(
                     f"per-mode dynamical QFI {row[j]:.6e} < {_CLAMP_FLOOR:g} at "
@@ -311,22 +297,19 @@ def _value(total):
     return total
 
 
-def dynamical_qfi(params: ChainParams, t: float, derivative: str = "analytic",
-                  fd_step: float = 1e-6) -> float:
+def dynamical_qfi(params: ChainParams, t: float) -> float:
     """Total dynamical QFI of the evolved (normalised) state at time t.
 
     The one-time view of qfi_time_series, equal to the 2x2 matrix route
     (block_propagator, propagator_derivative, np.vdot) to the last bit.
     Per-mode contributions in [-1e-10, 0) are clamped to zero (round-off);
     anything more negative raises NumericalConsistencyError.  A non-finite
-    t, or derivative="fd" with fd_step not finite and > 0, raises
-    ParameterError.
+    t raises ParameterError.
     """
-    return float(qfi_time_series(params, [t], derivative, fd_step).values[0])
+    return float(qfi_time_series(params, [t]).values[0])
 
 
-def qfi_time_series(params: ChainParams, times, derivative: str = "analytic",
-                    fd_step: float = 1e-6) -> DynQfiSeries:
+def qfi_time_series(params: ChainParams, times) -> DynQfiSeries:
     """Dynamical QFI on a grid of times, in one kernel call.
 
     All modes and times are evaluated at once from the closed-form columns
@@ -334,6 +317,6 @@ def qfi_time_series(params: ChainParams, times, derivative: str = "analytic",
     bit for bit; the first time that fails raises its error.
     """
     times = np.asarray(times, dtype=float)
-    vals = [_value(v) for v in _qfi_totals(params, times, derivative, fd_step)]
+    vals = [_value(v) for v in _qfi_totals(params, times)]
     return DynQfiSeries(times=times, values=np.array(vals, dtype=float),
-                        params=params, derivative=derivative)
+                        params=params)

@@ -1,9 +1,9 @@
 """Sweep execution and run-manifest bookkeeping.
 
 Grid points run one after the other, in input order, and per-point failures
-are captured rather than aborting the whole sweep.  The worker count
-(``--workers`` / ``IKSEA_WORKERS``) selects no code path: it is validated and
-recorded in the manifest, so that existing scripts and configs keep working.
+are captured rather than aborting the whole sweep.  The ``--workers`` count
+selects no code path: it is recorded in the manifest, so that existing
+scripts keep working.
 """
 
 from __future__ import annotations
@@ -13,36 +13,15 @@ import hashlib
 import json
 import os
 import platform
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 import scipy
 
 from . import __version__
-from .errors import ConfigError, IkseaError
+from .errors import IkseaError
 
-__all__ = ["resolve_workers", "run_grid", "sha256_file", "Manifest",
-            "WORKERS_ENV"]
-
-WORKERS_ENV = "IKSEA_WORKERS"
-
-
-def resolve_workers(flag: Optional[int] = None) -> int:
-    """Recorded worker count: --workers flag > IKSEA_WORKERS env > 1."""
-    name, value = "--workers", flag
-    if flag is None:
-        env = os.environ.get(WORKERS_ENV, "")
-        if not env.strip():
-            return 1
-        name = WORKERS_ENV
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ConfigError(
-                f"{WORKERS_ENV}={env!r} is not an integer") from exc
-    if value < 1:
-        raise ConfigError(f"{name} must be >= 1, got {value}")
-    return int(value)
+__all__ = ["run_grid", "sha256_file", "Manifest"]
 
 
 def run_grid(fn: Callable, items: Sequence) -> List[Tuple[str, object]]:

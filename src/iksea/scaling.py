@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .dynamics import qfi_time_series
-from .errors import DomainError, InsufficientDataError, OutOfWindowError, ParameterError
+from .errors import DomainError, InsufficientDataError, ParameterError
 from .ground import ground_qfi
 from .model import ChainParams, classify_phase, critical_field, exceptional_field
 
@@ -148,34 +148,31 @@ def exponent_vs_offset(template: ChainParams, dh_grid: Sequence[float],
                   "phase_change": len(set(phases)) > 1})
 
 
+def _kappa_values(kappa_grid: Sequence[float]) -> np.ndarray:
+    """kappa_grid as a non-empty array of values > 0, else DomainError."""
+    kappas = np.asarray(list(kappa_grid), dtype=float)
+    if kappas.size == 0 or np.any(kappas <= 0.0):
+        raise DomainError(f"kappa values must be > 0 (kappa = 0 is the "
+                          f"exceptional line), got {kappas.tolist()}")
+    return kappas
+
+
 def kappa_sweep(gamma: float, kappa_grid: Sequence[float],
-                n_grid: Sequence[int], h: float = 1.0,
-                enforce_window: bool = False) -> SweepResult:
+                n_grid: Sequence[int], h: float = 1.0) -> SweepResult:
     """Size exponent mu as a function of kappa = K - gamma > 0 at fixed h.
 
     Each kappa must be strictly positive (kappa = 0 sits on the exceptional
     line where the closed forms degenerate).  (kappa, N) pairs that fail
-    pi/N > 10*kappa are flagged in metadata["out_of_window"], and raised as
-    OutOfWindowError when enforce_window=True.  This test is necessary but
-    not sufficient for the N^6 leading term: that term needs
+    pi/N > 10*kappa are flagged in metadata["out_of_window"].  This test is
+    necessary but not sufficient for the N^6 leading term: that term needs
     pi/N > 10 theta* with theta* = 2 sqrt(|K^2 - gamma^2|), about
     2 sqrt(kappa) at gamma = 0.5, the window that
     asymptotic_qfi(..., "near_degenerate") enforces.
     """
-    kappas = np.asarray(list(kappa_grid), dtype=float)
-    if kappas.size == 0:
-        raise DomainError("kappa_grid is empty")
-    if np.any(kappas <= 0.0):
-        raise DomainError(
-            f"kappa values must be > 0 (got min {kappas.min()!r}); "
-            f"kappa = 0 is the exceptional line")
+    kappas = _kappa_values(kappa_grid)
     ns = sorted(int(n) for n in n_grid)
     offending = [(float(kap), n) for kap in kappas for n in ns
                  if not (np.pi / n > 10.0 * kap)]
-    if enforce_window and offending:
-        raise OutOfWindowError(
-            f"near-degenerate window pi/N > 10*kappa violated for "
-            f"{len(offending)} (kappa, N) pairs, first: {offending[0]}")
     mus, r2s = [], []
     for kap in kappas:
         res = size_exponent(

@@ -16,7 +16,7 @@ from iksea.dynamics import dynamical_qfi
 from iksea.errors import ConfigError
 from iksea.ground import ground_qfi
 from iksea.model import ChainParams, momentum_grid
-from iksea.runner import resolve_workers, sha256_file
+from iksea.runner import sha256_file
 
 
 def write_cfg(path, text):
@@ -269,14 +269,20 @@ def test_dyn_qfi_time_grid_spacings(tmp_path):
     assert main(["dyn-qfi", "--config", bad, "--out", str(out)]) == 2
 
 
-@pytest.mark.parametrize("step", ["0", "-1e-6", "nan", "inf"])
-def test_dyn_qfi_bad_fd_step_is_config_error(tmp_path, capsys, step):
+@pytest.mark.parametrize("derivative", ["fd", "complex-step"])
+def test_dyn_qfi_derivative_other_than_analytic_is_config_error(
+        tmp_path, capsys, derivative):
+    # an old fd config must not quietly get the analytic computation
     cfg_path = write_cfg(tmp_path / "run.cfg", DYN_CFG + (
-        f"\n[dynamics]\nderivative = fd\nfd_step = {step}\n"))
-    assert main(["dyn-qfi", "--config", cfg_path,
-                 "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.startswith(
-        "config error: [dynamics] fd_step must be finite and > 0")
+        f"\n[dynamics]\nderivative = {derivative}\nfd_step = 1e-6\n"))
+    out = tmp_path / "out"
+    assert main(["dyn-qfi", "--config", cfg_path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: [dynamics] derivative = {derivative!r} was removed\n")
+    assert os.listdir(out) == []
+    ok = write_cfg(tmp_path / "ok.cfg",
+                   DYN_CFG + "\n[dynamics]\nderivative = analytic\n")
+    assert main(["dyn-qfi", "--config", ok, "--out", str(out)]) == 0
 
 
 def test_dyn_qfi_overflowing_oscillating_time_is_skipped(tmp_path):
@@ -412,10 +418,73 @@ n_values = 64 128 256
         rows = list(csv.reader(fh))
     assert rows[0] == ["kappa", "mu", "r_squared"]
 
-    # the same config with enforce_window on refuses to produce numbers
-    strict = write_cfg(tmp_path / "strict.cfg",
-                       txt + "enforce_window = true\n")
-    assert main(["sweep", "--config", strict, "--out", str(out)]) == 3
+
+BAD_POINT_CFG = """\
+[run]
+command = {command}
+
+[model]
+h = 1.0
+gamma = 0.5
+k_ksea = 0.2
+n_sites = 8
+
+[{section}]
+{keys}
+"""
+
+
+@pytest.mark.parametrize("command, section, keys, message", [
+    ("ground-qfi", "grid", "n_values = 8 33",
+     "invalid [model] parameters: n_sites must be an even integer >= 2, "
+     "got 33"),
+    ("ground-qfi", "grid", "h_values = 0.5 nan",
+     "invalid [model] parameters: h must be finite, got nan"),
+    ("sweep", "sweep", "variable = n_sites\nn_values = 8 16 33 64",
+     "invalid [model] parameters: n_sites must be an even integer >= 2, "
+     "got 33"),
+    ("sweep", "sweep", "variable = dh\ndh_values = 0.1 nan\nn_values = 8 16 32",
+     "invalid [model] parameters: h must be finite, got nan"),
+    ("sweep", "sweep",
+     "variable = dh\ndh_values = 0.1\nanchor = h_x\nn_values = 8 16 32",
+     "[sweep] unknown anchor 'h_x' (expected 'h_c' or 'h_e')"),
+    ("sweep", "sweep",
+     "variable = kappa\nkappa_values = 0 1e-3\nn_values = 8 16 32",
+     "[sweep] kappa values must be > 0 (kappa = 0 is the exceptional line), "
+     "got [0.0, 0.001]"),
+    ("sweep", "sweep", "variable = kappa\nkappa_values = 1e-3\n"
+     "n_values = 8 16 32\nenforce_window = true",
+     "[sweep] enforce_window = true was removed"),
+], ids=["grid-odd-n", "grid-nan-h", "sweep-odd-n", "sweep-nan-dh",
+        "sweep-unknown-anchor", "sweep-zero-kappa", "sweep-enforce-window"])
+def test_bad_point_values_are_config_errors(tmp_path, capsys, command,
+                                            section, keys, message):
+    # caught before any point runs: exit 2 and no data file, where these
+    # used to fail mid-run as compute errors (exit 3)
+    cfg_path = write_cfg(tmp_path / "run.cfg", BAD_POINT_CFG.format(
+        command=command, section=section, keys=keys))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}")
+    assert "np.float64" not in err
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("variable, keys", [
+    ("dh", "dh_values = 0.1"), ("kappa", "kappa_values = 1e-3")])
+def test_fit_window_on_dh_or_kappa_sweep_is_config_error(tmp_path, capsys,
+                                                         variable, keys):
+    # only the n_sites sweep fits through [fit] window_lo/window_hi
+    cfg_path = write_cfg(tmp_path / "run.cfg", BAD_POINT_CFG.format(
+        command="sweep", section="sweep",
+        keys=f"variable = {variable}\n{keys}\nn_values = 8 16 32\n\n"
+             f"[fit]\nwindow_lo = 8\nwindow_hi = 32"))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "config error: [fit] window_lo/window_hi apply to n_sites sweeps only\n"
+    assert os.listdir(out) == []
 
 
 def test_sweep_n_sites_records_failed_points(tmp_path):
@@ -660,36 +729,29 @@ def test_out_naming_a_file_is_config_error(tmp_path, capsys):
     assert out.read_text(encoding="utf-8") == "not a directory"
 
 
-def test_workers_resolution(tmp_path, monkeypatch):
-    monkeypatch.delenv("IKSEA_WORKERS", raising=False)
-    assert resolve_workers(3) == 3
-    monkeypatch.setenv("IKSEA_WORKERS", "5")
-    assert resolve_workers(None) == 5
-    assert resolve_workers(2) == 2          # flag beats env
-    monkeypatch.setenv("IKSEA_WORKERS", "zero")
-    with pytest.raises(ConfigError):
-        resolve_workers(None)
-    monkeypatch.setenv("IKSEA_WORKERS", "0")
-    with pytest.raises(ConfigError):
-        resolve_workers(None)
+def test_workers_resolution(tmp_path, capsys):
+    # the --workers flag, >= 1, else exit 2 before anything is written
+    cfg_path = write_cfg(tmp_path / "run.cfg", GROUND_CFG)
+    for workers in ("0", "-3"):
+        out = tmp_path / f"out{workers}"
+        assert main(["ground-qfi", "--config", cfg_path, "--out", str(out),
+                     "--workers", workers]) == 2
+        assert capsys.readouterr().err == \
+            f"config error: --workers must be >= 1, got {workers}\n"
+        assert not out.exists()
 
 
-def test_workers_default_is_one(monkeypatch):
-    monkeypatch.delenv("IKSEA_WORKERS", raising=False)
-    assert resolve_workers(None) == 1
-    monkeypatch.setenv("IKSEA_WORKERS", "  ")     # blank counts as unset
-    assert resolve_workers(None) == 1
-
-
-def test_bad_workers_env_is_exit_2(tmp_path, monkeypatch):
+def test_workers_default_is_one(tmp_path, monkeypatch):
+    # the IKSEA_WORKERS variable was removed: its value changes nothing
     monkeypatch.setenv("IKSEA_WORKERS", "many")
     cfg_path = write_cfg(tmp_path / "run.cfg", GROUND_CFG)
-    assert main(["ground-qfi", "--config", cfg_path,
-                 "--out", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    assert main(["ground-qfi", "--config", cfg_path, "--out", str(out)]) == 0
+    manifest = json.loads((out / "ground_qfi_manifest.json").read_text())
+    assert manifest["workers"] == 1
 
 
-def test_workers_flag_recorded_in_manifest(tmp_path, monkeypatch):
-    monkeypatch.setenv("IKSEA_WORKERS", "7")
+def test_workers_flag_recorded_in_manifest(tmp_path):
     cfg_path = write_cfg(tmp_path / "run.cfg", GROUND_CFG)
     out = tmp_path / "out"
     assert main(["ground-qfi", "--config", cfg_path, "--out", str(out),
@@ -698,9 +760,8 @@ def test_workers_flag_recorded_in_manifest(tmp_path, monkeypatch):
     assert manifest["workers"] == 2
 
 
-def test_manifest_records_versions(tmp_path, monkeypatch):
+def test_manifest_records_versions(tmp_path):
     import iksea
-    monkeypatch.delenv("IKSEA_WORKERS", raising=False)
     cfg_path = write_cfg(tmp_path / "run.cfg", GROUND_CFG)
     out = tmp_path / "out"
     assert main(["ground-qfi", "--config", cfg_path, "--out", str(out)]) == 0

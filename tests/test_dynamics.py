@@ -1,5 +1,6 @@
 """Block propagators, analytic field derivative, and dynamical QFI."""
 
+import dataclasses
 import math
 import re
 
@@ -162,10 +163,6 @@ def test_long_time_broken_mode_converges_to_dominant_eigenvector():
 @pytest.mark.parametrize("step", [0.0, -1e-6, math.nan, math.inf])
 def test_fd_step_must_be_finite_and_positive(step):
     with pytest.raises(ParameterError, match="fd_step"):
-        dynamical_qfi(UNBROKEN, 1.0, "fd", step)
-    assert dynamical_qfi(UNBROKEN, 1.0, "analytic", step) == \
-        dynamical_qfi(UNBROKEN, 1.0)
-    with pytest.raises(ParameterError, match="fd_step"):
         propagator_derivative(UNBROKEN, 0.5, 1.0, mode="fd", fd_step=step)
     assert (propagator_derivative(UNBROKEN, 0.5, 1.0, fd_step=step)
             == propagator_derivative(UNBROKEN, 0.5, 1.0)).all()
@@ -186,8 +183,10 @@ def test_analytic_vs_fd_qfi():
     for p in (BROKEN, UNBROKEN, ChainParams(h=1.2, gamma=0.0, k_ksea=0.6,
                                             n_sites=8)):
         for t in (0.5, 2.0, 5.0):
-            a = dynamical_qfi(p, t, derivative="analytic")
-            f = dynamical_qfi(p, t, derivative="fd")
+            # the kernel has only the analytic derivative; the finite
+            # differences come from the 2x2 matrix route
+            a = dynamical_qfi(p, t)
+            f = _matrix_route(p, t, "fd")
             np.testing.assert_allclose(a, f, rtol=1e-6, atol=1e-9)
 
 
@@ -197,8 +196,9 @@ def test_qfi_time_series_shape_and_nonnegativity():
     assert series.times.shape == series.values.shape == (41,)
     assert series.values[0] == 0.0
     assert np.all(series.values >= 0.0)
-    assert series.derivative == "analytic"
     assert series.params == UNBROKEN
+    assert [f.name for f in dataclasses.fields(series)] == \
+        ["times", "values", "params"]
 
 
 def test_overflow_raises_named_error():
@@ -209,9 +209,6 @@ def test_overflow_raises_named_error():
         block_propagator(BROKEN, phi, t_bad)
     with pytest.raises(EvolutionOverflowError):
         dynamical_qfi(BROKEN, t_bad)
-    # the fd derivative has no rescaled frame, so it overflows much earlier
-    with pytest.raises(EvolutionOverflowError):
-        dynamical_qfi(BROKEN, 500.0 / r, derivative="fd")
 
 
 def test_broken_mode_plateau_up_to_cosh_cutoff():
@@ -363,10 +360,12 @@ def test_kernel_matches_matrix_route():
         for t in times:
             z = block_elements(p, momentum_grid(p.n_sites))[3] * t * t
             rescaled += int(np.sum(z < -100.0 ** 2))
-            for derivative in ("analytic", "fd"):
-                np.testing.assert_allclose(
-                    dynamical_qfi(p, t, derivative=derivative),
-                    _matrix_route(p, t, derivative), rtol=1e-12, atol=0)
+            total = dynamical_qfi(p, t)
+            np.testing.assert_allclose(total, _matrix_route(p, t),
+                                       rtol=1e-12, atol=0)
+            # finite differences of the matrix route, at their own accuracy
+            np.testing.assert_allclose(total, _matrix_route(p, t, "fd"),
+                                       rtol=1e-6, atol=1e-9)
     assert rescaled > 0
 
 
@@ -382,16 +381,15 @@ def test_kernel_equals_matrix_route_bit_for_bit():
         r_max = math.sqrt(np.abs(block_elements(
             p, momentum_grid(p.n_sites))[3]).max())
         t = float(rng.uniform(0.0, 100.0 / r_max))
-        derivative = str(rng.choice(["analytic", "fd"]))
-        assert dynamical_qfi(p, t, derivative) == \
-            _matrix_route(p, t, derivative)
+        # the draw keeps the sequence of points; every point is analytic
+        rng.choice(["analytic", "fd"])
+        assert dynamical_qfi(p, t) == _matrix_route(p, t, "analytic")
         checked += p.n_sites // 2
     assert checked > 2000
 
 
 @pytest.mark.parametrize("h", [0.5, 1.5])
-@pytest.mark.parametrize("derivative", ["analytic", "fd"])
-def test_total_is_fsum_above_the_cutover(monkeypatch, h, derivative):
+def test_total_is_fsum_above_the_cutover(monkeypatch, h):
     # 4096 modes take exact_sum's array path, not math.fsum itself
     import iksea.dynamics as dyn
     summed = []
@@ -402,7 +400,7 @@ def test_total_is_fsum_above_the_cutover(monkeypatch, h, derivative):
 
     monkeypatch.setattr(dyn, "exact_sum", keeping)
     p = ChainParams(h=h, gamma=0.5, k_ksea=0.2, n_sites=8192)
-    total = dynamical_qfi(p, 3.0, derivative)
+    total = dynamical_qfi(p, 3.0)
     (vals,) = summed
     assert vals.size == 4096 > EXACT_SUM_CUTOVER and vals.min() > 0.0
     assert total == math.fsum(vals.tolist())
@@ -445,9 +443,6 @@ def test_kernel_evaluates_block_elements_once(monkeypatch):
     p = ChainParams(h=0.5, gamma=0.5, k_ksea=0.2, n_sites=1024)
     dynamical_qfi(p, 3.0)
     assert calls == [512]
-    calls.clear()
-    dynamical_qfi(p, 3.0, derivative="fd")
-    assert calls == [512, 512, 512]
 
 
 # ------------------------------------------------ time-series kernel
@@ -485,12 +480,12 @@ def test_numpy_transcendentals_equal_libm_bit_for_bit():
         assert same.all(), (fn.__name__, extra, x[~same][:5])
 
 
-def _per_time(params, times, derivative="analytic"):
-    """Today's per-time route: one dynamical_qfi call per time."""
+def _per_time(params, times):
+    """The per-time route: one dynamical_qfi call per time."""
     out = []
     for t in times:
         try:
-            out.append(dynamical_qfi(params, t, derivative))
+            out.append(dynamical_qfi(params, t))
         except Exception as exc:               # noqa: BLE001 - compared below
             out.append(exc)
     return out
@@ -512,8 +507,7 @@ def test_series_rows_at_the_block_edges_equal_the_per_time_route(extra):
     p = ChainParams(h=0.5, gamma=0.5, k_ksea=0.2, n_sites=1000)
     rows = _BLOCK // 500 + extra
     times = np.geomspace(0.05, 900.0, rows)
-    _assert_same_rows(_qfi_totals(p, times, "analytic", 1e-6),
-                      _per_time(p, times))
+    _assert_same_rows(_qfi_totals(p, times), _per_time(p, times))
     series = qfi_time_series(p, times)
     assert series.values.tolist() == _per_time(p, times)
 
@@ -523,22 +517,18 @@ def test_series_equals_matrix_route_bit_for_bit():
     p = ChainParams(h=0.7, gamma=0.6, k_ksea=0.25, n_sites=24)
     r_max = math.sqrt(np.abs(block_elements(p, momentum_grid(24))[3]).max())
     times = [0.0, -0.4, 1e-5, 0.3, 2.0, 95.0 / r_max]
-    for derivative in ("analytic", "fd"):
-        series = qfi_time_series(p, times, derivative)
-        assert series.values.tolist() == [_matrix_route(p, t, derivative)
-                                          for t in times]
+    series = qfi_time_series(p, times)
+    assert series.values.tolist() == [_matrix_route(p, t) for t in times]
 
 
-@pytest.mark.parametrize("derivative", ["analytic", "fd"])
-def test_series_edge_rows_equal_the_per_time_route(derivative):
+def test_series_edge_rows_equal_the_per_time_route():
     # t = 0, negative t, gamma = K (a_minus = 0) and both branches
     from iksea.dynamics import _qfi_totals
     times = [0.0, -2.5, 0.3, -0.3, 7.0, 0.0, 40.0]
     for p in (BROKEN, UNBROKEN, ChainParams(h=0.5, gamma=0.4, k_ksea=0.4,
                                             n_sites=64),
               ChainParams(h=1.3, gamma=0.4, k_ksea=0.4, n_sites=2048)):
-        _assert_same_rows(_qfi_totals(p, times, derivative, 1e-6),
-                          _per_time(p, times, derivative))
+        _assert_same_rows(_qfi_totals(p, times), _per_time(p, times))
 
 
 def test_failing_time_mid_series_leaves_other_rows_unchanged():
@@ -546,23 +536,22 @@ def test_failing_time_mid_series_leaves_other_rows_unchanged():
     phi = _broken_phi(BROKEN)
     t_bad = 720.0 / math.sqrt(-block_elements(BROKEN, phi)[3])
     cases = [
-        (BROKEN, "analytic", [1.0, 2.0, t_bad, 3.0, 4.0]),
-        (BROKEN, "fd", [1.0, 500.0 / 720.0 * t_bad, 3.0]),
-        (UNBROKEN, "analytic", [1.0, 1e200, 2.0, 1e150, 3.0]),
+        (BROKEN, [1.0, 2.0, t_bad, 3.0, 4.0]),
+        (UNBROKEN, [1.0, 1e200, 2.0, 1e150, 3.0]),
         # gamma = K: round-off below the clamp floor at t = 400
-        (ChainParams(h=0.5, gamma=0.5, k_ksea=0.5, n_sites=64), "analytic",
+        (ChainParams(h=0.5, gamma=0.5, k_ksea=0.5, n_sites=64),
          [1.0, 400.0, 2.0]),
     ]
-    for p, derivative, times in cases:
-        got = _qfi_totals(p, times, derivative, 1e-6)
-        want = _per_time(p, times, derivative)
+    for p, times in cases:
+        got = _qfi_totals(p, times)
+        want = _per_time(p, times)
         _assert_same_rows(got, want)
         assert [isinstance(g, Exception) for g in got] == \
             [isinstance(w, Exception) for w in want]
         assert sum(isinstance(g, Exception) for g in got) >= 1
         first = next(g for g in got if isinstance(g, Exception))
         with pytest.raises(type(first), match=re.escape(str(first))):
-            qfi_time_series(p, times, derivative)
+            qfi_time_series(p, times)
 
 
 def test_overflowing_oscillating_time_is_an_overflow_error():
@@ -575,8 +564,18 @@ def test_overflowing_oscillating_time_is_an_overflow_error():
             dynamical_qfi(UNBROKEN, t)
         with pytest.raises(EvolutionOverflowError):
             block_propagator(UNBROKEN, phi, t)
-        with pytest.raises(EvolutionOverflowError):
-            dynamical_qfi(UNBROKEN, t, derivative="fd")
+
+
+@pytest.mark.parametrize("t", [1e103, 1e150])
+def test_scalar_derivative_t_cubed_overflow_is_an_overflow_error(t):
+    # t^3 overflows while eps_sq t^2 stays finite: the scalar route raises
+    # the kernel's named error, not a bare OverflowError from float **
+    phi = float(momentum_grid(8)[0])
+    with pytest.raises(EvolutionOverflowError,
+                       match=re.escape(f"t^3 at t={t:g} overflows")):
+        propagator_derivative(UNBROKEN, phi, t)
+    with pytest.raises(EvolutionOverflowError):
+        dynamical_qfi(UNBROKEN, t)
 
 
 @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
@@ -600,8 +599,3 @@ def test_series_evaluates_block_elements_once(monkeypatch):
     times = np.geomspace(0.1, 1500.0, 40)
     assert qfi_time_series(p, times).values.shape == (40,)
     assert calls == [512]
-    calls.clear()
-    # fd has no rescaled frame: the late rows overflow, but are evaluated
-    totals = dyn._qfi_totals(p, times, "fd", 1e-6)
-    assert calls == [512, 512, 512]
-    assert isinstance(totals[-1], EvolutionOverflowError) and totals[0] > 0.0

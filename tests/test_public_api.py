@@ -5,6 +5,7 @@ __all__ entry that no longer resolves fails.
 """
 
 import importlib
+import inspect
 
 import pytest
 
@@ -29,7 +30,7 @@ PUBLIC = {
     ],
     "iksea.config": ["RunConfig", "COMMANDS"],
     "iksea.runner": [
-        "resolve_workers", "run_grid", "sha256_file", "Manifest", "WORKERS_ENV",
+        "run_grid", "sha256_file", "Manifest",
     ],
     "iksea.oracle": [
         "DENSE_CAP", "EVOLUTION_CAP", "SpectralDecomposition",
@@ -58,6 +59,24 @@ PACKAGE = sorted([
     "power_law_fit", "propagator_derivative", "qfi_time_series",
     "size_exponent", "time_exponent", "zero_crossings",
 ])
+
+
+#: signatures of the functions whose options were removed (the dynamics
+#: kernel's fd derivative and fd_step, kappa_sweep's enforce_window)
+SIGNATURES = {
+    ("iksea.dynamics", "dynamical_qfi"): "(params: 'ChainParams', t: 'float') -> 'float'",
+    ("iksea.dynamics", "qfi_time_series"):
+        "(params: 'ChainParams', times) -> 'DynQfiSeries'",
+    ("iksea.scaling", "kappa_sweep"):
+        "(gamma: 'float', kappa_grid: 'Sequence[float]', "
+        "n_grid: 'Sequence[int]', h: 'float' = 1.0) -> 'SweepResult'",
+}
+
+
+@pytest.mark.parametrize("module, name", sorted(SIGNATURES))
+def test_signature_is_pinned(module, name):
+    fn = getattr(importlib.import_module(module), name)
+    assert str(inspect.signature(fn)) == SIGNATURES[module, name]
 
 
 @pytest.mark.parametrize("module", sorted(PUBLIC))

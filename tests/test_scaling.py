@@ -6,7 +6,6 @@ import pytest
 from iksea.errors import (
     DomainError,
     InsufficientDataError,
-    OutOfWindowError,
     ParameterError,
 )
 from iksea.model import ChainParams
@@ -166,8 +165,6 @@ def test_kappa_sweep_window_bookkeeping():
     res2 = kappa_sweep(0.5, [1e-3], ns)
     assert len(res2.metadata["out_of_window"]) == 3
     assert res2.metadata["out_of_window"][0] == (1e-3, 512)
-    with pytest.raises(OutOfWindowError):
-        kappa_sweep(0.5, [1e-3], ns, enforce_window=True)
 
 
 def test_kappa_sweep_rejects_nonpositive_kappa():
