@@ -184,6 +184,8 @@ def cmd_dyn_qfi(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
     derivative = cfg.get_str("dynamics", "derivative", default="analytic")
     if derivative != "analytic":
         raise ConfigError(f"[dynamics] derivative = {derivative!r} was removed")
+    if cfg.get_str("dynamics", "fd_step", default=None) is not None:
+        raise ConfigError("[dynamics] fd_step was removed")
     phase = classify_phase(params).region
     try:
         totals = _qfi_totals(params, times)
@@ -286,8 +288,12 @@ def cmd_sweep(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
     if variable not in _SWEEPS:
         raise ConfigError(
             f"[sweep] variable must be n_sites|dh|kappa, got {variable!r}")
-    if variable != "n_sites" and _sweep_fit_window(cfg) is not None:
-        raise ConfigError("[fit] window_lo/window_hi apply to n_sites sweeps only")
+    if variable != "n_sites":
+        if _sweep_fit_window(cfg) is not None:
+            raise ConfigError("[fit] window_lo/window_hi apply to n_sites sweeps only")
+        if len(cfg.get_ints("sweep", "n_values")) < 3:
+            raise ConfigError(f"[sweep] n_values needs at least 3 sizes to fit "
+                              f"mu for each {variable} value")
     return _SWEEPS[variable](cfg, manifest, emit)
 
 

@@ -30,6 +30,18 @@ __all__ = ["RunConfig", "COMMANDS"]
 
 COMMANDS = ("ground-qfi", "dyn-qfi", "sweep", "fit", "oracle-check", "phase")
 
+#: the keys each section may hold ([dynamics] fd_step is read to reject it)
+_KEYS = {
+    "run": "command seed version prefix",
+    "model": "h gamma k_ksea n_sites",
+    "grid": "n_values h_values",
+    "times": "values start stop count spacing",
+    "dynamics": "derivative fd_step",
+    "sweep": "variable n_values dh_values kappa_values anchor enforce_window",
+    "fit": "input x_column y_column window_lo window_hi",
+    "oracle": "sizes points include_dynamics corrupt_scale",
+}
+
 
 def _parser() -> configparser.ConfigParser:
     cp = configparser.ConfigParser(
@@ -102,6 +114,10 @@ class RunConfig:
         except configparser.Error as exc:
             raise ConfigError(f"config parse failure: {exc}") from exc
         sections = {s: dict(cp.items(s)) for s in cp.sections()}
+        for section, kv in sections.items():
+            for key in kv:
+                if key not in _KEYS.get(section, "").split():
+                    raise ConfigError(f"[{section}] {key} is not a known key")
         if "run" not in sections:
             raise ConfigError("config needs a [run] section")
         run = sections["run"]

@@ -14,7 +14,8 @@ and the field-estimation QFI of the Dirac-normalised state splits by branch:
         F = (gamma^2 - K^2) / (-eps_sq gamma^2)
 
 The grid is evaluated in L2-sized blocks of modes, with the same bits as one
-whole-grid pass.  The total is the exactly rounded sum, equal to math.fsum,
+whole-grid pass; a block clear of the scalar exceptional bound evaluates only
+its branch.  The total is the exactly rounded sum, equal to math.fsum,
 in ascending mode order (model.exact_sum; math.fsum itself below
 EXACT_SUM_CUTOVER modes), so results are bit-for-bit reproducible.
 """
@@ -37,8 +38,8 @@ from .errors import (
 )
 from .model import (
     ChainParams,
+    _couplings,
     _elements,
-    block_elements,
     exact_sum,
     exceptional_field,
     exceptional_tolerance,
@@ -80,32 +81,45 @@ def _mode_qfi(params: ChainParams, phi: np.ndarray, offset: int | None = 0):
     """Per-mode ground QFI at the angles phi: (eps_sq, values).
 
     The one ground kernel: ground_qfi runs it on blocks of the momentum grid
-    and the single-mode functions on one angle.  A defective block raises
-    ExceptionalModeError at the first such angle, named as mode
+    and the single-mode functions on one angle.  A block whose |eps_sq| all
+    exceed exceptional_tolerance(|h| + 1, gamma + K, gamma - K), which bounds
+    every mode's, evaluates only its one branch; any other block raises
+    ExceptionalModeError at the first defective angle, named as mode
     p = offset + i + 1 (unnumbered when offset is None).  Where the
     real-branch closed form is not finite (0/0 on gamma = K with g < 0) the
     eigenvector form, regular there, gives the limit.
     """
-    s, g, ap, am, eps_sq = _elements(params, phi)
-    exc = np.abs(eps_sq) <= exceptional_tolerance(g, ap, am)
-    if exc.any():
-        i = int(np.argmax(exc))
-        raise ExceptionalModeError(
-            phi[i], mode_index=None if offset is None else offset + i + 1)
-
+    s, g, eps_sq = _elements(params, phi)
     gam, k = params.gamma, params.k_ksea
     num = gam * gam - k * k
-    real = eps_sq > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+
+    def real():
         den = gam * g + np.sqrt(eps_sq) * k
-        vals = np.where(real, s * s * num * num / (eps_sq * den * den),
-                        num / (-eps_sq * gam * gam))
-        # where the real-branch closed form is 0/0, use 4 (u v / (eps A))^2
-        bad = real & ~np.isfinite(vals)
-        e2, u = eps_sq[bad], ap[bad]
-        v = np.sqrt(e2) - g[bad]
-        a = u * u + v * v
-        vals[bad] = np.where(a > 0, 4.0 * (u * v) ** 2 / (e2 * a * a), 0.0)
+        return s * s * num * num / (eps_sq * den * den)
+
+    def imag():
+        return num / (-eps_sq * gam * gam)
+
+    bound = exceptional_tolerance(abs(params.h) + 1.0, gam + k, gam - k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if eps_sq.min() > bound:
+            vals = real()
+        elif eps_sq.max() < -bound:
+            vals = imag()
+        else:
+            exc = np.abs(eps_sq) <= exceptional_tolerance(g, *_couplings(params, s))
+            if exc.any():
+                i = int(np.argmax(exc))
+                raise ExceptionalModeError(
+                    phi[i], mode_index=None if offset is None else offset + i + 1)
+            vals = np.where(eps_sq > 0.0, real(), imag())
+        if not np.isfinite(vals).all():
+            # where the real-branch closed form is 0/0, use 4 (u v / (eps A))^2
+            bad = (eps_sq > 0.0) & ~np.isfinite(vals)
+            e2, u = eps_sq[bad], _couplings(params, s[bad])[0]
+            v = np.sqrt(e2) - g[bad]
+            a = u * u + v * v
+            vals[bad] = np.where(a > 0, 4.0 * (u * v) ** 2 / (e2 * a * a), 0.0)
     return eps_sq, vals
 
 
@@ -205,9 +219,7 @@ def asymptotic_qfi(params: ChainParams, regime: str) -> float:
         s = omega_c * n / np.pi
         p = min(max(round((s + 1.0) / 2.0), 1), n // 2)   # nearest grid mode
         phi = (2 * p - 1) * np.pi / n
-        g, ap, am, eps_sq = map(float, block_elements(params.replace(h=h), phi))
-        if abs(eps_sq) <= exceptional_tolerance(g, ap, am):
-            raise ExceptionalModeError(phi, mode_index=p)
+        _mode_qfi(params.replace(h=h), np.array([phi]), offset=p - 1)
         x = abs(s - (2 * p - 1))
         return float((n / np.pi) ** 2 / (gam * gam * x * x))
     if regime == "near_degenerate":

@@ -52,8 +52,6 @@ EXC_TOL = 1e-12
 EXACT_SUM_CUTOVER = 1024
 #: values per block of exact_sum's array pass (its temporaries stay in L2)
 _SUM_BLOCK = 2 ** 14
-#: np.frexp exponents of float64 values are >= this
-_FREXP_MIN = -1073
 
 
 @dataclass(frozen=True)
@@ -116,14 +114,17 @@ def momentum_grid(n_sites: int) -> np.ndarray:
 
 
 def _elements(params: ChainParams, phi):
-    """(sin phi, g, a_plus, a_minus, eps_sq) at angle(s) phi."""
+    """(sin phi, g, eps_sq) at angle(s) phi."""
     phi = np.asarray(phi, dtype=float)
     s = np.sin(phi)
     g = params.h + np.cos(phi)
-    a_plus = (params.gamma + params.k_ksea) * s
-    a_minus = (params.gamma - params.k_ksea) * s
     eps_sq = g * g + (params.k_ksea**2 - params.gamma**2) * s * s
-    return s, g, a_plus, a_minus, eps_sq
+    return s, g, eps_sq
+
+
+def _couplings(params: ChainParams, s):
+    """(a_plus, a_minus) from s = sin phi."""
+    return (params.gamma + params.k_ksea) * s, (params.gamma - params.k_ksea) * s
 
 
 def block_elements(params: ChainParams, phi):
@@ -132,7 +133,8 @@ def block_elements(params: ChainParams, phi):
     eps_sq is computed as g^2 + (K^2 - gamma^2) sin^2(phi), which is exactly
     g^2 - a_plus*a_minus and manifestly real.
     """
-    return _elements(params, phi)[1:]
+    s, g, eps_sq = _elements(params, phi)
+    return (g, *_couplings(params, s), eps_sq)
 
 
 def block_matrix(params: ChainParams, phi: float) -> np.ndarray:
@@ -142,7 +144,11 @@ def block_matrix(params: ChainParams, phi: float) -> np.ndarray:
 
 
 def exceptional_tolerance(g, a_plus, a_minus):
-    """Scale-aware threshold below which eps_sq is treated as exactly zero."""
+    """Scale-aware threshold below which eps_sq is treated as exactly zero.
+
+    At (|h| + 1, gamma + K, gamma - K) it bounds every mode's threshold with
+    no slack: |sin|, |cos| <= 1 and each rounding is monotone.
+    """
     return EXC_TOL * np.maximum(1.0, np.maximum(np.asarray(g) ** 2,
                                                 np.abs(a_plus * a_minus)))
 
@@ -150,33 +156,33 @@ def exceptional_tolerance(g, a_plus, a_minus):
 def exact_sum(values: np.ndarray) -> float:
     """math.fsum(values.tolist()) of a 1-D float64 array, bit for bit.
 
-    Integer and 26-bit fraction parts of the significands (np.frexp) are summed
-    per exponent (np.bincount, exact below 2^26 values) in blocks of
-    _SUM_BLOCK values, added as Python ints and rounded once.  The block loop
-    skips all-zero blocks and leaves an inf or nan, a sum that could overflow
-    and a zero or subnormal total to math.fsum.
+    Error-free extraction on blocks of n values: with max|r| < 2^e and
+    sigma = 2^k >= n 2^e, each q = (r + sigma) - sigma is exact, a multiple
+    of u = ulp(sigma/2) and at most 2^e <= 2^53 u / n, so q.sum() is exact in
+    any order.  Each level adds it to one Python int and goes on with r - q
+    until r is zero; the int is rounded once.  math.fsum
+    itself sums fewer than EXACT_SUM_CUTOVER or 2^26 values or more, an inf
+    or nan, a sum that could overflow and a zero or subnormal total.
     """
-    n, exact = values.size, 0               # exact: units of 2^(_FREXP_MIN - 53)
+    n, exact = values.size, 0               # exact: units of 2^-1074
     if not EXACT_SUM_CUTOVER <= n < 2 ** 26:
         return math.fsum(values.tolist())
     top = 1022 - (n - 1).bit_length()       # all |v| < 2^top: |sum| < 2^1022
+    spread = (min(n, _SUM_BLOCK) - 1).bit_length()   # 2^spread >= n
     for i in range(0, n, _SUM_BLOCK):
-        block = values[i:i + _SUM_BLOCK]
-        if not block.any():
-            continue
-        m, e = np.frexp(block)
-        e0 = int(e.min())
-        e -= e0
-        m *= 2.0 ** 27
-        hi = np.trunc(m)
-        bins = np.bincount(e, hi).tolist()
-        if e0 + len(bins) - 1 > top or not math.isfinite(sum(bins)):
+        r = values[i:i + _SUM_BLOCK]
+        m = max(r.max(), -r.min())
+        if not m < 2.0 ** top:              # also inf and nan
             return math.fsum(values.tolist())
-        m -= hi
-        bins = zip(bins, np.bincount(e, m).tolist())
-        exact += sum(((int(w) << 26) + int(f * 2.0 ** 26)) << k
-                     for k, (w, f) in enumerate(bins)) << e0 - _FREXP_MIN
-    total = exact / (1 << 53 - _FREXP_MIN)
+        while m:
+            k = math.frexp(m)[1] + spread    # sigma = 2^k <= 2^1022
+            q = r + 2.0 ** k
+            q -= 2.0 ** k
+            r = r - q
+            unit = max(k - 53, -1074)
+            exact += int(math.ldexp(q.sum(), -unit)) << unit + 1074
+            m = max(r.max(), -r.min())
+    total = exact / (1 << 1074)
     return total if abs(total) >= 2.0 ** -1022 else math.fsum(values.tolist())
 
 

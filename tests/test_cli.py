@@ -5,6 +5,8 @@ import json
 import math
 import os
 import platform
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -455,8 +457,16 @@ n_sites = 8
     ("sweep", "sweep", "variable = kappa\nkappa_values = 1e-3\n"
      "n_values = 8 16 32\nenforce_window = true",
      "[sweep] enforce_window = true was removed"),
+    ("sweep", "sweep", "variable = dh\ndh_values = 0.1\nn_values = 8 16",
+     "[sweep] n_values needs at least 3 sizes to fit mu for each dh value"),
+    ("sweep", "sweep", "variable = kappa\nkappa_values = 1e-3\nn_values = 8",
+     "[sweep] n_values needs at least 3 sizes to fit mu for each kappa value"),
+    ("dyn-qfi", "dynamics", "derivative = analytic\nfd_step = 1e-6\n\n"
+     "[times]\nvalues = 1",
+     "[dynamics] fd_step was removed"),
 ], ids=["grid-odd-n", "grid-nan-h", "sweep-odd-n", "sweep-nan-dh",
-        "sweep-unknown-anchor", "sweep-zero-kappa", "sweep-enforce-window"])
+        "sweep-unknown-anchor", "sweep-zero-kappa", "sweep-enforce-window",
+        "sweep-dh-two-sizes", "sweep-kappa-one-size", "dyn-fd-step"])
 def test_bad_point_values_are_config_errors(tmp_path, capsys, command,
                                             section, keys, message):
     # caught before any point runs: exit 2 and no data file, where these
@@ -777,6 +787,47 @@ def test_manifest_records_versions(tmp_path):
 
 
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("sweep", BAD_POINT_CFG.format(
+        command="sweep", section="sweep",
+        keys="variable = dh\ndh_values = 0.1\nanchr = h_e\nn_values = 8 16 32"),
+     "[sweep] anchr is not a known key"),
+    ("ground-qfi", GROUND_CFG + "\n[gird]\nn_values = 8\n",
+     "[gird] n_values is not a known key"),
+    ("ground-qfi", GROUND_CFG.replace("seed = 3", "seed = 3\nworkers = 2"),
+     "[run] workers is not a known key"),
+], ids=["misspelt-anchor", "unknown-section", "unknown-run-key"])
+def test_unknown_key_is_config_error(tmp_path, capsys, command, text, message):
+    # a misspelt key must not run on the default of the key it meant
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        RunConfig.from_text(text)
+    cfg_path = write_cfg(tmp_path / "run.cfg", text)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_shipped_and_benchmark_job_configs_parse_clean():
+    # every key that the shipped configs and the benchmark's generated jobs
+    # carry is one the parser knows
+    sys.path.insert(0, os.path.join(REPO, "bench"))
+    try:
+        import jobs
+    finally:
+        sys.path.pop(0)
+    cfg_dir = os.path.join(REPO, "configs")
+    shipped = [f for f in os.listdir(cfg_dir) if f.endswith(".cfg")]
+    assert len(shipped) == 8
+    for name in shipped:
+        RunConfig.from_file(os.path.join(cfg_dir, name))
+    for workload in jobs.WORKLOADS:
+        made = jobs.make_jobs(workload, 1, cfg_dir, 2)
+        assert made
+        for job in made:
+            assert RunConfig.from_text(job.config).command == job.command
 
 
 def test_shipped_configs_match_recorded_digests(tmp_path):

@@ -38,10 +38,23 @@ def float_arrays(draw):
                        st.sampled_from([CUT - 1, CUT, CUT + 1]),
                        st.integers(3 * CUT, 100_000)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["spread", "integers", "near_sigma", "guard"]))
     lo = draw(st.integers(-1126, 1023))
     hi = min(1023, lo + draw(st.sampled_from([0, 1, 30, 120, 2200])))
-    # ldexp rounds significands that reach below 2^-1074 into subnormals
-    x = np.ldexp(rng.random(n), rng.integers(lo, hi + 1, n))
+    if kind == "integers":
+        # few significant bits: one extraction level
+        bits = draw(st.integers(0, 40))
+        x = np.ldexp(rng.integers(-2 ** bits, 2 ** bits + 1, n).astype(float),
+                     draw(st.integers(-1074, 1023 - 60)))
+    elif kind == "near_sigma":
+        # magnitudes a few units of 2^-b below a power of two: the sum of q
+        # nears 2^53 units, and with mixed signs r + sigma rounds on both
+        # sides of sigma
+        x = np.ldexp(1.0 - rng.integers(0, 4, n) * 2.0 ** -draw(st.integers(30, 53)),
+                     draw(st.integers(-1000, 900)))
+    else:
+        # ldexp rounds significands that reach below 2^-1074 into subnormals
+        x = np.ldexp(rng.random(n), rng.integers(lo, hi + 1, n))
     signs = draw(st.sampled_from(["+", "-", "mixed"]))
     if signs == "-":
         x = -x
@@ -57,11 +70,17 @@ def float_arrays(draw):
         s = draw(st.sampled_from([-1.0, 0.0, 1.0]))
         parts.append(np.ldexp([1.0, 1.0, s], [e, e - 53, e - 106]))
     x = np.concatenate(parts)
+    if kind == "guard" and x.size:
+        # the largest |x| at 2^top (math.fsum's guard) or one ulp below it,
+        # where sigma reaches 2^1022
+        top = 1022 - (x.size - 1).bit_length()
+        peak = 2.0 ** top * (1.0 - draw(st.sampled_from([0.0, 2.0 ** -53])))
+        x[rng.integers(x.size, size=3)] = peak * rng.choice([-1.0, 1.0], 3)
     rng.shuffle(x)
     return x
 
 
-@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
 @given(float_arrays())
 def test_equals_fsum_bit_for_bit(x):
     assert_same_as_fsum(x)
@@ -124,6 +143,85 @@ def test_large_sizes_take_the_array_path(monkeypatch):
     assert calls == [CUT - 1]
 
 
+def levels_and_fsum_calls(monkeypatch, x):
+    """exact_sum(x) with the number of its extraction levels and fsum calls.
+
+    Each level starts from one math.frexp of the residual's largest |r|.
+    """
+    calls = {"frexp": 0, "fsum": 0}
+    frexp, fsum = math.frexp, math.fsum
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    with monkeypatch.context() as m:
+        m.setattr(iksea.model.math, "frexp", counting("frexp", frexp))
+        m.setattr(iksea.model.math, "fsum", counting("fsum", fsum))
+        got = exact_sum(x)
+    assert got == fsum(x.tolist())
+    return calls["frexp"], calls["fsum"]
+
+
+def _one_block(kind):
+    n = 2 ** 14
+    rng = np.random.default_rng(11)
+    if kind == "integers":
+        return rng.integers(-2 ** 20, 2 ** 20, n).astype(float)
+    if kind == "unit":
+        return rng.random(n) * rng.choice([-1.0, 1.0], n)
+    if kind == "spread":
+        return np.ldexp(rng.random(n), rng.integers(-600, 600, n))
+    if kind == "subnormal":
+        x = np.ldexp(rng.random(n), rng.integers(-1100, -1010, n))
+        x[0] = 2.0 ** -1000
+        return x
+    if kind == "guard":
+        x = rng.random(n)
+        x[0] = 2.0 ** (1022 - 14) * (1.0 - 2.0 ** -53)
+        return x
+    raise ValueError(kind)
+
+
+@pytest.mark.parametrize("kind, levels", [
+    ("integers", 1),        # every bit lies above ulp(sigma / 2)
+    ("unit", 2),            # 53 bits under sigma = 2^15: two levels of 38
+    ("subnormal", 2),       # the second level's unit is the 2^-1074 bottom
+    ("guard", 4),           # sigma = 2^1022 and 2^984, then two for [0, 1)
+])
+def test_extraction_levels(monkeypatch, kind, levels):
+    assert levels_and_fsum_calls(monkeypatch, _one_block(kind)) == (levels, 0)
+
+
+@pytest.mark.parametrize("signs", ["-", "mixed"])
+def test_sums_at_the_sigma_bound(monkeypatch, signs):
+    # one block of 2^14 values just above -2^e, so sigma = 2^(e + 14) and
+    # r + sigma lies below sigma, where q are multiples of u = ulp(sigma/2):
+    # they sum to 2^53 - 2^14 + 1 units u.  A sigma half as large would
+    # round an odd sum above 2^53 of its units to a tie, which 2^-40 breaks
+    n, e = 2 ** 14, 7
+    x = np.full(n, -2.0 ** e * (1.0 - 2.0 ** -39))
+    x[0] = -2.0 ** e * (1.0 - 2.0 ** -40)
+    x[-1] = 2.0 ** -40
+    if signs == "mixed":
+        x[1::2] *= -1.0
+    levels, fsum_calls = levels_and_fsum_calls(monkeypatch, x)
+    assert levels <= 2 and fsum_calls == 0
+
+
+def test_wide_exponent_spread_takes_many_levels(monkeypatch):
+    levels, fsum_calls = levels_and_fsum_calls(monkeypatch, _one_block("spread"))
+    assert levels > 10 and fsum_calls == 0
+
+
+def test_largest_value_at_the_guard_goes_to_fsum(monkeypatch):
+    x = _one_block("guard")
+    x[0] = 2.0 ** (1022 - 14)
+    assert levels_and_fsum_calls(monkeypatch, x) == (0, 1)
+
+
 @pytest.mark.parametrize("signs", ["+", "-", "mixed"])
 def test_all_zero_sums_skip_the_array_pass(monkeypatch, signs):
     x = np.zeros(4 * CUT)
@@ -131,11 +229,8 @@ def test_all_zero_sums_skip_the_array_pass(monkeypatch, signs):
         x = -x
     elif signs == "mixed":
         x[::3] = -0.0
-
-    def never(*args):
-        raise AssertionError("all-zero input entered the array pass")
-
-    monkeypatch.setattr(iksea.model.np, "frexp", never)
+    # no extraction level runs; the zero total comes from math.fsum
+    assert levels_and_fsum_calls(monkeypatch, x) == (0, 1)
     assert_same_as_fsum(x)
 
 

@@ -1,5 +1,6 @@
 """Ground-state QFI: closed forms, branch dispatch, fallbacks, asymptotics."""
 
+import hashlib
 import math
 import warnings
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import iksea.ground
+import iksea.model
 from iksea.errors import (
     BranchError,
     DomainError,
@@ -26,6 +28,7 @@ from iksea.model import (
     ChainParams,
     block_elements,
     block_matrix,
+    exceptional_tolerance,
     momentum_grid,
     zero_crossings,
 )
@@ -406,3 +409,66 @@ def test_near_singular_warns_once_per_call_with_the_total(monkeypatch):
     assert [type(w.message) for w in caught] == [NearSingularWarning]
     assert str(caught[0].message).startswith(f"{count} mode(s)")
     assert rec.flag_near_singular is True
+
+
+def _block_kinds(p):
+    """'real', 'imag' or 'mixed' for each kernel block of p's grid."""
+    eps_sq = block_elements(p, momentum_grid(p.n_sites))[3]
+    bound = exceptional_tolerance(abs(p.h) + 1.0, p.gamma + p.k_ksea,
+                                  p.gamma - p.k_ksea)
+    return ["real" if e.min() > bound else "imag" if e.max() < -bound
+            else "mixed" for e in np.split(eps_sq, range(B, eps_sq.size, B))]
+
+
+@pytest.mark.parametrize("h, gamma, k, n, kinds, digest, total", [
+    (1.0, 0.2, 0.5, 2 ** 15, ["real"] * 2,
+     "887eca6924f89c33540bdb91da4bf06bc4f5e4d8313a602d942afcc59ad23fdc",
+     4737783055138204955),
+    (0.3, 1.5, 0.2, 2 ** 16, ["mixed", "imag", "imag", "mixed"],
+     "604cedc015abdaf902a9352127c6e3e1340c40730cdbabfaed0d32e53ef62db3",
+     4686304566592716363),
+    # gamma = K: the closed form is 0/0 for g < 0, the eigenvector form holds
+    (0.5, 0.5, 0.5, 2 ** 14, ["real"],
+     "3a26addfdccd8b1ae29c4ff5eea18b6ed15692c089a6d3fc1cb0332bcc7aa8e6",
+     4672616691125581199),
+    (-0.8, 0.5, 0.5, 2 ** 14, ["real"],
+     "4e1f8106bcb51b7145b8d1d38fec36e65295307c864e29a986a84895b5e8973c",
+     4674448850027631744),
+])
+def test_block_branches_keep_the_pinned_bits(h, gamma, k, n, kinds, digest,
+                                             total):
+    # per-mode values (sha256 of their bytes) and the total's bits as the
+    # np.where kernel gave them before all-real and all-imaginary blocks
+    # evaluated one branch
+    p = ChainParams(h=h, gamma=gamma, k_ksea=k, n_sites=n)
+    assert _block_kinds(p) == kinds
+    rec = ground_qfi(p)
+    if gamma == k:
+        assert (block_elements(p, rec.phi)[0] < 0).any()
+    assert hashlib.sha256(rec.values.tobytes()).hexdigest() == digest
+    assert np.float64(rec.total).view(np.int64) == total
+
+
+@pytest.mark.parametrize("h, gamma, k, phi", [
+    (0.5, 0.2, 0.5, 0.0),           # g = |h| + 1: the (|h| + 1)^2 term
+    (-0.5, 0.2, 0.5, math.pi),      # g = -(|h| + 1)
+    (0.0, 2.0, 0.0, math.pi / 2),   # |a_plus a_minus| = |(gamma + K)(gamma - K)|
+])
+@pytest.mark.parametrize("exc_tol", [
+    np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)])
+def test_exceptional_bound_is_attained_and_keeps_the_verdict(
+        monkeypatch, h, gamma, k, phi, exc_tol):
+    # with EXC_TOL near 1 a mode's |eps_sq| sits just above, on or just below
+    # its tolerance, which equals the scalar bound: the kernel must give the
+    # per-mode verdict, so any bound lower than the tolerance fails here
+    monkeypatch.setattr(iksea.model, "EXC_TOL", float(exc_tol))
+    p = ChainParams(h=h, gamma=gamma, k_ksea=k, n_sites=4)
+    g, ap, am, eps_sq = block_elements(p, phi)
+    tol = exceptional_tolerance(g, ap, am)
+    assert tol == exceptional_tolerance(abs(h) + 1.0, gamma + k, gamma - k)
+    assert (abs(eps_sq) == tol) == (exc_tol == 1.0)
+    if abs(eps_sq) <= tol:
+        with pytest.raises(ExceptionalModeError):
+            iksea.ground._mode_qfi(p, np.array([phi]), offset=None)
+    else:
+        iksea.ground._mode_qfi(p, np.array([phi]), offset=None)
