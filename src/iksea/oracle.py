@@ -28,7 +28,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.optimize import linear_sum_assignment
 
 from .errors import (
     CalibrationError,
@@ -150,10 +149,11 @@ def spectral_decomposition(params: ChainParams,
             raise ExceptionalModeError(
                 detail=f"worst eigenpair residual {resid.max():.3e} exceeds "
                        f"1e-8 * ||H|| = {1e-8 * max(1.0, scale_h):.3e}")
-    if np.linalg.cond(vecs) > 1e12:
+    cond = np.linalg.cond(vecs)
+    if cond > 1e12:
         raise ExceptionalModeError(
             detail=f"eigenvector matrix condition number "
-                   f"{np.linalg.cond(vecs):.3e} indicates a defective sector")
+                   f"{cond:.3e} indicates a defective sector")
     full = np.zeros((1 << params.n_sites, vals.size), dtype=complex)
     full[idx, :] = vecs
     return SpectralDecomposition(eigenvalues=vals, right_vectors=full)
@@ -213,11 +213,55 @@ def block_even_multiset(params: ChainParams) -> np.ndarray:
     return np.asarray(out, dtype=complex)
 
 
+def _assignment(cost: np.ndarray) -> np.ndarray:
+    """Column of each row in a minimum-cost assignment: shortest augmenting
+    paths (Crouse 2016, IEEE TAES 52(4)) in the scan order, tie rule and dual
+    updates of scipy.optimize.linear_sum_assignment, so it returns the same
+    columns.  A non-square or non-finite matrix raises ValueError."""
+    cost = np.asarray(cost, dtype=float)
+    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
+        raise ValueError(f"cost matrix must be square, got shape {cost.shape}")
+    if not np.isfinite(cost).all():
+        raise ValueError("cost matrix must be finite")
+    n = cost.shape[0]
+    u, v = np.zeros(n), np.zeros(n)
+    col4row, row4col, path = (np.full(n, -1) for _ in range(3))
+    for cur in range(n):
+        spc = np.full(n, np.inf)          # shortest path cost to each column
+        remaining = np.arange(n - 1, -1, -1)
+        rows, cols, i, min_val, sink = [], [], cur, 0.0, -1
+        while sink < 0:
+            rows.append(i)
+            rem = remaining[: n - len(cols)]
+            r = ((min_val + cost[i, rem]) - u[i]) - v[rem]
+            d = spc[rem]
+            better = r < d
+            path[rem[better]] = i
+            spc[rem] = d = np.where(better, r, d)
+            min_val = d.min()
+            at_min = np.flatnonzero(d == min_val)
+            free = at_min[row4col[rem[at_min]] < 0]
+            k = free[-1] if free.size else at_min[0]
+            j = rem[k]
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+            cols.append(j)
+            rem[k] = rem[-1]
+        u[cur] += min_val
+        u[rows[1:]] += min_val - spc[col4row[rows[1:]]]
+        v[cols] -= min_val - spc[cols]
+        i, j = -1, sink
+        while i != cur:                   # augment along the path to cur
+            i = row4col[j] = path[j]
+            col4row[i], j = j, col4row[i]
+    return col4row
+
+
 def _match_multisets(a: np.ndarray, b: np.ndarray):
     """Pair two complex multisets minimising total |a_i - b_j| (assignment)."""
-    cost = np.abs(a[:, None] - b[None, :])
-    r, c = linear_sum_assignment(cost)
-    return a[r], b[c]
+    return a, b[_assignment(np.abs(a[:, None] - b[None, :]))]
 
 
 def spectrum_match_error(params: ChainParams, scale: float = 1.0) -> float:

@@ -1,13 +1,22 @@
 """Dense-matrix oracle: spectra, calibration, FD QFI, and its self-checks."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
+import iksea
 from iksea.dynamics import dynamical_qfi
 from iksea.errors import CapacityError, ExceptionalModeError, LevelCrossingError
 from iksea.ground import ground_qfi
 from iksea.model import ChainParams
 from iksea.oracle import (
+    _assignment,
     _fd_qfi_from_states,
     block_even_multiset,
     calibrate_energy_scale,
@@ -82,6 +91,68 @@ def test_block_multiset_matches_dense_spectrum():
         assert err <= 1e-8 * max(1.0, abs(p.h) + 2.0)
         ms = block_even_multiset(p)
         assert ms.size == 2 ** (p.n_sites - 1)
+
+
+@st.composite
+def _cost_matrices(draw):
+    """Square costs of size 1..12: floats, small-integer ties, tenths (whose
+    sums round, so the order of the reduced-cost operations shows), or |a - b|
+    of a complex spectrum with conjugate pairs against a permutation of it
+    moved by a few ulps, as the oracle's matching sees them."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["floats", "ties", "tenths", "spectrum"]))
+    if kind != "spectrum":
+        cells = {"floats": st.floats(0.0, 1e3, allow_nan=False),
+                 "ties": st.integers(0, 3), "tenths": st.integers(0, 9)}[kind]
+        cost = np.array(draw(st.lists(cells, min_size=n * n, max_size=n * n)), float)
+        return cost.reshape(n, n) / (10.0 if kind == "tenths" else 1.0)
+    small = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    re, im, ulps = np.array(draw(small)), np.array(draw(small)), np.array(draw(small))
+    a = 0.5 * re + 0.25j * im
+    a[1::2] = a[0:-1:2].conj()
+    b = a[draw(st.permutations(range(n)))] * (1.0 + ulps * 2.0 ** -52)
+    return np.abs(a[:, None] - b[None, :])
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(_cost_matrices())
+def test_assignment_equals_scipy_columns(cost):
+    # fit_energy_scale's lstsq sees the pairs in this order, so an equally
+    # optimal but different assignment would move pinned bits
+    assert (_assignment(cost) == linear_sum_assignment(cost)[1]).all()
+
+
+def test_assignment_equals_scipy_on_an_oracle_matrix():
+    # the N = 8 spectrum-distance point of oracle suite seed 14: 128 x 128
+    p = ChainParams(h=1.44347013379679, gamma=0.6730515061120323,
+                    k_ksea=0.47373500312868166, n_sites=8)
+    dense = np.linalg.eigvals(sector_hamiltonian(p)[0])
+    cost = np.abs(dense[:, None] - block_even_multiset(p)[None, :])
+    assert cost.shape == (128, 128)
+    assert (_assignment(cost) == linear_sum_assignment(cost)[1]).all()
+
+
+@pytest.mark.parametrize("cost, match", [
+    (np.ones((2, 3)), "square"),
+    (np.ones(4), "square"),
+    (np.array([[0.0, np.nan], [1.0, 2.0]]), "finite"),
+    (np.array([[0.0, np.inf], [1.0, 2.0]]), "finite"),
+    (np.array([[np.inf, np.inf], [1.0, 2.0]]), "finite"),
+], ids=["non-square", "one-dimensional", "nan", "inf-entry", "inf-row"])
+def test_assignment_rejects_bad_costs(cost, match):
+    with pytest.raises(ValueError, match=match):
+        _assignment(cost)
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    code = ("import sys, iksea.cli; "
+            "assert 'iksea.oracle' in sys.modules; "
+            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize'")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(iksea.__file__)))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
 
 
 def _eig_then(monkeypatch, spoil):
