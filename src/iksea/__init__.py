@@ -35,7 +35,6 @@ from .model import (
     block_matrix,
     block_elements,
     dispersion,
-    gamma_eff,
     critical_field,
     exceptional_field,
     zero_crossings,
@@ -59,11 +58,9 @@ from .scaling import (
     ScalingFit,
     SweepResult,
     power_law_fit,
-    geometric_size_grid,
     size_exponent,
     exponent_vs_offset,
     kappa_sweep,
-    time_exponent,
 )
 from .config import RunConfig
 

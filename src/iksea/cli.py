@@ -4,8 +4,8 @@
                     [--format csv|json]
 
 Commands: ground-qfi, dyn-qfi, sweep, fit, oracle-check, phase.
-Exit codes: 0 success, 2 config error (bad [model], [grid] and [sweep] values
-are found before any point runs), 3 compute error, 4 oracle-check failure.
+Exit codes: 0 success, 2 config error (every one is found before any point
+runs), 3 compute error, 4 oracle-check failure.
 
 All data files are deterministic for a fixed config and seed: float cells are
 formatted with 17 significant digits, rows are emitted in a fixed order, line
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig
-from .dynamics import _qfi_totals, _value
+from .dynamics import _qfi_totals
 from .errors import ConfigError, EvolutionOverflowError, IkseaError, ParameterError
 from .ground import ground_qfi
 from .model import ChainParams, classify_phase
@@ -99,28 +99,23 @@ def _emit(manifest: Manifest, stem: str, fmt: str, suffix: str, body,
     manifest.output(path)
 
 
-def _run_points(manifest: Manifest, fn: Callable, points: list,
-                name: Callable[[object], str], on_error: str = "raise"):
-    """Evaluate fn at each point, in order, through run_grid.
+def _run_points(manifest: Manifest, points: list, results: list, name: Callable):
+    """Record each point's value or IkseaError as manifest task name(point).
 
-    Each point is one manifest task called name(point).  Returns the
-    (point, value) pairs that succeeded.  A failure is recorded, then handled
-    by on_error: "raise" re-raises it; "skip-overflow" drops an
-    EvolutionOverflowError as a contracted skip and re-raises anything else;
-    "record" drops the point.
+    Returns the (point, value) pairs and the errors, in input order.  An
+    EvolutionOverflowError, which only dyn-qfi raises, is a contracted skip.
     """
-    done = []
-    for x, (status, value) in zip(points, run_grid(fn, points)):
-        if status == "ok":
+    done, errors = [], []
+    for x, value in zip(points, results):
+        if not isinstance(value, IkseaError):
             manifest.task(name(x), "ok")
             done.append((x, value))
-        elif on_error == "skip-overflow" and isinstance(value, EvolutionOverflowError):
+        elif isinstance(value, EvolutionOverflowError):
             manifest.task(name(x), "skipped", f"overflow: {value}")
         else:
             manifest.task(name(x), "error", str(value))
-            if on_error != "record":
-                raise value
-    return done
+            errors.append(value)
+    return done, errors
 
 
 #: ScalingFit attributes written to the fit JSON files, in file order
@@ -141,8 +136,10 @@ def cmd_ground_qfi(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
     hs = sorted(cfg.get_floats("grid", "h_values", default=[base.h]))
     points = [_model_params(cfg, n_sites=n, h=h) for n in ns for h in hs]
 
-    done = _run_points(manifest, ground_qfi, points,
-                       lambda p: f"ground_qfi N={p.n_sites} h={p.h:g}")
+    done, errors = _run_points(manifest, points, run_grid(ground_qfi, points),
+                               lambda p: f"ground_qfi N={p.n_sites} h={p.h:g}")
+    if errors:
+        raise errors[0]
     rows = [[p.n_sites, p.h, p.gamma, p.k_ksea, classify_phase(p).region,
              rec.total, rec.flag_near_singular] for p, rec in done]
     emit("", rows, ["N", "h", "gamma", "K", "phase", "qfi_total",
@@ -192,19 +189,21 @@ def cmd_dyn_qfi(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
     except ParameterError as exc:
         raise ConfigError(f"invalid [times]: {exc}") from exc
 
-    done = _run_points(
-        manifest, lambda tq: _value(tq[1]), list(zip(times, totals)),
-        lambda tq: f"dyn_qfi t={tq[0]:g}", on_error="skip-overflow")
-    emit("", [[t, params.n_sites, qfi, phase] for (t, _), qfi in done],
+    done, errors = _run_points(manifest, times, totals, lambda t: f"dyn_qfi t={t:g}")
+    if errors:
+        raise errors[0]
+    emit("", [[t, params.n_sites, qfi, phase] for t, qfi in done],
          ["t", "N", "qfi", "phase"])
     return 0
 
 
-def _sweep_fit_window(cfg: RunConfig):
+def _fit_window(cfg: RunConfig):
     lo = cfg.get_float("fit", "window_lo", default=None)
     hi = cfg.get_float("fit", "window_hi", default=None)
     if (lo is None) != (hi is None):
         raise ConfigError("[fit] window_lo and window_hi come as a pair")
+    if lo is not None and not -np.inf < lo <= hi < np.inf:
+        raise ConfigError(f"[fit] needs finite window_lo <= window_hi, got {lo!r}, {hi!r}")
     return None if lo is None else (lo, hi)
 
 
@@ -227,17 +226,21 @@ def _emit_mu_table(manifest: Manifest, emit: Callable, res, columns: dict,
 
 
 def _sweep_n_sites(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
-    ns = cfg.get_ints("sweep", "n_values")
+    ns = sorted(cfg.get_ints("sweep", "n_values"))
     params = {n: _model_params(cfg, n_sites=n) for n in ns}
-    done = _run_points(manifest, lambda n: ground_qfi(params[n]).total,
-                       sorted(ns), lambda n: f"sweep N={n}", on_error="record")
+    window = _fit_window(cfg)
+    lo, hi = window or (0, np.inf)
+    if window and sum(lo <= n <= hi for n in ns) < 3:
+        raise ConfigError(f"[fit] window_lo..window_hi holds fewer than 3 of n_values {ns}")
+    done, errors = _run_points(
+        manifest, ns, run_grid(lambda n: ground_qfi(params[n]).total, ns),
+        lambda n: f"sweep N={n}")
     emit("", [[n, total] for n, total in done], ["N", "qfi_total"])
-    fit = None
-    if len(done) >= 3:
-        good_ns, totals = zip(*done)
-        fit = _fit_json(power_law_fit(good_ns, totals, window=_sweep_fit_window(cfg)))
+    inside = [(n, total) for n, total in done if lo <= n <= hi]
+    fit = None if len(inside) < 3 else _fit_json(
+        power_law_fit(*zip(*inside), window=window))
     emit("_fits", {"variable": "n_sites", "fit": fit})
-    return 3 if len(done) < len(ns) else 0
+    return 3 if errors else 0
 
 
 def _sweep_dh(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
@@ -289,7 +292,7 @@ def cmd_sweep(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
         raise ConfigError(
             f"[sweep] variable must be n_sites|dh|kappa, got {variable!r}")
     if variable != "n_sites":
-        if _sweep_fit_window(cfg) is not None:
+        if _fit_window(cfg) is not None:
             raise ConfigError("[fit] window_lo/window_hi apply to n_sites sweeps only")
         if len(cfg.get_ints("sweep", "n_values")) < 3:
             raise ConfigError(f"[sweep] n_values needs at least 3 sizes to fit "
@@ -298,7 +301,7 @@ def cmd_sweep(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
 
 
 def cmd_fit(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
-    src = cfg.get_str("fit", "input")
+    src, window = cfg.get_str("fit", "input"), _fit_window(cfg)
     x_col = cfg.get_str("fit", "x_column")
     y_col = cfg.get_str("fit", "y_column")
     if cfg.path is not None and not os.path.isabs(src):
@@ -325,7 +328,7 @@ def cmd_fit(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
             f"line {reader.line_num} of {src!r} has too few cells") from exc
     except ValueError as exc:
         raise ConfigError(f"non-numeric data in {src!r}: {exc}") from exc
-    f = power_law_fit(xs, ys, window=_sweep_fit_window(cfg))
+    f = power_law_fit(xs, ys, window=window)
     emit("_fit", {"input": os.path.basename(src), "x_column": x_col,
                   "y_column": y_col, **_fit_json(f)})
     manifest.task("fit", "ok")
@@ -342,6 +345,8 @@ def cmd_oracle_check(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
                           f"(dense capacity), got {sizes}")
     if n_points < 0:
         raise ConfigError(f"[oracle] points must be >= 0, got {n_points}")
+    if not np.isfinite(corrupt_scale):
+        raise ConfigError(f"[oracle] corrupt_scale must be finite, got {corrupt_scale!r}")
     report = run_oracle_suite(sizes=tuple(sizes), n_points=n_points,
                               seed=cfg.seed, include_dynamics=include_dynamics,
                               corrupt_scale=corrupt_scale)

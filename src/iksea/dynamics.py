@@ -290,13 +290,6 @@ def _qfi_totals(params: ChainParams, times) -> list:
     return out
 
 
-def _value(total):
-    """total, or raise it if it is an error."""
-    if isinstance(total, Exception):
-        raise total
-    return total
-
-
 def dynamical_qfi(params: ChainParams, t: float) -> float:
     """Total dynamical QFI of the evolved (normalised) state at time t.
 
@@ -317,6 +310,9 @@ def qfi_time_series(params: ChainParams, times) -> DynQfiSeries:
     bit for bit; the first time that fails raises its error.
     """
     times = np.asarray(times, dtype=float)
-    vals = [_value(v) for v in _qfi_totals(params, times)]
+    vals = _qfi_totals(params, times)
+    for v in vals:
+        if isinstance(v, Exception):
+            raise v
     return DynQfiSeries(times=times, values=np.array(vals, dtype=float),
                         params=params)

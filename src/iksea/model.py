@@ -39,7 +39,6 @@ __all__ = [
     "block_elements",
     "dispersion",
     "exceptional_tolerance",
-    "gamma_eff",
     "critical_field",
     "exceptional_field",
     "zero_crossings",
@@ -209,11 +208,6 @@ def dispersion(params: ChainParams, phi):
     return eps_sq, eps
 
 
-def gamma_eff(gamma: float, k_ksea: float) -> float:
-    """Effective anisotropy sqrt(|gamma^2 - k^2|)."""
-    return float(np.sqrt(abs(gamma * gamma - k_ksea * k_ksea)))
-
-
 def critical_field(params: ChainParams) -> float:
     """Critical field h_c; equals 1 independently of gamma, K."""
     return 1.0
@@ -223,7 +217,7 @@ def exceptional_field(params: ChainParams) -> Optional[float]:
     """Exceptional field h_e = sqrt(1 + gamma^2 - k^2), defined for k < gamma."""
     if params.k_ksea >= params.gamma:
         return None
-    return float(np.sqrt(1.0 + params.gamma**2 - params.k_ksea**2))
+    return float(np.sqrt(1.0 + params.gamma * params.gamma - params.k_ksea * params.k_ksea))
 
 
 def zero_crossings(params: ChainParams) -> Optional[tuple]:
@@ -234,11 +228,11 @@ def zero_crossings(params: ChainParams) -> Optional[tuple]:
     returns the single tangency angle (omega_c,); otherwise None.
     eps_sq vanishes at the returned angles to ~1e-12 absolute.
     """
-    gam, k = params.gamma, params.k_ksea
-    if k >= gam:
+    he = exceptional_field(params)
+    if he is None:
         return None
+    gam, k = params.gamma, params.k_ksea
     h = abs(params.h)
-    he = float(np.sqrt(1.0 + gam * gam - k * k))
     he2 = he * he
     tol = 1e-12 * max(1.0, he)
     if h > he + tol:
@@ -273,9 +267,9 @@ def classify_phase(params: ChainParams) -> PhaseInfo:
         # gamma = K line: spectrum real for all h, defective continuum for h < 1
         region = "ExceptionalLine" if h < 1.0 - 1e-12 else "Unbroken"
         return PhaseInfo(region, h_c, None, None, at_critical)
-    if k > gam:
+    he = exceptional_field(params)
+    if he is None:
         return PhaseInfo("Unbroken", h_c, None, None, at_critical)
-    he = float(np.sqrt(1.0 + gam * gam - k * k))
     tol = 1e-12 * max(1.0, he)
     if abs(h - he) <= tol:
         return PhaseInfo("ExceptionalPoint", h_c, he, None, at_critical)

@@ -1,9 +1,9 @@
 """Sweep execution and run-manifest bookkeeping.
 
-Grid points run one after the other, in input order, and per-point failures
-are captured rather than aborting the whole sweep.  The ``--workers`` count
-selects no code path: it is recorded in the manifest, so that existing
-scripts keep working.
+Grid points run one after the other, in input order; a point that fails gives
+the IkseaError it raised in place of its value, and the sweep goes on.  The
+``--workers`` count selects no code path: it is recorded in the manifest, so
+that existing scripts keep working.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 import platform
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Sequence
 
 import numpy as np
 import scipy
@@ -24,18 +24,14 @@ from .errors import IkseaError
 __all__ = ["run_grid", "sha256_file", "Manifest"]
 
 
-def run_grid(fn: Callable, items: Sequence) -> List[Tuple[str, object]]:
-    """Serial map with per-item failure capture.
-
-    Returns one ("ok", value) or ("error", exception) pair per item, in the
-    input order; only IkseaError is captured.
-    """
-    results: List[Tuple[str, object]] = []
+def run_grid(fn: Callable, items: Sequence) -> list:
+    """fn(item) for each item, in input order, or the IkseaError it raised."""
+    results = []
     for item in items:
         try:
-            results.append(("ok", fn(item)))
+            results.append(fn(item))
         except IkseaError as exc:
-            results.append(("error", exc))
+            results.append(exc)
     return results
 
 

@@ -14,7 +14,6 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dynamics import qfi_time_series
 from .errors import DomainError, InsufficientDataError, ParameterError
 from .ground import ground_qfi
 from .model import ChainParams, classify_phase, critical_field, exceptional_field
@@ -23,11 +22,9 @@ __all__ = [
     "ScalingFit",
     "SweepResult",
     "power_law_fit",
-    "geometric_size_grid",
     "size_exponent",
     "exponent_vs_offset",
     "kappa_sweep",
-    "time_exponent",
 ]
 
 
@@ -88,13 +85,6 @@ def power_law_fit(xs, ys, window: Optional[Tuple[float, float]] = None) -> Scali
     r2 = 1.0 if ss_tot == 0.0 and ss_res <= 1e-30 else 1.0 - ss_res / max(ss_tot, 1e-300)
     return ScalingFit(exponent=float(slope), intercept=float(intercept),
                       r_squared=float(r2), window=(lo, hi), n_points=int(xs.size))
-
-
-def geometric_size_grid(n_min: int, n_max: int, n_points: int = 8) -> np.ndarray:
-    """Geometric grid of even chain sizes (the default sweep grid)."""
-    raw = np.geomspace(n_min, n_max, n_points)
-    even = np.unique(np.clip(2 * np.round(raw / 2.0).astype(int), 2, None))
-    return even
 
 
 def size_exponent(template: ChainParams, n_grid: Sequence[int],
@@ -184,11 +174,3 @@ def kappa_sweep(gamma: float, kappa_grid: Sequence[float],
         xs=kappas, ys=np.asarray(mus), fit=None,
         metadata={"kind": "kappa_sweep", "gamma": gamma, "h": h,
                   "r_squared": r2s, "out_of_window": offending})
-
-
-def time_exponent(template: ChainParams, t_grid: Sequence[float],
-                  window: Optional[Tuple[float, float]] = None) -> ScalingFit:
-    """Power-law fit of the dynamical QFI against time."""
-    ts = np.asarray(list(t_grid), dtype=float)
-    series = qfi_time_series(template, ts)
-    return power_law_fit(series.times, series.values, window=window)

@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 import scipy
 
-from iksea.cli import main
+from iksea.cli import _run_points, main
 from iksea.config import RunConfig
 from iksea.dynamics import dynamical_qfi
-from iksea.errors import ConfigError
+from iksea.errors import ConfigError, DomainError, EvolutionOverflowError
 from iksea.ground import ground_qfi
 from iksea.model import ChainParams, momentum_grid
-from iksea.runner import sha256_file
+from iksea.runner import Manifest, run_grid, sha256_file
 
 
 def write_cfg(path, text):
@@ -317,6 +317,40 @@ def test_dyn_qfi_non_finite_time_is_config_error(tmp_path, capsys, bad):
         "config error: invalid [times]: times must be finite")
 
 
+# ------------------------------------------------------------------- points
+
+
+def test_run_grid_returns_values_or_errors_in_input_order():
+    def fn(x):
+        if x == "boom":
+            raise ValueError(x)
+        if x < 0:
+            raise DomainError(f"negative {x}")
+        return 2 * x
+
+    got = run_grid(fn, [1, -2, 3, -4, 5])
+    assert [type(g) for g in got] == [int, DomainError, int, DomainError, int]
+    assert [g if isinstance(g, int) else str(g) for g in got] == \
+        [2, "negative -2", 6, "negative -4", 10]
+    # only an IkseaError is a point's result; anything else is a bug
+    with pytest.raises(ValueError, match="boom"):
+        run_grid(fn, [1, "boom", -3])
+
+
+def test_run_points_records_each_result_and_returns_the_errors():
+    manifest = Manifest("dyn-qfi", "", 0, 1, "1")
+    over, bad = EvolutionOverflowError("too late"), DomainError("bad point")
+    done, errors = _run_points(manifest, [1, 2, 3, 4, 5],
+                               [1.5, over, bad, 4.5, bad],
+                               lambda x: f"point {x}")
+    assert done == [(1, 1.5), (4, 4.5)]
+    assert errors == [bad, bad]
+    assert [(t["name"], t["status"], t["detail"]) for t in manifest.tasks] == [
+        ("point 1", "ok", ""), ("point 2", "skipped", "overflow: too late"),
+        ("point 3", "error", "bad point"), ("point 4", "ok", ""),
+        ("point 5", "error", "bad point")]
+
+
 # -------------------------------------------------------------------- sweep
 
 
@@ -542,6 +576,42 @@ n_values = 24 4 16 12 8
                                                         "sweep_fits.json"}
 
 
+@pytest.mark.parametrize("lo, hi, message", [
+    ("600", "100", "[fit] needs finite window_lo <= window_hi, got 600.0, 100.0"),
+    ("nan", "1000", "[fit] needs finite window_lo <= window_hi, got nan, 1000.0"),
+    ("64", "inf", "[fit] needs finite window_lo <= window_hi, got 64.0, inf"),
+    ("100", "200", "[fit] window_lo..window_hi holds fewer than 3 of n_values "
+                   "[64, 128, 256, 512]"),
+], ids=["inverted", "nan", "inf", "two-sizes"])
+def test_bad_n_sites_fit_window_is_config_error(tmp_path, capsys, lo, hi,
+                                                message):
+    # found before any point runs: exit 2 and no data file, where these used
+    # to exit 3 after the sweep with sweep.csv but no sweep_fits.json
+    cfg_path = write_cfg(tmp_path / "run.cfg", SWEEP_CFG.replace(
+        "128 256 512 1024", "512 64 256 128") +
+        f"\n[fit]\nwindow_lo = {lo}\nwindow_hi = {hi}\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert os.listdir(out) == []
+
+
+def test_sweep_n_sites_fits_only_the_points_left_in_its_window(tmp_path):
+    # N = 4 and 12 fail (see above); the window holds 4 sizes but only 8 and
+    # 16 succeed, so the fit is null, both files are written and exit is 3
+    h = -float(np.cos(np.pi / 4))
+    cfg_path = write_cfg(tmp_path / "run.cfg", SWEEP_CFG.replace(
+        "h = 1.0\ngamma = 0.2\nk_ksea = 0.5", f"h = {h!r}\ngamma = 0.4\n"
+        f"k_ksea = 0.4").replace("128 256 512 1024", "24 4 16 12 8") +
+        "\n[fit]\nwindow_lo = 4\nwindow_hi = 16\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 3
+    with open(out / "sweep.csv", newline="") as fh:
+        assert [r[0] for r in csv.reader(fh)] == ["N", "8", "16", "24"]
+    fits = json.loads((out / "sweep_fits.json").read_text())
+    assert fits == {"variable": "n_sites", "fit": None}
+
+
 def test_sweep_unknown_variable(tmp_path):
     txt = SWEEP_CFG.replace("variable = n_sites", "variable = disorder")
     cfg_path = write_cfg(tmp_path / "run.cfg", txt)
@@ -608,6 +678,28 @@ y_column = qfi_total
     assert main(["fit", "--config", cfg_path, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "short.csv" in err
+    assert not (tmp_path / "fit_fit.json").exists()
+
+
+@pytest.mark.parametrize("lo, hi", [("600", "100"), ("nan", "1000"),
+                                    ("-inf", "10")])
+def test_fit_bad_window_is_config_error(tmp_path, capsys, lo, hi):
+    (tmp_path / "d.csv").write_text("N,qfi_total\n8,1.0\n16,4.0\n32,9.0\n"
+                                    "64,16.0\n", encoding="utf-8")
+    cfg_path = write_cfg(tmp_path / "fit.cfg", f"""\
+[run]
+command = fit
+
+[fit]
+input = d.csv
+x_column = N
+y_column = qfi_total
+window_lo = {lo}
+window_hi = {hi}
+""")
+    assert main(["fit", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: [fit] needs finite window_lo <= window_hi, got ")
     assert not (tmp_path / "fit_fit.json").exists()
 
 
@@ -690,7 +782,10 @@ def test_oracle_check_caps_sizes(tmp_path):
 
 @pytest.mark.parametrize("line, bad", [
     ("sizes = 4", "sizes = 5"), ("sizes = 4", "sizes = 4 0"),
-    ("points = 3", "points = -3")])
+    ("points = 3", "points = -3"),
+    ("include_dynamics = false", "corrupt_scale = nan"),
+    ("include_dynamics = false", "corrupt_scale = inf"),
+    ("include_dynamics = false", "corrupt_scale = -inf")])
 def test_oracle_check_bad_sizes_or_points_is_config_error(tmp_path, capsys,
                                                           line, bad):
     cfg_path = write_cfg(tmp_path / "run.cfg", ORACLE_CFG.replace(line, bad))
@@ -831,26 +926,24 @@ def test_shipped_and_benchmark_job_configs_parse_clean():
 
 
 def test_shipped_configs_match_recorded_digests(tmp_path):
-    # the benchmark's recorded outputs pin every shipped config's exit code
-    # and data-file digests; any change to a data file byte shows here
-    with open(os.path.join(REPO, "bench", "reference", "outputs.json"),
+    # tests/data/shipped_outputs.json pins every shipped config's exit code,
+    # data-file list and data-file digests, so any change to a data file byte
+    # shows here; tests/data/record_shipped_outputs.py re-records the pins
+    with open(os.path.join(REPO, "tests", "data", "shipped_outputs.json"),
               encoding="utf-8") as fh:
-        reference = json.load(fh)
+        pinned = json.load(fh)
     cfg_dir = os.path.join(REPO, "configs")
     names = sorted(f[:-4] for f in os.listdir(cfg_dir) if f.endswith(".cfg"))
-    assert len(names) == 8
+    assert len(names) == 8 and sorted(pinned) == names
     for name in names:
         path = os.path.join(cfg_dir, name + ".cfg")
         command = RunConfig.from_file(path).command
         out = tmp_path / name
         code = main([command, "--config", path, "--out", str(out),
                      "--workers", "1"])
-        recorded = reference[name]
-        assert code == recorded["exit"], name
-        if recorded["exit"] != 0:
-            continue
+        assert code == pinned[name]["exit"], name
         data = sorted(f for f in os.listdir(out)
                       if not f.endswith("_manifest.json"))
-        assert data == sorted(recorded["files"]), name
-        for fname, entry in recorded["files"].items():
-            assert sha256_file(str(out / fname)) == entry["sha256"], fname
+        assert data == sorted(pinned[name]["files"]), name
+        for fname, digest in pinned[name]["files"].items():
+            assert sha256_file(str(out / fname)) == digest, fname

@@ -14,7 +14,6 @@ from iksea.model import (
     dispersion,
     exceptional_field,
     exceptional_tolerance,
-    gamma_eff,
     momentum_grid,
     zero_crossings,
 )
@@ -130,15 +129,21 @@ def test_exceptional_tolerance_scales_with_coefficients():
     assert exceptional_tolerance(0.0, 20.0, 30.0) == 1e-12 * 600.0
 
 
-def test_gamma_eff_and_fields():
-    np.testing.assert_allclose(gamma_eff(0.3, 0.5), 0.4, rtol=1e-15)
-    np.testing.assert_allclose(gamma_eff(0.5, 0.3), 0.4, rtol=1e-15)
-    assert gamma_eff(0.4, 0.4) == 0.0
+def test_critical_and_exceptional_fields():
     p = ChainParams(h=0.5, gamma=0.5, k_ksea=0.2, n_sites=6)
     assert critical_field(p) == 1.0
     np.testing.assert_allclose(exceptional_field(p), 1.1, rtol=1e-15)
     assert exceptional_field(p.replace(gamma=0.2, k_ksea=0.5)) is None
     assert exceptional_field(p.replace(gamma=0.4, k_ksea=0.4)) is None
+    # one h_e formula: here gamma**2 - K**2 rounds differently from
+    # gamma * gamma - K * K, and classify_phase and zero_crossings still
+    # agree with exceptional_field to the last bit
+    p = p.replace(gamma=0.7679011619136085, k_ksea=0.7493203327284579)
+    he = exceptional_field(p)
+    assert he == 1.0139976496165972
+    assert classify_phase(p).h_e == he
+    assert classify_phase(p.replace(h=he)).region == "ExceptionalPoint"
+    assert len(zero_crossings(p.replace(h=he))) == 1
 
 
 def test_zero_crossings_pair_frozen_and_bracketed():

@@ -12,7 +12,7 @@ import pytest
 PUBLIC = {
     "iksea.model": [
         "ChainParams", "PhaseInfo", "momentum_grid", "block_matrix",
-        "block_elements", "dispersion", "exceptional_tolerance", "gamma_eff",
+        "block_elements", "dispersion", "exceptional_tolerance",
         "critical_field", "exceptional_field", "zero_crossings",
         "classify_phase",
     ],
@@ -25,8 +25,8 @@ PUBLIC = {
         "dynamical_qfi", "qfi_time_series",
     ],
     "iksea.scaling": [
-        "ScalingFit", "SweepResult", "power_law_fit", "geometric_size_grid",
-        "size_exponent", "exponent_vs_offset", "kappa_sweep", "time_exponent",
+        "ScalingFit", "SweepResult", "power_law_fit", "size_exponent",
+        "exponent_vs_offset", "kappa_sweep",
     ],
     "iksea.config": ["RunConfig", "COMMANDS"],
     "iksea.runner": [
@@ -54,10 +54,10 @@ PACKAGE = sorted([
     "RunConfig", "ScalingFit", "SweepResult", "asymptotic_qfi",
     "block_elements", "block_matrix", "block_propagator", "block_qfi_imag",
     "block_qfi_real", "classify_phase", "critical_field", "dispersion",
-    "dynamical_qfi", "exceptional_field", "exponent_vs_offset", "gamma_eff",
-    "geometric_size_grid", "ground_qfi", "kappa_sweep", "momentum_grid",
+    "dynamical_qfi", "exceptional_field", "exponent_vs_offset", "ground_qfi",
+    "kappa_sweep", "momentum_grid",
     "power_law_fit", "propagator_derivative", "qfi_time_series",
-    "size_exponent", "time_exponent", "zero_crossings",
+    "size_exponent", "zero_crossings",
 ])
 
 

@@ -8,15 +8,14 @@ from iksea.errors import (
     InsufficientDataError,
     ParameterError,
 )
+from iksea.dynamics import qfi_time_series
 from iksea.model import ChainParams
 from iksea.scaling import (
     ScalingFit,
     exponent_vs_offset,
-    geometric_size_grid,
     kappa_sweep,
     power_law_fit,
     size_exponent,
-    time_exponent,
 )
 
 
@@ -93,18 +92,6 @@ def test_low_quality_flag():
     fit = power_law_fit(xs, ys)
     assert fit.low_quality is True
     assert isinstance(fit, ScalingFit)
-
-
-def test_geometric_size_grid_is_even_and_bounded():
-    grid = geometric_size_grid(200, 2000, 8)
-    assert grid.dtype.kind == "i"
-    assert np.all(grid % 2 == 0)
-    assert grid[0] >= 2
-    assert np.all(np.diff(grid) > 0)
-    assert grid[0] == 200 and grid[-1] == 2000
-    # tiny ranges collapse to fewer unique sizes rather than duplicating
-    small = geometric_size_grid(4, 8, 8)
-    assert np.array_equal(small, np.unique(small))
 
 
 def test_size_exponent_at_critical_point():
@@ -187,8 +174,9 @@ def test_kappa_sweep_super_heisenberg_inside_window():
 def test_time_exponent_unbroken_window():
     tpl = ChainParams(h=1.5, gamma=0.5, k_ksea=0.2, n_sites=32)
     ts = np.geomspace(10.0, 100.0, 10)
-    fit = time_exponent(tpl, ts)
+    series = qfi_time_series(tpl, ts)
+    fit = power_law_fit(series.times, series.values)
     assert 1.8 <= fit.exponent <= 2.2
     # window argument narrows the fit on the same series
-    fit_w = time_exponent(tpl, ts, window=(20.0, 80.0))
+    fit_w = power_law_fit(series.times, series.values, window=(20.0, 80.0))
     assert fit_w.n_points < fit.n_points
