@@ -16,7 +16,6 @@ from .errors import (
     IkseaError,
     ParameterError,
     DomainError,
-    BranchError,
     ExceptionalModeError,
     EvolutionOverflowError,
     CapacityError,
@@ -42,8 +41,6 @@ from .model import (
 )
 from .ground import (
     QfiRecord,
-    block_qfi_real,
-    block_qfi_imag,
     ground_qfi,
     asymptotic_qfi,
 )

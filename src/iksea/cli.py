@@ -240,7 +240,9 @@ def _sweep_n_sites(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
     fit = None if len(inside) < 3 else _fit_json(
         power_law_fit(*zip(*inside), window=window))
     emit("_fits", {"variable": "n_sites", "fit": fit})
-    return 3 if errors else 0
+    if errors:
+        raise errors[0]
+    return 0
 
 
 def _sweep_dh(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
@@ -431,9 +433,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except IkseaError as exc:
-        # only ConfigError can come before the manifest exists
+        # only ConfigError can precede the manifest; a failed point has its task
         print(f"compute error: {exc}", file=sys.stderr)
-        manifest.task("compute", "error", str(exc))
+        if not any(t["status"] == "error" and t["detail"] == str(exc)
+                   for t in manifest.tasks):
+            manifest.task("compute", "error", str(exc))
         manifest.write(args.out, cfg.prefix)
         return 3
     if cfg.command != "phase":

@@ -17,10 +17,6 @@ class DomainError(IkseaError, ValueError):
     """An operation was requested outside its mathematical domain."""
 
 
-class BranchError(DomainError):
-    """A branch-specific formula was applied to a mode on the other branch."""
-
-
 class ExceptionalModeError(IkseaError):
     """A momentum mode sits at (or numerically on top of) an exceptional point.
 

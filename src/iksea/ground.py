@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    BranchError,
     DomainError,
     ExceptionalModeError,
     NearSingularWarning,
@@ -49,8 +48,6 @@ from .model import (
 
 __all__ = [
     "QfiRecord",
-    "block_qfi_real",
-    "block_qfi_imag",
     "ground_qfi",
     "asymptotic_qfi",
     "NEAR_SINGULAR_CONTRIB",
@@ -77,15 +74,14 @@ class QfiRecord:
     values: np.ndarray = field(repr=False, compare=False)
 
 
-def _mode_qfi(params: ChainParams, phi: np.ndarray, offset: int | None = 0):
+def _mode_qfi(params: ChainParams, phi: np.ndarray, offset: int = 0):
     """Per-mode ground QFI at the angles phi: (eps_sq, values).
 
-    The one ground kernel: ground_qfi runs it on blocks of the momentum grid
-    and the single-mode functions on one angle.  A block whose |eps_sq| all
-    exceed exceptional_tolerance(|h| + 1, gamma + K, gamma - K), which bounds
-    every mode's, evaluates only its one branch; any other block raises
-    ExceptionalModeError at the first defective angle, named as mode
-    p = offset + i + 1 (unnumbered when offset is None).  Where the
+    The one ground kernel: ground_qfi runs it on blocks of the momentum grid.
+    A block whose |eps_sq| all exceed exceptional_tolerance(|h| + 1,
+    gamma + K, gamma - K), which bounds every mode's, evaluates only its one
+    branch; any other block raises ExceptionalModeError at the first
+    defective angle, named as mode p = offset + i + 1.  Where the
     real-branch closed form is not finite (0/0 on gamma = K with g < 0) the
     eigenvector form, regular there, gives the limit.
     """
@@ -110,8 +106,7 @@ def _mode_qfi(params: ChainParams, phi: np.ndarray, offset: int | None = 0):
             exc = np.abs(eps_sq) <= exceptional_tolerance(g, *_couplings(params, s))
             if exc.any():
                 i = int(np.argmax(exc))
-                raise ExceptionalModeError(
-                    phi[i], mode_index=None if offset is None else offset + i + 1)
+                raise ExceptionalModeError(phi[i], mode_index=offset + i + 1)
             vals = np.where(eps_sq > 0.0, real(), imag())
         if not np.isfinite(vals).all():
             # where the real-branch closed form is 0/0, use 4 (u v / (eps A))^2
@@ -121,35 +116,6 @@ def _mode_qfi(params: ChainParams, phi: np.ndarray, offset: int | None = 0):
             a = u * u + v * v
             vals[bad] = np.where(a > 0, 4.0 * (u * v) ** 2 / (e2 * a * a), 0.0)
     return eps_sq, vals
-
-
-def _warn_near_singular(params: ChainParams, count: int) -> None:
-    """NearSingularWarning for count contributions within 1e6 of overflow."""
-    if count:
-        warnings.warn(NearSingularWarning(
-            f"{count} mode(s) contribute within 1e6 of float overflow "
-            f"at h={params.h:.12g}"))
-
-
-def _block_qfi(params: ChainParams, phi: float, real: bool) -> float:
-    """The kernel's value at one angle, refused on the other branch."""
-    eps_sq, vals = _mode_qfi(params, np.array([float(phi)]), offset=None)
-    _warn_near_singular(params, int(vals[0] >= NEAR_SINGULAR_CONTRIB))
-    if (eps_sq[0] > 0.0) != real:
-        sign, other = ("<", "imag") if real else (">", "real")
-        raise BranchError(f"mode at phi={float(phi):.12g} has eps_sq="
-                          f"{eps_sq[0]:.6g} {sign} 0; use block_qfi_{other}")
-    return float(vals[0])
-
-
-def block_qfi_real(params: ChainParams, phi: float) -> float:
-    """QFI contribution of a real-branch mode (eps_sq > 0)."""
-    return _block_qfi(params, phi, real=True)
-
-
-def block_qfi_imag(params: ChainParams, phi: float) -> float:
-    """QFI contribution of an imaginary-branch mode (eps_sq < 0)."""
-    return _block_qfi(params, phi, real=False)
 
 
 def ground_qfi(params: ChainParams) -> QfiRecord:
@@ -166,7 +132,10 @@ def ground_qfi(params: ChainParams) -> QfiRecord:
     for i in range(0, phi.size, _BLOCK):
         vals[i:i + _BLOCK] = _mode_qfi(params, phi[i:i + _BLOCK], offset=i)[1]
     near = int(np.count_nonzero(vals >= NEAR_SINGULAR_CONTRIB))
-    _warn_near_singular(params, near)
+    if near:
+        warnings.warn(NearSingularWarning(
+            f"{near} mode(s) contribute within 1e6 of float overflow "
+            f"at h={params.h:.12g}"))
     phi.flags.writeable = vals.flags.writeable = False
     return QfiRecord(total=exact_sum(vals), params=params,
                      flag_near_singular=near > 0, phi=phi, values=vals)

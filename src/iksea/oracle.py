@@ -302,14 +302,14 @@ def fit_energy_scale(params: ChainParams, scale: float = 1.0) -> Tuple[float, fl
 _CALIBRATION: Optional[Tuple[float, float]] = None
 
 
-def calibrate_energy_scale(force: bool = False) -> Tuple[float, float]:
+def calibrate_energy_scale() -> Tuple[float, float]:
     """Cached (scale, const) between the dense and block energy conventions.
 
     Fitted once at a fixed generic point (N=4); the fit must reproduce the
     spectra to ~1e-10, else CalibrationError.
     """
     global _CALIBRATION
-    if _CALIBRATION is not None and not force:
+    if _CALIBRATION is not None:
         return _CALIBRATION
     ref = ChainParams(h=0.9, gamma=0.35, k_ksea=0.55, n_sites=4)
     s, c, resid = fit_energy_scale(ref)
@@ -355,8 +355,8 @@ def fd_qfi_ground(params: ChainParams, delta: float = 1e-5,
     return _fd_qfi_from_states(psi0, psip, psim, delta)
 
 
-def block_fd_qfi(params: ChainParams, phi: float, delta: float = 1e-6) -> float:
-    """Single-mode QFI by finite differences on the normalised block state.
+def block_fd_qfi(params: ChainParams, phi: float) -> float:
+    """Single-mode QFI by central differences, step 1e-6 in h, on the block state.
 
     The ground vector comes from np.linalg.eig of the 2x2 block, picked by
     _select_ground, not from the closed forms it checks.
@@ -365,6 +365,7 @@ def block_fd_qfi(params: ChainParams, phi: float, delta: float = 1e-6) -> float:
         vals, vecs = np.linalg.eig(block_matrix(p, phi))
         return vecs[:, _select_ground(vals)]
 
+    delta = 1e-6
     psi0 = unit(params)
     psip = unit(params.replace(h=params.h + delta))
     psim = unit(params.replace(h=params.h - delta))
@@ -381,9 +382,9 @@ def _evolved_dense_state(params: ChainParams, t: float, scale_cal: float,
     return out / np.linalg.norm(out)
 
 
-def dense_evolution_qfi(params: ChainParams, t: float, delta: float = 1e-5,
+def dense_evolution_qfi(params: ChainParams, t: float,
                         corrupt: float = 1.0) -> float:
-    """Finite-difference QFI of the evolved, normalised all-down state.
+    """Central-difference QFI, step 1e-5 in h, of the evolved all-down state.
 
     Uses scipy's expm on the full (capped at N <= 12) Hamiltonian; the
     calibrated energy scale maps dense time to block time.
@@ -392,6 +393,7 @@ def dense_evolution_qfi(params: ChainParams, t: float, delta: float = 1e-5,
         raise CapacityError(
             f"dense evolution supports n_sites <= {EVOLUTION_CAP}, got {params.n_sites}")
     s_cal, _ = calibrate_energy_scale()
+    delta = 1e-5
     psi0 = _evolved_dense_state(params, t, s_cal, corrupt)
     psip = _evolved_dense_state(params.replace(h=params.h + delta), t, s_cal, corrupt)
     psim = _evolved_dense_state(params.replace(h=params.h - delta), t, s_cal, corrupt)
@@ -399,15 +401,14 @@ def dense_evolution_qfi(params: ChainParams, t: float, delta: float = 1e-5,
 
 
 def sample_conditioned_params(rng: np.random.Generator, n_points: int,
-                              sizes=(4, 6, 8), min_eps_sq: float = 0.2,
-                              min_den: float = 0.05) -> List[ChainParams]:
+                              sizes=(4, 6, 8)) -> List[ChainParams]:
     """Seeded random parameter points kept away from dispersion crossings.
 
     Central-difference oracles lose accuracy when a mode sits close to
     eps_sq = 0 (the state varies on an h-scale ~ eps_sq / 2g), so candidate
     points are rejected unless every mode satisfies
-    |eps_sq| >= min_eps_sq * max(1, g^2, |a+ a-|) and every real-branch
-    denominator satisfies |gamma g + eps K| >= min_den.
+    |eps_sq| >= 0.2 max(1, g^2, |a+ a-|) and every real-branch
+    denominator satisfies |gamma g + eps K| >= 0.05.
     """
     out: List[ChainParams] = []
     while len(out) < n_points:
@@ -419,13 +420,13 @@ def sample_conditioned_params(rng: np.random.Generator, n_points: int,
             n_sites=n,
         )
         g, ap, am, eps_sq = block_elements(p, momentum_grid(n))
-        floor = min_eps_sq * np.maximum(1.0, np.maximum(g * g, np.abs(ap * am)))
+        floor = 0.2 * np.maximum(1.0, np.maximum(g * g, np.abs(ap * am)))
         if np.any(np.abs(eps_sq) < floor):
             continue
         real = eps_sq > 0
         if real.any():
             den = p.gamma * g[real] + np.sqrt(eps_sq[real]) * p.k_ksea
-            if np.any(np.abs(den) < min_den):
+            if np.any(np.abs(den) < 0.05):
                 continue
         out.append(p)
     return out

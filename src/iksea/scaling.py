@@ -87,13 +87,12 @@ def power_law_fit(xs, ys, window: Optional[Tuple[float, float]] = None) -> Scali
                       r_squared=float(r2), window=(lo, hi), n_points=int(xs.size))
 
 
-def size_exponent(template: ChainParams, n_grid: Sequence[int],
-                  window: Optional[Tuple[float, float]] = None) -> SweepResult:
+def size_exponent(template: ChainParams, n_grid: Sequence[int]) -> SweepResult:
     """Ground-state QFI totals over a grid of sizes, with a power-law fit."""
     ns = np.asarray(sorted(int(n) for n in n_grid))
     totals = np.array([ground_qfi(template.replace(n_sites=int(n))).total
                        for n in ns])
-    fit = power_law_fit(ns.astype(float), totals, window=window)
+    fit = power_law_fit(ns.astype(float), totals)
     return SweepResult(xs=ns.astype(float), ys=totals, fit=fit,
                        metadata={"kind": "size_exponent",
                                  "h": template.h, "gamma": template.gamma,

@@ -15,7 +15,8 @@ import scipy
 from iksea.cli import _run_points, main
 from iksea.config import RunConfig
 from iksea.dynamics import dynamical_qfi
-from iksea.errors import ConfigError, DomainError, EvolutionOverflowError
+from iksea.errors import (ConfigError, DomainError, EvolutionOverflowError,
+                          ExceptionalModeError)
 from iksea.ground import ground_qfi
 from iksea.model import ChainParams, momentum_grid
 from iksea.runner import Manifest, run_grid, sha256_file
@@ -165,25 +166,65 @@ def test_empty_grid_is_config_error(tmp_path):
 
 def test_defective_point_is_compute_error(tmp_path, capsys):
     # gamma = K with h = -cos(phi_1) puts mode 1 exactly on an exceptional
-    # point: exit 3, the message names the angle, manifest records the error
+    # point: exit 3, the message names the angle, and the point's own
+    # "error" task is the manifest's one record of it (no "compute" task)
     h = -float(np.cos(np.pi / 4))
     txt = f"""\
 [run]
 command = ground-qfi
 
 [model]
-h = {h!r}
+h = 0.3
 gamma = 0.4
 k_ksea = 0.4
 n_sites = 4
+
+[grid]
+h_values = {h!r} 0.3
 """
     cfg_path = write_cfg(tmp_path / "run.cfg", txt)
     out = tmp_path / "out"
     assert main(["ground-qfi", "--config", cfg_path, "--out", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert "compute error" in err and "phi=" in err
+    with pytest.raises(ExceptionalModeError) as exc_info:
+        ground_qfi(ChainParams(h=h, gamma=0.4, k_ksea=0.4, n_sites=4))
+    detail = str(exc_info.value)
+    assert "phi=" in detail
+    assert capsys.readouterr().err == f"compute error: {detail}\n"
     manifest = json.loads((out / "ground_qfi_manifest.json").read_text())
-    assert any(t["status"] == "error" for t in manifest["tasks"])
+    assert [(t["name"], t["status"], t["detail"]) for t in manifest["tasks"]] == [
+        ("ground_qfi N=4 h=-0.707107", "error", detail),
+        ("ground_qfi N=4 h=0.3", "ok", "")]
+    assert os.listdir(out) == ["ground_qfi_manifest.json"]
+
+
+def test_failure_no_point_recorded_is_one_compute_task(tmp_path, capsys):
+    # a dh sweep records no per-point tasks before it fails: at h = h_e =
+    # sqrt(2) the tangency angle 3 pi/4 is grid mode p = 2 of N = 4
+    cfg_path = write_cfg(tmp_path / "run.cfg", """\
+[run]
+command = sweep
+
+[model]
+h = 1.0
+gamma = 1.0
+k_ksea = 0.0
+n_sites = 4
+
+[sweep]
+variable = dh
+anchor = h_e
+dh_values = 0.1 0
+n_values = 4 8 12
+""")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("compute error: defective block at mode p=2, ")
+    manifest = json.loads((out / "sweep_manifest.json").read_text())
+    assert [(t["name"], t["status"], t["detail"]) for t in manifest["tasks"]] == [
+        ("compute", "error", err[len("compute error: "):-1])]
+    assert manifest["outputs"] == []
+    assert os.listdir(out) == ["sweep_manifest.json"]
 
 
 def test_command_config_mismatch(tmp_path):
@@ -531,7 +572,7 @@ def test_fit_window_on_dh_or_kappa_sweep_is_config_error(tmp_path, capsys,
     assert os.listdir(out) == []
 
 
-def test_sweep_n_sites_records_failed_points(tmp_path):
+def test_sweep_n_sites_records_failed_points(tmp_path, capsys):
     # gamma = K and h = -cos(pi/4) put a mode exactly on phi = pi/4, an
     # exceptional point, when pi/4 is on the grid (2p - 1) pi/N: for N = 4
     # and 12, not for N = 8, 16 or 24
@@ -572,6 +613,9 @@ n_values = 24 4 16 12 8
     assert sorted(t["name"] for t in manifest["tasks"]
                   if t["status"] == "ok") == ["sweep N=16", "sweep N=24",
                                               "sweep N=8"]
+    assert len(manifest["tasks"]) == 5          # one per size, no "compute"
+    # the first failed size's error is named on stderr
+    assert capsys.readouterr().err == f"compute error: {errors[0]['detail']}\n"
     assert {o["path"] for o in manifest["outputs"]} == {"sweep.csv",
                                                         "sweep_fits.json"}
 

@@ -1,4 +1,4 @@
-"""Ground-state QFI: closed forms, branch dispatch, fallbacks, asymptotics."""
+"""Ground-state QFI: closed forms on both branches, fallbacks, asymptotics."""
 
 import hashlib
 import math
@@ -10,19 +10,13 @@ import pytest
 import iksea.ground
 import iksea.model
 from iksea.errors import (
-    BranchError,
     DomainError,
     ExceptionalModeError,
     NearSingularWarning,
     OutOfWindowError,
     ParameterError,
 )
-from iksea.ground import (
-    asymptotic_qfi,
-    block_qfi_imag,
-    block_qfi_real,
-    ground_qfi,
-)
+from iksea.ground import asymptotic_qfi, ground_qfi
 from iksea.model import (
     EXACT_SUM_CUTOVER,
     ChainParams,
@@ -47,16 +41,21 @@ def eig_ground(p, phi):
     return vals[i], (ap, vecs[1, i] * ap / vecs[0, i])
 
 
+def kernel_qfi(p, phi):
+    """The ground kernel's QFI of the mode at one angle phi, on or off the grid."""
+    return float(iksea.ground._mode_qfi(p, np.array([phi]))[1][0])
+
+
 def test_imag_branch_frozen_value():
     # at g = 0 the imaginary-branch closed form reduces to a clean rational
     p = ChainParams(h=0.5, gamma=0.5, k_ksea=0.2, n_sites=6)
-    np.testing.assert_allclose(block_qfi_imag(p, 2 * np.pi / 3), 16.0 / 3.0,
+    np.testing.assert_allclose(kernel_qfi(p, 2 * np.pi / 3), 16.0 / 3.0,
                                rtol=1e-13)
 
 
 def test_real_branch_frozen_value():
     p = ChainParams(h=2.0, gamma=0.2, k_ksea=0.5, n_sites=4)
-    np.testing.assert_allclose(block_qfi_real(p, np.pi / 2),
+    np.testing.assert_allclose(kernel_qfi(p, np.pi / 2),
                                0.005151926868506159, rtol=1e-14)
 
 
@@ -72,7 +71,7 @@ def test_ground_eigenvector_frozen():
     np.testing.assert_allclose(energy, -2.0518284528683193, rtol=1e-14)
     a, eps = 0.4926861885267235, 2.0518284528683193
     np.testing.assert_allclose(
-        block_qfi_real(p, np.pi / 2),
+        kernel_qfi(p, np.pi / 2),
         4.0 * (0.7 * 0.051828452868319275 / (eps * a)) ** 2, rtol=1e-13)
 
     # broken branch: eps = -i sqrt(-eps_sq), ground energy has +Im
@@ -117,17 +116,9 @@ def test_real_branch_closed_form_equals_eigenvector_form():
         eps = np.sqrt(eps_sq)
         a = abs(u) ** 2 + abs(v) ** 2
         via_state = 4.0 * (u.real * v.real / (eps * a)) ** 2
-        np.testing.assert_allclose(block_qfi_real(p, phi), via_state,
+        np.testing.assert_allclose(kernel_qfi(p, phi), via_state,
                                    rtol=1e-9, atol=1e-30)
         checked += 1
-
-
-def test_branch_dispatch_errors():
-    p = ChainParams(h=0.5, gamma=0.5, k_ksea=0.2, n_sites=6)
-    with pytest.raises(BranchError):
-        block_qfi_real(p, 2 * np.pi / 3)     # eps_sq < 0 here
-    with pytest.raises(BranchError):
-        block_qfi_imag(p, np.pi / 6)         # eps_sq > 0 here
 
 
 def test_exceptional_mode_error_names_the_angle():
@@ -140,9 +131,9 @@ def test_exceptional_mode_error_names_the_angle():
     assert err.mode_index == 1
     np.testing.assert_allclose(err.phi, np.pi / 4, rtol=1e-12)
     assert "phi=" in str(err)
-    # the single-mode entry points refuse the same block
+    # the kernel refuses the same block at that one angle
     with pytest.raises(ExceptionalModeError):
-        block_qfi_real(p, np.pi / 4)
+        kernel_qfi(p, np.pi / 4)
 
 
 def test_gamma_equals_k_line_is_finite():
@@ -159,10 +150,10 @@ def test_gamma_equals_k_line_is_finite():
     assert (block_elements(p, rec.phi)[3] > 0).all()
     assert rec.flag_near_singular is False
 
-    # single-mode route agrees with the record
+    # the kernel on one angle at a time agrees with the record
     grid = momentum_grid(8)
     for value, phi in zip(rec.values, grid):
-        np.testing.assert_allclose(block_qfi_real(p, phi), value,
+        np.testing.assert_allclose(kernel_qfi(p, phi), value,
                                    rtol=1e-12, atol=1e-300)
 
 
@@ -190,19 +181,6 @@ def test_per_mode_branches_match_zero_crossings():
         inside = lo < phi < hi
         assert is_real == (not inside)
         assert value >= 0.0
-
-
-def test_single_mode_views_equal_kernel_bit_for_bit():
-    # block_qfi_real / block_qfi_imag are views on the ground_qfi kernel:
-    # on every grid mode, both branches present, they return its value exactly
-    p = ChainParams(h=0.5, gamma=0.5, k_ksea=0.2, n_sites=64)
-    rec = ground_qfi(p)
-    real_modes = block_elements(p, rec.phi)[3] > 0
-    assert real_modes.any() and not real_modes.all()
-    for phi, real, value in zip(rec.phi, real_modes, rec.values):
-        view = block_qfi_real if real else block_qfi_imag
-        assert view(p, phi) == value
-        assert view(p, float(phi)) == value
 
 
 def test_record_structure_and_fsum_total():
@@ -254,12 +232,11 @@ def test_fd_oracle_matches_both_branches():
     ]
     n_imag = 0
     for p in pts:
-        for phi in momentum_grid(p.n_sites):
+        rec = ground_qfi(p)
+        for phi, analytic in zip(rec.phi, rec.values):
             g, ap, am, eps_sq = block_elements(p, float(phi))
             if abs(eps_sq) < 1e-3:  # FD step is not reliable that close to
                 continue            # a branch crossing
-            analytic = (block_qfi_real(p, float(phi)) if eps_sq > 0
-                        else block_qfi_imag(p, float(phi)))
             fd = block_fd_qfi(p, float(phi))
             np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-12)
             n_imag += int(eps_sq < 0)
@@ -306,8 +283,6 @@ def test_near_singular_flag_plumbing(monkeypatch):
         rec = ground_qfi(p)
     assert rec.flag_near_singular is True
     assert (rec.values >= 1.0).any()
-    with pytest.warns(NearSingularWarning):
-        block_qfi_imag(p, 2 * np.pi / 3)
 
 
 def test_no_warning_on_ordinary_sweep():
@@ -469,6 +444,6 @@ def test_exceptional_bound_is_attained_and_keeps_the_verdict(
     assert (abs(eps_sq) == tol) == (exc_tol == 1.0)
     if abs(eps_sq) <= tol:
         with pytest.raises(ExceptionalModeError):
-            iksea.ground._mode_qfi(p, np.array([phi]), offset=None)
+            kernel_qfi(p, phi)
     else:
-        iksea.ground._mode_qfi(p, np.array([phi]), offset=None)
+        kernel_qfi(p, phi)

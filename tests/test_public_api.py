@@ -17,8 +17,7 @@ PUBLIC = {
         "classify_phase",
     ],
     "iksea.ground": [
-        "QfiRecord", "block_qfi_real", "block_qfi_imag", "ground_qfi",
-        "asymptotic_qfi", "NEAR_SINGULAR_CONTRIB",
+        "QfiRecord", "ground_qfi", "asymptotic_qfi", "NEAR_SINGULAR_CONTRIB",
     ],
     "iksea.dynamics": [
         "DynQfiSeries", "block_propagator", "propagator_derivative",
@@ -46,14 +45,14 @@ PUBLIC = {
 #: iksea.__all__ is every public name bound in the package, except the
 #: submodules its imports load
 PACKAGE = sorted([
-    "BranchError", "CalibrationError", "CapacityError", "ChainParams",
+    "CalibrationError", "CapacityError", "ChainParams",
     "ConfigError", "DomainError", "DynQfiSeries", "EvolutionOverflowError",
     "ExceptionalModeError", "IkseaError", "InsufficientDataError",
     "LevelCrossingError", "NearSingularWarning", "NumericalConsistencyError",
     "OutOfWindowError", "ParameterError", "PhaseInfo", "QfiRecord",
     "RunConfig", "ScalingFit", "SweepResult", "asymptotic_qfi",
-    "block_elements", "block_matrix", "block_propagator", "block_qfi_imag",
-    "block_qfi_real", "classify_phase", "critical_field", "dispersion",
+    "block_elements", "block_matrix", "block_propagator",
+    "classify_phase", "critical_field", "dispersion",
     "dynamical_qfi", "exceptional_field", "exponent_vs_offset", "ground_qfi",
     "kappa_sweep", "momentum_grid",
     "power_law_fit", "propagator_derivative", "qfi_time_series",
@@ -62,7 +61,9 @@ PACKAGE = sorted([
 
 
 #: signatures of the functions whose options were removed (the dynamics
-#: kernel's fd derivative and fd_step, kappa_sweep's enforce_window)
+#: kernel's fd derivative and fd_step, kappa_sweep's enforce_window, the fit
+#: window of size_exponent, the oracle's sampler floors, finite-difference
+#: steps and forced recalibration)
 SIGNATURES = {
     ("iksea.dynamics", "dynamical_qfi"): "(params: 'ChainParams', t: 'float') -> 'float'",
     ("iksea.dynamics", "qfi_time_series"):
@@ -70,6 +71,16 @@ SIGNATURES = {
     ("iksea.scaling", "kappa_sweep"):
         "(gamma: 'float', kappa_grid: 'Sequence[float]', "
         "n_grid: 'Sequence[int]', h: 'float' = 1.0) -> 'SweepResult'",
+    ("iksea.scaling", "size_exponent"):
+        "(template: 'ChainParams', n_grid: 'Sequence[int]') -> 'SweepResult'",
+    ("iksea.oracle", "sample_conditioned_params"):
+        "(rng: 'np.random.Generator', n_points: 'int', sizes=(4, 6, 8)) "
+        "-> 'List[ChainParams]'",
+    ("iksea.oracle", "block_fd_qfi"):
+        "(params: 'ChainParams', phi: 'float') -> 'float'",
+    ("iksea.oracle", "dense_evolution_qfi"):
+        "(params: 'ChainParams', t: 'float', corrupt: 'float' = 1.0) -> 'float'",
+    ("iksea.oracle", "calibrate_energy_scale"): "() -> 'Tuple[float, float]'",
 }
 
 
