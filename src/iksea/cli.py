@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import itertools
 import json
 import os
 import sys
@@ -34,10 +33,9 @@ from .dynamics import _qfi_totals
 from .errors import ConfigError, EvolutionOverflowError, IkseaError, ParameterError
 from .ground import ground_qfi
 from .model import ChainParams, classify_phase
-from .oracle import run_oracle_suite
+from .oracle import DENSE_CAP, run_oracle_suite
 from .runner import Manifest, run_grid
-from .scaling import (ScalingFit, _kappa_values, _resolve_anchor,
-                      exponent_vs_offset, kappa_sweep, power_law_fit)
+from .scaling import ScalingFit, _kappa_values, _resolve_anchor, power_law_fit
 
 __all__ = ["main"]
 
@@ -207,99 +205,83 @@ def _fit_window(cfg: RunConfig):
     return None if lo is None else (lo, hi)
 
 
-def _emit_mu_table(manifest: Manifest, emit: Callable, res, columns: dict,
-                   fits: dict) -> int:
-    """Write a dh or kappa sweep: one row and one fitted exponent mu per value.
+def cmd_sweep(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
+    """ground_qfi totals at every (value, N) point, in one run_grid call.
 
-    columns maps each data column to its values, the swept variable first;
-    fits is the head of the fits JSON, to which the exponents are appended.
+    A dh or kappa value gets its row and exponent mu if all its sizes succeed.
     """
-    name = next(iter(columns))
-    for x in res.xs:
-        manifest.task(f"sweep {name}={x:g}", "ok")
-    emit("", list(zip(*columns.values())), list(columns))
-    fits["exponents"] = [
-        {name: float(x), "mu": float(mu), "r_squared": float(r2)}
-        for x, mu, r2 in zip(res.xs, res.ys, res.metadata["r_squared"])]
-    emit("_fits", fits)
-    return 0
-
-
-def _sweep_n_sites(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
-    ns = sorted(cfg.get_ints("sweep", "n_values"))
-    params = {n: _model_params(cfg, n_sites=n) for n in ns}
-    window = _fit_window(cfg)
+    variable = cfg.get_str("sweep", "variable")
+    if variable not in ("n_sites", "dh", "kappa"):
+        raise ConfigError(
+            f"[sweep] variable must be n_sites|dh|kappa, got {variable!r}")
+    ns, window = sorted(cfg.get_ints("sweep", "n_values")), _fit_window(cfg)
     lo, hi = window or (0, np.inf)
-    if window and sum(lo <= n <= hi for n in ns) < 3:
-        raise ConfigError(f"[fit] window_lo..window_hi holds fewer than 3 of n_values {ns}")
-    done, errors = _run_points(
-        manifest, ns, run_grid(lambda n: ground_qfi(params[n]).total, ns),
-        lambda n: f"sweep N={n}")
-    emit("", [[n, total] for n, total in done], ["N", "qfi_total"])
-    inside = [(n, total) for n, total in done if lo <= n <= hi]
-    fit = None if len(inside) < 3 else _fit_json(
-        power_law_fit(*zip(*inside), window=window))
-    emit("_fits", {"variable": "n_sites", "fit": fit})
+    fits, values, given = {"variable": variable}, [None], lambda x: {}
+    if variable == "n_sites":
+        if window and sum(lo <= n <= hi for n in ns) < 3:
+            raise ConfigError(f"[fit] window_lo..window_hi holds fewer than 3 of n_values {ns}")
+    elif window is not None:
+        raise ConfigError("[fit] window_lo/window_hi apply to n_sites sweeps only")
+    elif len(ns) < 3:
+        raise ConfigError(f"[sweep] n_values needs at least 3 sizes to fit "
+                          f"mu for each {variable} value")
+    else:
+        values = cfg.get_floats("sweep", f"{variable}_values")
+    if variable == "dh":
+        anchor = cfg.get_str("sweep", "anchor", default="h_c")
+        base = _model_params(cfg, n_sites=ns[0])
+        try:
+            h0 = _resolve_anchor(base, anchor)
+        except IkseaError as exc:
+            raise ConfigError(f"[sweep] {exc}") from exc
+        fits.update(anchor=anchor, anchor_value=h0)
+        given = lambda dh: {"h": h0 + dh}
+        header = ["dh", "h", "mu", "r_squared", "phase"]
+        row = lambda dh, p, f: [dh, h0 + dh, f.exponent, f.r_squared,
+                                classify_phase(p).region]
+    elif variable == "kappa":
+        gamma = cfg.get_float("model", "gamma")
+        h = cfg.get_float("model", "h", default=1.0)
+        if cfg.get_bool("sweep", "enforce_window", default=False):
+            raise ConfigError("[sweep] enforce_window = true was removed")
+        try:
+            _kappa_values(values)
+        except IkseaError as exc:
+            raise ConfigError(f"[sweep] {exc}") from exc
+        fits.update(gamma=gamma, h=h, out_of_window=[
+            [kappa, n] for kappa in values for n in ns if not np.pi / n > 10.0 * kappa])
+        given = lambda kappa: {"h": h, "k_ksea": gamma + kappa}
+        header = ["kappa", "mu", "r_squared"]
+        row = lambda kappa, p, f: [kappa, f.exponent, f.r_squared]
+    points = [(x, _model_params(cfg, n_sites=n, **given(x))) for x in values for n in ns]
+    results = run_grid(lambda xp: ground_qfi(xp[1]).total, points)
+    label = "" if variable == "n_sites" else variable + "={:g} "
+    done, errors = _run_points(manifest, points, results,
+                               lambda xp: f"sweep {label.format(xp[0])}N={xp[1].n_sites}")
+    if variable == "n_sites":
+        emit("", [[p.n_sites, total] for (_, p), total in done], ["N", "qfi_total"])
+        inside = [(p.n_sites, total) for (_, p), total in done if lo <= p.n_sites <= hi]
+        fits["fit"] = None if len(inside) < 3 else _fit_json(
+            power_law_fit(*zip(*inside), window=window))
+    else:
+        # a value's sizes are the len(ns) points at its position in the list,
+        # so a repeated value keeps both its rows
+        if variable == "dh":
+            fits["phase_change"] = len({classify_phase(p).region
+                                        for _, p in points[::len(ns)]}) > 1
+        rows, fits["exponents"] = [], []
+        for i in range(0, len(points), len(ns)):
+            (x, p), totals = points[i], results[i:i + len(ns)]
+            if not any(isinstance(t, IkseaError) for t in totals):
+                f = power_law_fit(ns, totals)
+                rows.append(row(x, p, f))
+                fits["exponents"].append({variable: x, "mu": f.exponent,
+                                          "r_squared": f.r_squared})
+        emit("", rows, header)
+    emit("_fits", fits)
     if errors:
         raise errors[0]
     return 0
-
-
-def _sweep_dh(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
-    dhs = cfg.get_floats("sweep", "dh_values")
-    ns = cfg.get_ints("sweep", "n_values")
-    anchor = cfg.get_str("sweep", "anchor", default="h_c")
-    base = _model_params(cfg, n_sites=min(ns))
-    try:
-        h0 = _resolve_anchor(base, anchor)
-    except IkseaError as exc:
-        raise ConfigError(f"[sweep] {exc}") from exc
-    for n, dh in itertools.product(ns, dhs):
-        _model_params(cfg, n_sites=n, h=h0 + dh)
-    res = exponent_vs_offset(base, dhs, ns, anchor=anchor)
-    meta = res.metadata
-    return _emit_mu_table(manifest, emit, res, {
-        "dh": res.xs, "h": [meta["anchor_value"] + dh for dh in res.xs],
-        "mu": res.ys, "r_squared": meta["r_squared"], "phase": meta["phase"],
-    }, {"variable": "dh", "anchor": anchor, "anchor_value": meta["anchor_value"],
-        "phase_change": meta["phase_change"]})
-
-
-def _sweep_kappa(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
-    kappas = cfg.get_floats("sweep", "kappa_values")
-    ns = cfg.get_ints("sweep", "n_values")
-    gamma = cfg.get_float("model", "gamma")
-    h = cfg.get_float("model", "h", default=1.0)
-    if cfg.get_bool("sweep", "enforce_window", default=False):
-        raise ConfigError("[sweep] enforce_window = true was removed")
-    try:
-        _kappa_values(kappas)
-    except IkseaError as exc:
-        raise ConfigError(f"[sweep] {exc}") from exc
-    for n, kappa in itertools.product(ns, kappas):
-        _model_params(cfg, n_sites=n, h=h, k_ksea=gamma + kappa)
-    res = kappa_sweep(gamma, kappas, ns, h=h)
-    return _emit_mu_table(manifest, emit, res, {
-        "kappa": res.xs, "mu": res.ys, "r_squared": res.metadata["r_squared"],
-    }, {"variable": "kappa", "gamma": gamma, "h": h,
-        "out_of_window": [list(pair) for pair in res.metadata["out_of_window"]]})
-
-
-_SWEEPS = {"n_sites": _sweep_n_sites, "dh": _sweep_dh, "kappa": _sweep_kappa}
-
-
-def cmd_sweep(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
-    variable = cfg.get_str("sweep", "variable")
-    if variable not in _SWEEPS:
-        raise ConfigError(
-            f"[sweep] variable must be n_sites|dh|kappa, got {variable!r}")
-    if variable != "n_sites":
-        if _fit_window(cfg) is not None:
-            raise ConfigError("[fit] window_lo/window_hi apply to n_sites sweeps only")
-        if len(cfg.get_ints("sweep", "n_values")) < 3:
-            raise ConfigError(f"[sweep] n_values needs at least 3 sizes to fit "
-                              f"mu for each {variable} value")
-    return _SWEEPS[variable](cfg, manifest, emit)
 
 
 def cmd_fit(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
@@ -342,8 +324,8 @@ def cmd_oracle_check(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
     n_points = cfg.get_int("oracle", "points", default=20)
     include_dynamics = cfg.get_bool("oracle", "include_dynamics", default=True)
     corrupt_scale = cfg.get_float("oracle", "corrupt_scale", default=1.0)
-    if any(n % 2 or not 2 <= n <= 14 for n in sizes):
-        raise ConfigError(f"[oracle] sizes must be even integers in [2, 14] "
+    if any(n % 2 or not 2 <= n <= DENSE_CAP for n in sizes):
+        raise ConfigError(f"[oracle] sizes must be even integers in [2, {DENSE_CAP}] "
                           f"(dense capacity), got {sizes}")
     if n_points < 0:
         raise ConfigError(f"[oracle] points must be >= 0, got {n_points}")
@@ -434,10 +416,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except IkseaError as exc:
         # only ConfigError can precede the manifest; a failed point has its task
-        print(f"compute error: {exc}", file=sys.stderr)
-        if not any(t["status"] == "error" and t["detail"] == str(exc)
-                   for t in manifest.tasks):
+        task = next((t["name"] + ": " for t in manifest.tasks
+                     if t["status"] == "error" and t["detail"] == str(exc)), "")
+        if not task:
             manifest.task("compute", "error", str(exc))
+        print(f"compute error: {task}{exc}", file=sys.stderr)
         manifest.write(args.out, cfg.prefix)
         return 3
     if cfg.command != "phase":

@@ -3,8 +3,9 @@
     PYTHONPATH=src python tests/data/record_shipped_outputs.py
 
 Runs every configs/*.cfg through the CLI and records, per config, its exit
-code and the sha256 of each data file it writes (the run manifest, which
-carries timestamps, is left out).
+code, the sha256 of each data file it writes (the run manifest, which
+carries timestamps, is left out) and the [name, status] of each manifest
+task whose status is not "ok".
 tests/test_cli.py::test_shipped_configs_match_recorded_digests holds every
 shipped config to these pins.  Re-record only for an intended change to the
 program's outputs, and name each changed file in CHANGES.md with its old
@@ -27,17 +28,27 @@ PINS = os.path.join(HERE, "shipped_outputs.json")
 
 
 def record(out_root: str) -> dict:
-    """{config name: {"exit": code, "files": {data file: sha256}}}."""
+    """{config name: {"exit": code, "files": {data file: sha256},
+    "failed_tasks": [[task name, status], ...]}}."""
     pins = {}
     for name in sorted(f[:-4] for f in os.listdir(CONFIGS) if f.endswith(".cfg")):
         path = os.path.join(CONFIGS, name + ".cfg")
         out = os.path.join(out_root, name)
-        code = run_cli([RunConfig.from_file(path).command, "--config", path,
-                        "--out", out, "--workers", "1"])
+        cfg = RunConfig.from_file(path)
+        code = run_cli([cfg.command, "--config", path, "--out", out,
+                        "--workers", "1"])
         pins[name] = {"exit": code, "files": {
             f: sha256_file(os.path.join(out, f)) for f in sorted(os.listdir(out))
-            if not f.endswith("_manifest.json")}}
+            if not f.endswith("_manifest.json")},
+            "failed_tasks": failed_tasks(os.path.join(out, f"{cfg.prefix}_manifest.json"))}
     return pins
+
+
+def failed_tasks(manifest_path: str) -> list:
+    """[name, status] of each task in a run manifest whose status is not "ok"."""
+    with open(manifest_path, encoding="utf-8") as fh:
+        return [[t["name"], t["status"]] for t in json.load(fh)["tasks"]
+                if t["status"] != "ok"]
 
 
 def main() -> None:

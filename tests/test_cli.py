@@ -20,6 +20,7 @@ from iksea.errors import (ConfigError, DomainError, EvolutionOverflowError,
 from iksea.ground import ground_qfi
 from iksea.model import ChainParams, momentum_grid
 from iksea.runner import Manifest, run_grid, sha256_file
+from iksea.scaling import size_exponent
 
 
 def write_cfg(path, text):
@@ -189,7 +190,8 @@ h_values = {h!r} 0.3
         ground_qfi(ChainParams(h=h, gamma=0.4, k_ksea=0.4, n_sites=4))
     detail = str(exc_info.value)
     assert "phi=" in detail
-    assert capsys.readouterr().err == f"compute error: {detail}\n"
+    assert capsys.readouterr().err == \
+        f"compute error: ground_qfi N=4 h=-0.707107: {detail}\n"
     manifest = json.loads((out / "ground_qfi_manifest.json").read_text())
     assert [(t["name"], t["status"], t["detail"]) for t in manifest["tasks"]] == [
         ("ground_qfi N=4 h=-0.707107", "error", detail),
@@ -198,33 +200,33 @@ h_values = {h!r} 0.3
 
 
 def test_failure_no_point_recorded_is_one_compute_task(tmp_path, capsys):
-    # a dh sweep records no per-point tasks before it fails: at h = h_e =
-    # sqrt(2) the tangency angle 3 pi/4 is grid mode p = 2 of N = 4
+    # every size succeeds, but gamma = K with h > 1 gives every total 0, so
+    # the fit raises: one "compute" task after the three "ok" ones, the CSV
+    # but no fits JSON
     cfg_path = write_cfg(tmp_path / "run.cfg", """\
 [run]
 command = sweep
 
 [model]
-h = 1.0
-gamma = 1.0
-k_ksea = 0.0
-n_sites = 4
+h = 1.5
+gamma = 0.5
+k_ksea = 0.5
+n_sites = 8
 
 [sweep]
-variable = dh
-anchor = h_e
-dh_values = 0.1 0
-n_values = 4 8 12
+variable = n_sites
+n_values = 8 16 32
 """)
     out = tmp_path / "out"
     assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("compute error: defective block at mode p=2, ")
+    assert err == "compute error: power-law fits need strictly positive xs and ys\n"
     manifest = json.loads((out / "sweep_manifest.json").read_text())
     assert [(t["name"], t["status"], t["detail"]) for t in manifest["tasks"]] == [
+        ("sweep N=8", "ok", ""), ("sweep N=16", "ok", ""), ("sweep N=32", "ok", ""),
         ("compute", "error", err[len("compute error: "):-1])]
-    assert manifest["outputs"] == []
-    assert os.listdir(out) == ["sweep_manifest.json"]
+    assert [o["path"] for o in manifest["outputs"]] == ["sweep.csv"]
+    assert sorted(os.listdir(out)) == ["sweep.csv", "sweep_manifest.json"]
 
 
 def test_command_config_mismatch(tmp_path):
@@ -615,7 +617,8 @@ n_values = 24 4 16 12 8
                                               "sweep N=8"]
     assert len(manifest["tasks"]) == 5          # one per size, no "compute"
     # the first failed size's error is named on stderr
-    assert capsys.readouterr().err == f"compute error: {errors[0]['detail']}\n"
+    assert capsys.readouterr().err == \
+        f"compute error: sweep N=4: {errors[0]['detail']}\n"
     assert {o["path"] for o in manifest["outputs"]} == {"sweep.csv",
                                                         "sweep_fits.json"}
 
@@ -638,6 +641,51 @@ def test_bad_n_sites_fit_window_is_config_error(tmp_path, capsys, lo, hi,
     assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert os.listdir(out) == []
+
+
+def test_sweep_dh_records_failed_points(tmp_path, capsys):
+    # at h = h_e = sqrt(2) (gamma = 1, K = 0) the tangency angle 3 pi/4 is
+    # grid mode p = 2 of N = 4 and p = 5 of N = 12, but not a mode of N = 8:
+    # dh = 0 fails at two sizes, and only the two dh = 0.1 entries (one per
+    # position in dh_values) get a row and an exponent
+    cfg_path = write_cfg(tmp_path / "run.cfg", """\
+[run]
+command = sweep
+
+[model]
+h = 1.0
+gamma = 1.0
+k_ksea = 0.0
+n_sites = 4
+
+[sweep]
+variable = dh
+anchor = h_e
+dh_values = 0.1 0 0.1
+n_values = 4 8 12
+""")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 3
+    manifest = json.loads((out / "sweep_manifest.json").read_text())
+    assert [(t["name"], t["status"]) for t in manifest["tasks"]] == [
+        (f"sweep dh={dh} N={n}", "error" if dh == "0" and n != 8 else "ok")
+        for dh in ("0.1", "0", "0.1") for n in (4, 8, 12)]
+    detail = manifest["tasks"][3]["detail"]
+    assert detail.startswith("defective block at mode p=2, ")
+    assert capsys.readouterr().err == f"compute error: sweep dh=0 N=4: {detail}\n"
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["dh", "h", "mu", "r_squared", "phase"]
+    assert [r[0] for r in rows[1:]] == ["0.10000000000000001"] * 2
+    fits = json.loads((out / "sweep_fits.json").read_text())
+    assert [e["dh"] for e in fits["exponents"]] == [0.1, 0.1]
+    he = float(np.sqrt(2.0))
+    mu = size_exponent(ChainParams(h=he + 0.1, gamma=1.0, k_ksea=0.0,
+                                   n_sites=4), [4, 8, 12]).fit.exponent
+    assert all(e["mu"] == mu for e in fits["exponents"])
+    # phase_change covers every configured value: dh = 0 (ExceptionalPoint)
+    # has no row, dh = 0.1 is Unbroken
+    assert fits["phase_change"] is True
 
 
 def test_sweep_n_sites_fits_only_the_points_left_in_its_window(tmp_path):
@@ -971,8 +1019,10 @@ def test_shipped_and_benchmark_job_configs_parse_clean():
 
 def test_shipped_configs_match_recorded_digests(tmp_path):
     # tests/data/shipped_outputs.json pins every shipped config's exit code,
-    # data-file list and data-file digests, so any change to a data file byte
-    # shows here; tests/data/record_shipped_outputs.py re-records the pins
+    # data-file list, data-file digests and the [name, status] of each
+    # manifest task that is not "ok", so any change to a data file byte or to
+    # which points fail shows here; tests/data/record_shipped_outputs.py
+    # re-records the pins
     with open(os.path.join(REPO, "tests", "data", "shipped_outputs.json"),
               encoding="utf-8") as fh:
         pinned = json.load(fh)
@@ -981,9 +1031,9 @@ def test_shipped_configs_match_recorded_digests(tmp_path):
     assert len(names) == 8 and sorted(pinned) == names
     for name in names:
         path = os.path.join(cfg_dir, name + ".cfg")
-        command = RunConfig.from_file(path).command
+        cfg = RunConfig.from_file(path)
         out = tmp_path / name
-        code = main([command, "--config", path, "--out", str(out),
+        code = main([cfg.command, "--config", path, "--out", str(out),
                      "--workers", "1"])
         assert code == pinned[name]["exit"], name
         data = sorted(f for f in os.listdir(out)
@@ -991,3 +1041,6 @@ def test_shipped_configs_match_recorded_digests(tmp_path):
         assert data == sorted(pinned[name]["files"]), name
         for fname, digest in pinned[name]["files"].items():
             assert sha256_file(str(out / fname)) == digest, fname
+        manifest = json.loads((out / f"{cfg.prefix}_manifest.json").read_text())
+        assert [[t["name"], t["status"]] for t in manifest["tasks"]
+                if t["status"] != "ok"] == pinned[name]["failed_tasks"], name
