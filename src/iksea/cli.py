@@ -31,7 +31,7 @@ from . import __version__
 from .config import RunConfig
 from .dynamics import _qfi_totals
 from .errors import ConfigError, EvolutionOverflowError, IkseaError, ParameterError
-from .ground import ground_qfi
+from .ground import _field_rows, ground_qfi
 from .model import ChainParams, classify_phase
 from .oracle import DENSE_CAP, run_oracle_suite
 from .runner import Manifest, run_grid
@@ -132,21 +132,22 @@ def cmd_ground_qfi(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
     base = _model_params(cfg)
     ns = sorted(cfg.get_ints("grid", "n_values", default=[base.n_sites]))
     hs = sorted(cfg.get_floats("grid", "h_values", default=[base.h]))
-    points = [_model_params(cfg, n_sites=n, h=h) for n in ns for h in hs]
-
-    done, errors = _run_points(manifest, points, run_grid(ground_qfi, points),
-                               lambda p: f"ground_qfi N={p.n_sites} h={p.h:g}")
+    # every h at the first N, then every N: the first bad (N, h) pair's error
+    phases = [classify_phase(_model_params(cfg, n_sites=ns[0], h=h)) for h in hs]
+    at_n = [_model_params(cfg, n_sites=n, h=hs[0]) for n in ns]
+    points = [(p, h, ph) for p in at_n for h, ph in zip(hs, phases)]
+    results = [x for p in at_n for x in _field_rows(p, hs)]
+    done, errors = _run_points(manifest, points, results,
+                               lambda x: f"ground_qfi N={x[0].n_sites} h={x[1]:g}")
     if errors:
         raise errors[0]
-    rows = [[p.n_sites, p.h, p.gamma, p.k_ksea, classify_phase(p).region,
-             rec.total, rec.flag_near_singular] for p, rec in done]
+    rows = [[p.n_sites, h, p.gamma, p.k_ksea, ph.region, total, flag]
+            for (p, h, ph), (total, flag, _) in done]
     emit("", rows, ["N", "h", "gamma", "K", "phase", "qfi_total",
                     "flag_near_singular"])
     emit("_summary", {
-        "command": "ground-qfi",
-        "rows": len(rows),
-        "landmarks": {_fmt(h): asdict(classify_phase(base.replace(h=h)))
-                      for h in hs},
+        "command": "ground-qfi", "rows": len(rows),
+        "landmarks": {_fmt(h): asdict(ph) for h, ph in zip(hs, phases)},
     })
     return 0
 
@@ -329,8 +330,9 @@ def cmd_oracle_check(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
                           f"(dense capacity), got {sizes}")
     if n_points < 0:
         raise ConfigError(f"[oracle] points must be >= 0, got {n_points}")
-    if not np.isfinite(corrupt_scale):
-        raise ConfigError(f"[oracle] corrupt_scale must be finite, got {corrupt_scale!r}")
+    if not abs(corrupt_scale) <= 1e150:     # squares overflow from 1.3e154
+        raise ConfigError(f"[oracle] corrupt_scale must be finite with magnitude "
+                          f"<= 1e150, got {corrupt_scale!r}")
     report = run_oracle_suite(sizes=tuple(sizes), n_points=n_points,
                               seed=cfg.seed, include_dynamics=include_dynamics,
                               corrupt_scale=corrupt_scale)

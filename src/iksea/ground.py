@@ -13,11 +13,10 @@ and the field-estimation QFI of the Dirac-normalised state splits by branch:
     imaginary branch (eps_sq < 0):
         F = (gamma^2 - K^2) / (-eps_sq gamma^2)
 
-The grid is evaluated in L2-sized blocks of modes, with the same bits as one
-whole-grid pass; a block clear of the scalar exceptional bound evaluates only
-its branch.  The total is the exactly rounded sum, equal to math.fsum,
-in ascending mode order (model.exact_sum; math.fsum itself below
-EXACT_SUM_CUTOVER modes), so results are bit-for-bit reproducible.
+Fields at one N are evaluated in (fields x modes) blocks of about 2^13 pairs,
+with the same bits as one field at a time; a block clear of the scalar
+exceptional bound evaluates only its branch.  Totals are exactly rounded sums
+in ascending mode order (model.exact_sum, equal to math.fsum).
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ __all__ = [
 
 #: per-mode contributions at or above this value flag the record as near-singular
 NEAR_SINGULAR_CONTRIB = np.finfo(float).max / 1e6
-#: modes per block of ground_qfi (2^12 .. 2^16 measured alike, a whole grid slower)
+#: (field, mode) pairs per kernel block (2^12 .. 2^16 measured alike, a whole grid slower)
 _BLOCK = 2 ** 13
 
 
@@ -74,18 +73,18 @@ class QfiRecord:
     values: np.ndarray = field(repr=False, compare=False)
 
 
-def _mode_qfi(params: ChainParams, phi: np.ndarray, offset: int = 0):
-    """Per-mode ground QFI at the angles phi: (eps_sq, values).
+def _mode_qfi(params: ChainParams, phi: np.ndarray, offset: int = 0, h=None):
+    """Per-mode ground QFI at the angles phi, one row per field of the column
+    h (default params.h): (eps_sq, values).  The one ground kernel.
 
-    The one ground kernel: ground_qfi runs it on blocks of the momentum grid.
-    A block whose |eps_sq| all exceed exceptional_tolerance(|h| + 1,
+    A block whose |eps_sq| all exceed exceptional_tolerance(max|h| + 1,
     gamma + K, gamma - K), which bounds every mode's, evaluates only its one
     branch; any other block raises ExceptionalModeError at the first
-    defective angle, named as mode p = offset + i + 1.  Where the
-    real-branch closed form is not finite (0/0 on gamma = K with g < 0) the
-    eigenvector form, regular there, gives the limit.
-    """
-    s, g, eps_sq = _elements(params, phi)
+    defective angle of its first defective row, as mode p = offset + i + 1.
+    Where the real-branch closed form is not finite (0/0 on gamma = K with
+    g < 0) the eigenvector form, regular there, gives the limit."""
+    h = params.h if h is None else h
+    s, g, eps_sq = _elements(params, phi, h)
     gam, k = params.gamma, params.k_ksea
     num = gam * gam - k * k
 
@@ -96,7 +95,7 @@ def _mode_qfi(params: ChainParams, phi: np.ndarray, offset: int = 0):
     def imag():
         return num / (-eps_sq * gam * gam)
 
-    bound = exceptional_tolerance(abs(params.h) + 1.0, gam + k, gam - k)
+    bound = exceptional_tolerance(np.abs(h).max() + 1.0, gam + k, gam - k)
     with np.errstate(divide="ignore", invalid="ignore"):
         if eps_sq.min() > bound:
             vals = real()
@@ -105,40 +104,59 @@ def _mode_qfi(params: ChainParams, phi: np.ndarray, offset: int = 0):
         else:
             exc = np.abs(eps_sq) <= exceptional_tolerance(g, *_couplings(params, s))
             if exc.any():
-                i = int(np.argmax(exc))
+                i = int(np.argmax(exc)) % phi.size
                 raise ExceptionalModeError(phi[i], mode_index=offset + i + 1)
             vals = np.where(eps_sq > 0.0, real(), imag())
         if not np.isfinite(vals).all():
             # where the real-branch closed form is 0/0, use 4 (u v / (eps A))^2
             bad = (eps_sq > 0.0) & ~np.isfinite(vals)
-            e2, u = eps_sq[bad], _couplings(params, s[bad])[0]
+            e2, u = eps_sq[bad], _couplings(params, np.broadcast_to(s, g.shape)[bad])[0]
             v = np.sqrt(e2) - g[bad]
             a = u * u + v * v
             vals[bad] = np.where(a > 0, 4.0 * (u * v) ** 2 / (e2 * a * a), 0.0)
     return eps_sq, vals
 
 
-def ground_qfi(params: ChainParams) -> QfiRecord:
-    """Total ground-state QFI over the positive-momentum grid.
+def _field_rows(params: ChainParams, hs, phi=None) -> list:
+    """(total, flag_near_singular, values) of ground_qfi at each field in hs,
+    with params' N, gamma and K (momentum grid phi), or its
+    ExceptionalModeError, in input order.  The kernel takes blocks of about
+    _BLOCK (field, mode) pairs, or _BLOCK modes of a wider row; a block with
+    a defective mode runs again row by row, so only the defective rows fail."""
+    phi = momentum_grid(params.n_sites) if phi is None else phi
 
-    The per-mode contributions (each >= 0) are kept as arrays on the record
-    and summed exactly rounded, equal to math.fsum, in ascending mode order
-    (exact_sum; math.fsum itself below EXACT_SUM_CUTOVER modes).  A defective
-    mode anywhere on the grid raises ExceptionalModeError naming its angle;
-    values within 1e6 of float overflow warn once per call, with their count.
-    """
+    def rows(h):
+        vals = np.empty((len(h), phi.size))
+        col = h[:, None] if len(h) > 1 else h[0]    # one field: 1-D arrays
+        try:
+            for i in range(0, phi.size, _BLOCK):
+                vals[:, i:i + _BLOCK] = _mode_qfi(params, phi[i:i + _BLOCK], i, col)[1]
+        except ExceptionalModeError as exc:
+            return [exc] if len(h) == 1 else [_field_rows(params, [x], phi)[0] for x in h]
+        big = vals >= NEAR_SINGULAR_CONTRIB
+        near = np.count_nonzero(big, axis=1) if big.any() else np.zeros(len(h), int)
+        for n, x in zip(near[near > 0], h[near > 0]):
+            warnings.warn(NearSingularWarning(
+                f"{n} mode(s) contribute within 1e6 of float overflow at h={x:.12g}"))
+        return [(exact_sum(v), bool(n), v) for v, n in zip(vals, near)]
+
+    fields, step = np.asarray(hs, dtype=float), max(1, _BLOCK // phi.size)
+    return [x for r in range(0, len(fields), step) for x in rows(fields[r:r + step])]
+
+
+def ground_qfi(params: ChainParams) -> QfiRecord:
+    """Total ground-state QFI over the positive-momentum grid, the one-row
+    view of _field_rows: per-mode values (each >= 0) on the record, their sum
+    exactly rounded (math.fsum's, ascending mode order), ExceptionalModeError
+    naming a defective mode, one NearSingularWarning with the count of values
+    within 1e6 of float overflow."""
     phi = momentum_grid(params.n_sites)
-    vals = np.empty_like(phi)
-    for i in range(0, phi.size, _BLOCK):
-        vals[i:i + _BLOCK] = _mode_qfi(params, phi[i:i + _BLOCK], offset=i)[1]
-    near = int(np.count_nonzero(vals >= NEAR_SINGULAR_CONTRIB))
-    if near:
-        warnings.warn(NearSingularWarning(
-            f"{near} mode(s) contribute within 1e6 of float overflow "
-            f"at h={params.h:.12g}"))
+    (row,) = _field_rows(params, [params.h], phi)
+    if isinstance(row, ExceptionalModeError):
+        raise row
+    total, near, vals = row
     phi.flags.writeable = vals.flags.writeable = False
-    return QfiRecord(total=exact_sum(vals), params=params,
-                     flag_near_singular=near > 0, phi=phi, values=vals)
+    return QfiRecord(total, params, near, phi, vals)
 
 
 def asymptotic_qfi(params: ChainParams, regime: str) -> float:

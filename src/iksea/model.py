@@ -112,11 +112,11 @@ def momentum_grid(n_sites: int) -> np.ndarray:
     return np.arange(1, n_sites, 2) * np.pi / n_sites
 
 
-def _elements(params: ChainParams, phi):
-    """(sin phi, g, eps_sq) at angle(s) phi."""
+def _elements(params: ChainParams, phi, h=None):
+    """(sin phi, g, eps_sq) at angle(s) phi, and at the field(s) h if given."""
     phi = np.asarray(phi, dtype=float)
     s = np.sin(phi)
-    g = params.h + np.cos(phi)
+    g = (params.h if h is None else h) + np.cos(phi)
     eps_sq = g * g + (params.k_ksea**2 - params.gamma**2) * s * s
     return s, g, eps_sq
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     CalibrationError,
@@ -374,6 +373,7 @@ def block_fd_qfi(params: ChainParams, phi: float) -> float:
 
 def _evolved_dense_state(params: ChainParams, t: float, scale_cal: float,
                          corrupt: float = 1.0) -> np.ndarray:
+    import scipy.linalg as sla      # 0.2 s and 20 MB that only this needs
     dense = dense_hamiltonian(params, scale=corrupt)
     dim = dense.shape[0]
     psi = np.zeros(dim, dtype=complex)
@@ -386,8 +386,8 @@ def dense_evolution_qfi(params: ChainParams, t: float,
                         corrupt: float = 1.0) -> float:
     """Central-difference QFI, step 1e-5 in h, of the evolved all-down state.
 
-    Uses scipy's expm on the full (capped at N <= 12) Hamiltonian; the
-    calibrated energy scale maps dense time to block time.
+    scipy.linalg, imported at the first call, exponentiates the full (N <= 12)
+    Hamiltonian; the calibrated energy scale maps dense time to block time.
     """
     if params.n_sites > EVOLUTION_CAP:
         raise CapacityError(

@@ -7,6 +7,7 @@ import os
 import platform
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -887,6 +888,50 @@ def test_oracle_check_bad_sizes_or_points_is_config_error(tmp_path, capsys,
     assert captured.err.startswith(f"config error: [oracle] {bad.split()[0]} ")
     assert "all checks passed" not in captured.out
     assert not (out / "oracle_check_report.json").exists()
+
+
+@pytest.mark.parametrize("keys, message", [
+    ("n_values = 8 11\nh_values = 0.5 nan", "h must be finite, got nan"),
+    ("n_values = 7 8\nh_values = 0.5 nan",
+     "n_sites must be an even integer >= 2, got 7"),
+    ("n_values = 8 10 11\nh_values = 0.5 0.7",
+     "n_sites must be an even integer >= 2, got 11")])
+def test_ground_qfi_grid_reports_its_first_bad_pair(tmp_path, capsys, keys,
+                                                     message):
+    # each N and each h is checked once, with the error of the first bad
+    # (N, h) pair in grid order, before any point runs
+    cfg_path = write_cfg(tmp_path / "run.cfg", BAD_POINT_CFG.format(
+        command="ground-qfi", section="grid", keys=keys))
+    out = tmp_path / "out"
+    assert main(["ground-qfi", "--config", cfg_path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: invalid [model] parameters: {message}\n"
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("scale, code", [
+    ("1.0", 0), ("1.01", 4), ("1e150", 4), ("-1e150", 4),
+    ("1e300", 2), ("-1e300", 2), ("1.1e150", 2)])
+def test_oracle_check_corrupt_scale_ends_in_a_contracted_outcome(
+        tmp_path, capsys, scale, code):
+    # a scale whose square overflows is refused before any work; below that
+    # bound a corruption fails the suite (exit 4), with no numpy warning
+    cfg_path = write_cfg(tmp_path / "run.cfg", ORACLE_CFG.replace(
+        "points = 3", "points = 1") + f"corrupt_scale = {scale}\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["oracle-check", "--config", cfg_path,
+                     "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err == (f"config error: [oracle] corrupt_scale must be finite "
+                       f"with magnitude <= 1e150, got {float(scale)!r}\n")
+        assert not out.exists() or not os.listdir(out)
+    else:
+        assert err == ""
+        report = json.loads((out / "oracle_check_report.json").read_text())
+        assert report["ok"] is (code == 0)
 
 
 # ------------------------------------------------------------ phase/workers

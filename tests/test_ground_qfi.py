@@ -447,3 +447,108 @@ def test_exceptional_bound_is_attained_and_keeps_the_verdict(
             kernel_qfi(p, phi)
     else:
         kernel_qfi(p, phi)
+
+
+def _per_point(params, hs):
+    """ground_qfi at each field of hs: (total, flag) or the error it raises."""
+    out = []
+    for h in hs:
+        try:
+            rec = ground_qfi(params.replace(h=h))
+            out.append((rec.total, rec.flag_near_singular))
+        except ExceptionalModeError as exc:
+            out.append(exc)
+    return out
+
+
+def _assert_rows_equal_per_point(params, hs):
+    rows = iksea.ground._field_rows(params, hs)
+    points = _per_point(params, hs)
+    assert len(rows) == len(points) == len(hs)
+    for h, row, point in zip(hs, rows, points):
+        if isinstance(point, ExceptionalModeError):
+            assert type(row) is type(point), h
+            assert (str(row), row.mode_index) == (str(point), point.mode_index)
+            continue
+        total, flag, values = row
+        assert np.float64(total).view(np.int64) == \
+            np.float64(point[0]).view(np.int64), h
+        assert flag is point[1]
+        whole = ground_qfi(params.replace(h=h)).values
+        assert (values.view(np.int64) == whole.view(np.int64)).all()
+    return rows
+
+
+@pytest.mark.parametrize("gamma, k", [
+    (0.5, 0.2),     # K < gamma: broken below h_e, unbroken above
+    (0.2, 0.5),     # K > gamma: unbroken everywhere
+    (0.4, 0.4),     # gamma = K: eigenvector fallback where the form is 0/0
+])
+@pytest.mark.parametrize("n", [4, 8, 64, 2 * 2730])
+def test_field_rows_equal_per_point_calls(gamma, k, n):
+    # unbroken, broken and mixed-phase fields in one grid, both signs of h;
+    # at N = 5460 the kernel takes three rows per block
+    hs = [-1.7, -0.93, -0.5, -0.2, 0.0, 0.13, 0.5, 0.77, 0.999, 1.0, 1.08,
+          1.3, 2.4]
+    p = ChainParams(h=1.0, gamma=gamma, k_ksea=k, n_sites=n)
+    rows = _assert_rows_equal_per_point(p, hs)
+    if gamma == k and n > 4:
+        g = block_elements(p.replace(h=-0.5), momentum_grid(n))[0]
+        assert (g < 0).any() and not isinstance(rows[2], Exception)
+
+
+def test_field_rows_run_many_row_blocks():
+    # 5000 fields at N = 8 make three row blocks of up to _BLOCK // 4 rows
+    hs = list(np.linspace(-2.0, 2.0, 5000))
+    p = ChainParams(h=1.0, gamma=0.5, k_ksea=0.2, n_sites=8)
+    assert len(hs) > 2 * (B // 4)
+    _assert_rows_equal_per_point(p, hs)
+
+
+@pytest.mark.parametrize("n, mode", [(12, 5), (20, 8)])
+def test_exceptional_field_mid_grid_fails_alone(n, mode):
+    # h = h_e = sqrt(2) at gamma = 1, K = 0 puts the tangency angle 3 pi/4 on
+    # a grid mode; -sqrt(2) puts it at pi/4
+    hs = [0.3, 1.2, math.sqrt(2.0), 1.5, -math.sqrt(2.0), 2.0]
+    p = ChainParams(h=1.0, gamma=1.0, k_ksea=0.0, n_sites=n)
+    rows = _assert_rows_equal_per_point(p, hs)
+    assert [isinstance(r, ExceptionalModeError) for r in rows] == \
+        [False, False, True, False, True, False]
+    assert rows[2].mode_index == mode
+    assert rows[4].mode_index == n // 2 + 1 - mode
+
+
+def test_exceptional_field_in_a_wide_row_keeps_its_global_index():
+    # mode 8195 of N = 21852 lies in the row's second block of _BLOCK modes
+    hs = [1.2, math.sqrt(2.0), 0.5]
+    p = ChainParams(h=1.0, gamma=1.0, k_ksea=0.0, n_sites=21852)
+    rows = _assert_rows_equal_per_point(p, hs)
+    assert rows[1].mode_index == 8195
+
+
+@pytest.mark.parametrize("half", [B - 1, B, B + 1])
+def test_field_rows_at_the_block_edges(half):
+    hs = [0.3, 0.5, 1.0, 1.7]
+    _assert_rows_equal_per_point(
+        ChainParams(h=1.0, gamma=0.5, k_ksea=0.2, n_sites=2 * half), hs)
+
+
+def test_near_singular_rows_warn_once_per_field(monkeypatch):
+    hs = [0.2, 0.5, 1.5, 0.8]
+    p = ChainParams(h=1.0, gamma=0.5, k_ksea=0.2, n_sites=64)
+    threshold = float(np.median(ground_qfi(p.replace(h=0.5)).values))
+    monkeypatch.setattr(iksea.ground, "NEAR_SINGULAR_CONTRIB", threshold)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = iksea.ground._field_rows(p, hs)
+    counts = [int(np.count_nonzero(values >= threshold)) for _, _, values in rows]
+    flagged = [(c, h) for c, h in zip(counts, hs) if c]
+    assert 0 < len(flagged) < len(hs)
+    assert [type(w.message) for w in caught] == [NearSingularWarning] * len(flagged)
+    assert [str(w.message) for w in caught] == [
+        f"{c} mode(s) contribute within 1e6 of float overflow at h={h:.12g}"
+        for c, h in flagged]
+    assert [flag for _, flag, _ in rows] == [c > 0 for c in counts]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NearSingularWarning)
+        _assert_rows_equal_per_point(p, hs)

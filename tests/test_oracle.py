@@ -155,6 +155,26 @@ def test_cli_import_leaves_scipy_optimize_out():
     assert run.returncode == 0, run.stderr
 
 
+def test_cli_import_leaves_scipy_linalg_out(tmp_path):
+    # scipy.linalg loads only when oracle-check evolves a dense state
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\ncommand = oracle-check\n[oracle]\nsizes = 4\n"
+                   "points = 1\ninclude_dynamics = true\n")
+    code = ("import sys, iksea.cli; "
+            "assert 'iksea.oracle' in sys.modules; "
+            "assert not [m for m in sys.modules if m.startswith('scipy.linalg')]; "
+            f"rc = iksea.cli.main(['oracle-check', '--config', {str(cfg)!r}, "
+            f"'--out', {str(tmp_path)!r}]); "
+            "assert rc == 0, rc; "
+            "assert 'scipy.linalg' in sys.modules")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(iksea.__file__)))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert "all checks passed" in run.stdout
+
+
 def _eig_then(monkeypatch, spoil):
     """Make np.linalg.eig return its result passed through spoil."""
     eig = np.linalg.eig
