@@ -341,7 +341,8 @@ def cmd_oracle_check(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
         manifest.task(row["quantity"], "ok" if row["pass"] else "failed",
                       row["detail"])
         mark = "pass" if row["pass"] else "FAIL"
-        print(f"[{mark}] {row['quantity']}: rel_err={row['rel_err']:.3e}")
+        rel = np.nan if row["rel_err"] is None else row["rel_err"]
+        print(f"[{mark}] {row['quantity']}: rel_err={rel:.3e}")
     print(f"oracle-check: {'all checks passed' if report['ok'] else 'FAILED'}")
     return 0 if report["ok"] else 4
 

@@ -32,7 +32,8 @@ row blocks of (time, mode) pairs; dynamical_qfi is its one-time view (the
 kernel has no finite differences; propagator_derivative's mode="fd" checks
 it).  Each operation rounds as the 2x2 complex matrix route (block_propagator,
 propagator_derivative, np.vdot) does, which keeps the totals bit for bit
-equal to that route's: cos, sin and powers come from numpy, whose float64
+equal to that route's, except that a mode with a_minus = 0 (gamma = K) is
+exactly 0 where that route leaves round-off: cos, sin and powers come from numpy, whose float64
 loops give the C math library's values (a test pins this), while cosh and
 sinh, which numpy rounds differently, go through math.  Totals are exactly
 rounded sums, equal to math.fsum, in ascending mode order (model.exact_sum;
@@ -237,7 +238,9 @@ def _columns(params: ChainParams, phi: np.ndarray, t, rescale: bool,
 def _mode_values(params: ChainParams, elements, phi, t) -> np.ndarray:
     """Per-mode QFI (the Gram form), one row per time in the column t.
 
-    elements is block_elements(params, phi).
+    elements is block_elements(params, phi).  Where a_minus = 0 the value is
+    exactly 0: |0> is then an eigenvector of the block, and the Gram form
+    would only leave round-off of either sign.
     """
     (vr, vi, vi1), (g, am, c1, c2, tc1) = _columns(params, phi, t, True,
                                                    elements)
@@ -250,7 +253,7 @@ def _mode_values(params: ChainParams, elements, phi, t) -> np.ndarray:
     ww = wr * wr + _fma(wi1, wi1, wi * wi, sw, sw)
     vw2 = _pow2(np.hypot(vr * wr + _fma(vi1, wi1, vi * wi, sv, sw),
                          vr * wi - vi * wr))
-    return 4.0 * (ww / n2 - vw2 / (n2 * n2))
+    return np.where(am == 0.0, 0.0, 4.0 * (ww / n2 - vw2 / (n2 * n2)))
 
 
 def _qfi_totals(params: ChainParams, times) -> list:
@@ -294,7 +297,8 @@ def dynamical_qfi(params: ChainParams, t: float) -> float:
     """Total dynamical QFI of the evolved (normalised) state at time t.
 
     The one-time view of qfi_time_series, equal to the 2x2 matrix route
-    (block_propagator, propagator_derivative, np.vdot) to the last bit.
+    (block_propagator, propagator_derivative, np.vdot) to the last bit, but
+    for modes with a_minus = 0 (gamma = K), which are exactly 0.
     Per-mode contributions in [-1e-10, 0) are clamped to zero (round-off);
     anything more negative raises NumericalConsistencyError.  A non-finite
     t raises ParameterError.

@@ -934,6 +934,34 @@ def test_oracle_check_corrupt_scale_ends_in_a_contracted_outcome(
         assert report["ok"] is (code == 0)
 
 
+def test_oracle_check_overflowing_dense_evolution_fails_quietly(tmp_path,
+                                                                capsys):
+    # corrupt_scale = 1000 overflows exp(-iHt) of the non-Hermitian dense
+    # Hamiltonian: its rows fail (exit 4) with no numpy warning, and the NaN
+    # the overflow leaves is written as null, which strict parsers accept
+    cfg_path = write_cfg(tmp_path / "run.cfg", ORACLE_CFG.replace(
+        "points = 3", "points = 1").replace(
+        "include_dynamics = false", "include_dynamics = true")
+        + "corrupt_scale = 1000\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["oracle-check", "--config", cfg_path,
+                     "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == ""
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    report = json.loads((out / "oracle_check_report.json").read_text(),
+                        parse_constant=refuse)
+    nulls = [r for r in report["rows"] if r["rel_err"] is None]
+    assert nulls and all(r["oracle"] is None and not r["pass"] for r in nulls)
+    for r in nulls:
+        assert f"[FAIL] {r['quantity']}: rel_err=nan\n" in captured.out
+
+
 # ------------------------------------------------------------ phase/workers
 
 

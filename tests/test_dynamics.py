@@ -26,6 +26,7 @@ from iksea.model import (
 
 BROKEN = ChainParams(h=0.5, gamma=0.5, k_ksea=0.2, n_sites=8)
 UNBROKEN = ChainParams(h=1.5, gamma=0.5, k_ksea=0.2, n_sites=8)
+GAMMA_IS_K = ChainParams(h=0.5, gamma=0.5, k_ksea=0.5, n_sites=64)
 
 
 def _broken_phi(params):
@@ -538,20 +539,31 @@ def test_failing_time_mid_series_leaves_other_rows_unchanged():
     cases = [
         (BROKEN, [1.0, 2.0, t_bad, 3.0, 4.0]),
         (UNBROKEN, [1.0, 1e200, 2.0, 1e150, 3.0]),
-        # gamma = K: round-off below the clamp floor at t = 400
-        (ChainParams(h=0.5, gamma=0.5, k_ksea=0.5, n_sites=64),
-         [1.0, 400.0, 2.0]),
+        # gamma = K: every mode is exactly 0 (once round-off below the clamp
+        # floor failed t = 400); an overflowing time still fails its row
+        (GAMMA_IS_K, [1.0, 400.0, 2.0, 1e200]),
     ]
     for p, times in cases:
         got = _qfi_totals(p, times)
         want = _per_time(p, times)
         _assert_same_rows(got, want)
+        if p is GAMMA_IS_K:
+            assert got[:3] == [0.0, 0.0, 0.0]
         assert [isinstance(g, Exception) for g in got] == \
             [isinstance(w, Exception) for w in want]
         assert sum(isinstance(g, Exception) for g in got) >= 1
         first = next(g for g in got if isinstance(g, Exception))
         with pytest.raises(type(first), match=re.escape(str(first))):
             qfi_time_series(p, times)
+
+
+def test_gamma_equal_k_series_is_zero_at_every_time():
+    # a_minus = 0 makes |0> an eigenvector of every block: the evolved state
+    # does not depend on h, so the QFI is exactly 0, not Gram-form round-off
+    times = np.concatenate([[0.0, -3.0, 1e-5], np.geomspace(0.1, 1e6, 60)])
+    for p in (GAMMA_IS_K, GAMMA_IS_K.replace(h=1.3, n_sites=4096),
+              GAMMA_IS_K.replace(h=-0.8, n_sites=8)):
+        assert qfi_time_series(p, times).values.tolist() == [0.0] * times.size
 
 
 def test_overflowing_oscillating_time_is_an_overflow_error():

@@ -341,3 +341,20 @@ def test_oracle_suite_catches_corruption():
     failed = [r["quantity"] for r in report["rows"] if not r["pass"]]
     assert any(q.startswith("even-sector spectrum") for q in failed)
     assert any(q.startswith("energy-scale consistency") for q in failed)
+
+
+@pytest.mark.parametrize("scale, failing", [
+    (-1.0, {"ground_qfi"}),
+    (1.01, {"even-sector spectrum distance", "energy-scale consistency"})],
+    ids=["negated", "scaled"])
+def test_oracle_suite_rows_catch_their_corruption(scale, failing):
+    # -H has the spectrum of H (the even sector's is symmetric), so only the
+    # ground rows, whose states come from the other end of it, see the sign;
+    # a 1 % scale keeps every eigenvector and moves only the spectrum
+    report = run_oracle_suite(sizes=(4, 6), n_points=6, seed=1,
+                              include_dynamics=False, corrupt_scale=scale)
+    kinds = [r["quantity"].split(" (")[0] for r in report["rows"]]
+    assert set(kinds) == {"even-sector spectrum distance",
+                          "energy-scale consistency", "ground_qfi"}
+    assert [r["pass"] for r in report["rows"]] == \
+        [kind not in failing for kind in kinds]
