@@ -177,11 +177,6 @@ def _time_grid(cfg: RunConfig) -> List[float]:
 def cmd_dyn_qfi(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
     params = _model_params(cfg)
     times = _time_grid(cfg)
-    derivative = cfg.get_str("dynamics", "derivative", default="analytic")
-    if derivative != "analytic":
-        raise ConfigError(f"[dynamics] derivative = {derivative!r} was removed")
-    if cfg.get_str("dynamics", "fd_step", default=None) is not None:
-        raise ConfigError("[dynamics] fd_step was removed")
     phase = classify_phase(params).region
     try:
         totals = _qfi_totals(params, times)
@@ -243,8 +238,6 @@ def cmd_sweep(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
     elif variable == "kappa":
         gamma = cfg.get_float("model", "gamma")
         h = cfg.get_float("model", "h", default=1.0)
-        if cfg.get_bool("sweep", "enforce_window", default=False):
-            raise ConfigError("[sweep] enforce_window = true was removed")
         try:
             _kappa_values(values)
         except IkseaError as exc:
@@ -313,7 +306,10 @@ def cmd_fit(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
             f"line {reader.line_num} of {src!r} has too few cells") from exc
     except ValueError as exc:
         raise ConfigError(f"non-numeric data in {src!r}: {exc}") from exc
-    f = power_law_fit(xs, ys, window=window)
+    try:
+        f = power_law_fit(xs, ys, window=window)
+    except IkseaError as exc:     # the input file alone decides these
+        raise ConfigError(f"cannot fit [fit] input {src!r}: {exc}") from exc
     emit("_fit", {"input": os.path.basename(src), "x_column": x_col,
                   "y_column": y_col, **_fit_json(f)})
     manifest.task("fit", "ok")
@@ -404,7 +400,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             cfg.seed = args.seed
         if args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-        manifest = Manifest(command=cfg.command, config_text=cfg.to_text(),
+        manifest = Manifest(command=cfg.command, config_text=cfg.text,
                             seed=cfg.seed, workers=args.workers,
                             version=cfg.version)
         try:

@@ -12,15 +12,13 @@ Grammar (INI-style, parsed with the stdlib configparser):
 * section and key names are case-sensitive and lower-case by convention
 
 Every run file needs a ``[run]`` section with at least ``command``; the
-remaining sections depend on the command (see README).  Parsed configs
-round-trip losslessly through :meth:`RunConfig.to_text` (comments are not
-data and are dropped; keys, sections and their order are preserved).
+remaining sections depend on the command (see README).  A parsed config
+keeps the text it was read from, comments included, as ``RunConfig.text``.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -30,14 +28,13 @@ __all__ = ["RunConfig", "COMMANDS"]
 
 COMMANDS = ("ground-qfi", "dyn-qfi", "sweep", "fit", "oracle-check", "phase")
 
-#: the keys each section may hold ([dynamics] fd_step is read to reject it)
+#: the keys each section may hold
 _KEYS = {
     "run": "command seed version prefix",
     "model": "h gamma k_ksea n_sites",
     "grid": "n_values h_values",
     "times": "values start stop count spacing",
-    "dynamics": "derivative fd_step",
-    "sweep": "variable n_values dh_values kappa_values anchor enforce_window",
+    "sweep": "variable n_values dh_values kappa_values anchor",
     "fit": "input x_column y_column window_lo window_hi",
     "oracle": "sizes points include_dynamics corrupt_scale",
 }
@@ -102,7 +99,8 @@ class RunConfig:
     path: Optional[str] = None
     seed: int = 0
     version: str = "1"
-    prefix: str = field(default="run")
+    prefix: str = "run"
+    text: str = field(default="", repr=False)
 
     # -- construction ------------------------------------------------------
 
@@ -126,7 +124,7 @@ class RunConfig:
             raise ConfigError(
                 f"[run] command must be one of {', '.join(COMMANDS)}; "
                 f"got {command!r}")
-        cfg = cls(command=command, sections=sections, path=path)
+        cfg = cls(command=command, sections=sections, path=path, text=text)
         cfg.seed = cfg.get_int("run", "seed", default=0)
         if cfg.seed < 0:
             raise ConfigError("[run] seed must be a non-negative integer")
@@ -142,16 +140,6 @@ class RunConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
         return cls.from_text(text, path=path)
-
-    def to_text(self) -> str:
-        cp = _parser()
-        for name, kv in self.sections.items():
-            cp.add_section(name)
-            for k, v in kv.items():
-                cp.set(name, k, v)
-        buf = io.StringIO()
-        cp.write(buf)
-        return buf.getvalue()
 
     # -- typed accessors ----------------------------------------------------
 

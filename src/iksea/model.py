@@ -47,6 +47,12 @@ __all__ = [
 
 #: relative floor used when deciding a mode is numerically exceptional
 EXC_TOL = 1e-12
+#: bound B on |h|, gamma and K.  With B >= 1: |g| <= 2B, eps_sq <= 5B^2, the
+#: real-branch denominator gamma g + eps K <= (2 + sqrt 5) B^2 and the
+#: eigenvector norm A <= 22B^2, so the ground kernel's largest intermediates,
+#: eps_sq den^2 and eps_sq A^2, are below 1e4 B^6.  B = 1e50 is the largest
+#: power of ten with 1e4 B^6 (1e304) under the float maximum (1.8e308).
+PARAM_MAX = 1e50
 #: array size from which exact_sum beats math.fsum (measured crossover ~1 k)
 EXACT_SUM_CUTOVER = 1024
 #: values per block of exact_sum's array pass (its temporaries stay in L2)
@@ -57,10 +63,10 @@ _SUM_BLOCK = 2 ** 14
 class ChainParams:
     """Physical parameters of one chain.
 
-    h : transverse field (any real value; spectra depend on |h| up to a
+    h : transverse field, |h| <= PARAM_MAX (spectra depend on |h| up to a
         momentum relabelling phi -> pi - phi)
-    gamma : non-Hermitian anisotropy, >= 0
-    k_ksea : KSEA exchange strength, >= 0
+    gamma : non-Hermitian anisotropy, in [0, PARAM_MAX]
+    k_ksea : KSEA exchange strength, in [0, PARAM_MAX]
     n_sites : number of spins, even and >= 2
     """
 
@@ -76,6 +82,10 @@ class ChainParams:
             raise ParameterError(f"gamma must be finite and >= 0, got {self.gamma!r}")
         if not (np.isfinite(self.k_ksea) and self.k_ksea >= 0.0):
             raise ParameterError(f"k_ksea must be finite and >= 0, got {self.k_ksea!r}")
+        for name in ("h", "gamma", "k_ksea"):
+            if abs(getattr(self, name)) > PARAM_MAX:
+                raise ParameterError(f"|{name}| must be <= {PARAM_MAX:g}, "
+                                     f"got {getattr(self, name)!r}")
         n = self.n_sites
         if not isinstance(n, (int, np.integer)) or n < 2 or n % 2 != 0:
             raise ParameterError(f"n_sites must be an even integer >= 2, got {n!r}")

@@ -55,9 +55,7 @@ def test_config_roundtrip_and_defaults(tmp_path):
     assert cfg.seed == 3
     assert cfg.prefix == "ground_qfi"      # dashes become underscores
     assert cfg.version == "1"
-    again = RunConfig.from_text(cfg.to_text())
-    assert again.sections == cfg.sections
-    assert again.command == cfg.command and again.seed == cfg.seed
+    assert cfg.text == GROUND_CFG
     # typed accessors
     assert cfg.get_float("model", "h") == 1.2
     assert cfg.get_ints("grid", "n_values") == [8, 4]
@@ -104,7 +102,8 @@ def test_config_empty_list_is_error(tmp_path, capsys):
 
 
 def test_ground_qfi_csv_contract(tmp_path):
-    cfg_path = write_cfg(tmp_path / "run.cfg", GROUND_CFG)
+    text = "# field scan; comments stay in the manifest\n" + GROUND_CFG
+    cfg_path = write_cfg(tmp_path / "run.cfg", text)
     out = tmp_path / "out"
     assert main(["ground-qfi", "--config", cfg_path, "--out", str(out)]) == 0
 
@@ -136,6 +135,7 @@ def test_ground_qfi_csv_contract(tmp_path):
     manifest = json.loads((out / "ground_qfi_manifest.json").read_text())
     assert manifest["command"] == "ground-qfi"
     assert manifest["seed"] == 3
+    assert manifest["config"] == text         # the file as read
     assert {o["path"] for o in manifest["outputs"]} == {
         "ground_qfi.csv", "ground_qfi_summary.json"}
     for entry in manifest["outputs"]:
@@ -297,7 +297,7 @@ values = 1 800
     assert "overflow" in skipped[0]["detail"]
 
 
-def test_dyn_qfi_time_grid_spacings(tmp_path):
+def test_dyn_qfi_time_grid_spacings(tmp_path, capsys):
     txt = DYN_CFG.replace("values = 0 1 2",
                           "start = 1\nstop = 8\ncount = 4\nspacing = geometric")
     cfg_path = write_cfg(tmp_path / "run.cfg", txt)
@@ -307,28 +307,26 @@ def test_dyn_qfi_time_grid_spacings(tmp_path):
         rows = list(csv.reader(fh))
     np.testing.assert_allclose([float(r[0]) for r in rows[1:]],
                                [1.0, 2.0, 4.0, 8.0], rtol=1e-12)
-    # bad spacing name is a config error
-    bad = write_cfg(tmp_path / "bad.cfg",
-                    DYN_CFG.replace("values = 0 1 2",
-                                    "start = 1\nstop = 8\ncount = 4\n"
-                                    "spacing = sqrt"))
-    assert main(["dyn-qfi", "--config", bad, "--out", str(out)]) == 2
-
-
-@pytest.mark.parametrize("derivative", ["fd", "complex-step"])
-def test_dyn_qfi_derivative_other_than_analytic_is_config_error(
-        tmp_path, capsys, derivative):
-    # an old fd config must not quietly get the analytic computation
-    cfg_path = write_cfg(tmp_path / "run.cfg", DYN_CFG + (
-        f"\n[dynamics]\nderivative = {derivative}\nfd_step = 1e-6\n"))
-    out = tmp_path / "out"
-    assert main(["dyn-qfi", "--config", cfg_path, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        f"config error: [dynamics] derivative = {derivative!r} was removed\n")
-    assert os.listdir(out) == []
-    ok = write_cfg(tmp_path / "ok.cfg",
-                   DYN_CFG + "\n[dynamics]\nderivative = analytic\n")
-    assert main(["dyn-qfi", "--config", ok, "--out", str(out)]) == 0
+    linear = write_cfg(tmp_path / "linear.cfg", DYN_CFG.replace(
+        "values = 0 1 2", "start = 0\nstop = 3\ncount = 4\nspacing = linear"))
+    assert main(["dyn-qfi", "--config", linear, "--out", str(out)]) == 0
+    with open(out / "dyn_qfi.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [float(r[0]) for r in rows[1:]] == [0.0, 1.0, 2.0, 3.0]
+    # a grid the [times] keys do not define is a config error
+    for times, message in [
+            ("start = 1\nstop = 8\ncount = 4\nspacing = sqrt",
+             "[times] spacing must be linear|geometric, got 'sqrt'"),
+            ("start = 1\nstop = 8",
+             "[times] needs either 'values' or 'start'/'stop'/'count'"),
+            ("start = 1\nstop = 8\ncount = 0", "[times] count must be >= 1"),
+            ("start = 0\nstop = 8\ncount = 4\nspacing = geometric",
+             "[times] geometric spacing needs start, stop > 0")]:
+        bad = write_cfg(tmp_path / "bad.cfg",
+                        DYN_CFG.replace("values = 0 1 2", times))
+        assert main(["dyn-qfi", "--config", bad, "--out", str(tmp_path / "bad")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert os.listdir(tmp_path / "bad") == []
 
 
 def test_dyn_qfi_overflowing_oscillating_time_is_skipped(tmp_path):
@@ -532,19 +530,13 @@ n_sites = 8
      "variable = kappa\nkappa_values = 0 1e-3\nn_values = 8 16 32",
      "[sweep] kappa values must be > 0 (kappa = 0 is the exceptional line), "
      "got [0.0, 0.001]"),
-    ("sweep", "sweep", "variable = kappa\nkappa_values = 1e-3\n"
-     "n_values = 8 16 32\nenforce_window = true",
-     "[sweep] enforce_window = true was removed"),
     ("sweep", "sweep", "variable = dh\ndh_values = 0.1\nn_values = 8 16",
      "[sweep] n_values needs at least 3 sizes to fit mu for each dh value"),
     ("sweep", "sweep", "variable = kappa\nkappa_values = 1e-3\nn_values = 8",
      "[sweep] n_values needs at least 3 sizes to fit mu for each kappa value"),
-    ("dyn-qfi", "dynamics", "derivative = analytic\nfd_step = 1e-6\n\n"
-     "[times]\nvalues = 1",
-     "[dynamics] fd_step was removed"),
 ], ids=["grid-odd-n", "grid-nan-h", "sweep-odd-n", "sweep-nan-dh",
-        "sweep-unknown-anchor", "sweep-zero-kappa", "sweep-enforce-window",
-        "sweep-dh-two-sizes", "sweep-kappa-one-size", "dyn-fd-step"])
+        "sweep-unknown-anchor", "sweep-zero-kappa", "sweep-dh-two-sizes",
+        "sweep-kappa-one-size"])
 def test_bad_point_values_are_config_errors(tmp_path, capsys, command,
                                             section, keys, message):
     # caught before any point runs: exit 2 and no data file, where these
@@ -796,6 +788,42 @@ window_hi = {hi}
     assert not (tmp_path / "fit_fit.json").exists()
 
 
+@pytest.mark.parametrize("data, window, message", [
+    ("N,qfi_total\n", "",
+     "cannot fit [fit] input {src!r}: need at least 3 points inside the fit "
+     "window, got 0"),
+    ("N,qfi_total\n8,1.0\n16,0.0\n32,9.0\n", "",
+     "cannot fit [fit] input {src!r}: power-law fits need strictly positive "
+     "xs and ys"),
+    ("N,qfi_total\n8,1.0\n16,4.0\n32,9.0\n", "window_lo = 8\nwindow_hi = 16\n",
+     "cannot fit [fit] input {src!r}: need at least 3 points inside the fit "
+     "window, got 2"),
+    ("N,qfi_total\n8,1.0\n16,x\n32,9.0\n", "",
+     "non-numeric data in {src!r}: could not convert string to float: 'x'"),
+    ("N,qfi_total\n8,1.0\n16,4.0\n32,9.0\n", "window_lo = 8\n",
+     "[fit] window_lo and window_hi come as a pair"),
+], ids=["header-only", "zero-value", "two-in-window", "non-numeric",
+        "lo-without-hi"])
+def test_fit_input_that_decides_no_fit_is_config_error(tmp_path, capsys, data,
+                                                       window, message):
+    # the input file and the [fit] keys alone decide these: exit 2, no file
+    (tmp_path / "d.csv").write_text(data, encoding="utf-8")
+    cfg_path = write_cfg(tmp_path / "fit.cfg", """\
+[run]
+command = fit
+
+[fit]
+input = d.csv
+x_column = N
+y_column = qfi_total
+""" + window)
+    out = tmp_path / "out"
+    assert main(["fit", "--config", cfg_path, "--out", str(out)]) == 2
+    src = str(tmp_path / "d.csv")
+    assert capsys.readouterr().err == f"config error: {message.format(src=src)}\n"
+    assert os.listdir(out) == []
+
+
 def test_fit_missing_column_names_the_columns(tmp_path, capsys):
     # the column check raises ConfigError, itself a ValueError, inside the
     # try that turns a bad number into "non-numeric data"
@@ -855,7 +883,7 @@ def test_oracle_check_detects_corruption(tmp_path, capsys):
     assert any("spectrum" in q for q in failed)
 
 
-def test_oracle_check_seed_override(tmp_path):
+def test_oracle_check_seed_override(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path / "run.cfg", ORACLE_CFG)
     out = tmp_path / "out"
     assert main(["oracle-check", "--config", cfg_path, "--out", str(out),
@@ -864,6 +892,11 @@ def test_oracle_check_seed_override(tmp_path):
     assert report["seed"] == 5
     manifest = json.loads((out / "oracle_check_manifest.json").read_text())
     assert manifest["seed"] == 5
+    capsys.readouterr()
+    assert main(["oracle-check", "--config", cfg_path, "--out", str(tmp_path / "neg"),
+                 "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "config error: --seed must be non-negative\n"
+    assert not (tmp_path / "neg").exists()
 
 
 def test_oracle_check_caps_sizes(tmp_path):
@@ -878,7 +911,8 @@ def test_oracle_check_caps_sizes(tmp_path):
     ("points = 3", "points = -3"),
     ("include_dynamics = false", "corrupt_scale = nan"),
     ("include_dynamics = false", "corrupt_scale = inf"),
-    ("include_dynamics = false", "corrupt_scale = -inf")])
+    ("include_dynamics = false", "corrupt_scale = -inf"),
+    ("include_dynamics = false", "include_dynamics = maybe")])
 def test_oracle_check_bad_sizes_or_points_is_config_error(tmp_path, capsys,
                                                           line, bad):
     cfg_path = write_cfg(tmp_path / "run.cfg", ORACLE_CFG.replace(line, bad))
@@ -906,6 +940,25 @@ def test_ground_qfi_grid_reports_its_first_bad_pair(tmp_path, capsys, keys,
     assert main(["ground-qfi", "--config", cfg_path, "--out", str(out)]) == 2
     assert capsys.readouterr().err == \
         f"config error: invalid [model] parameters: {message}\n"
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("gamma = 0.5", "gamma = 1e200", "|gamma| must be <= 1e+50, got 1e+200"),
+    ("h_values = 1.2 0.4", "h_values = 1.2 1e200", "|h| must be <= 1e+50, got 1e+200"),
+    ("h_values = 1.2 0.4", "h_values = 1e100", "|h| must be <= 1e+50, got 1e+100")])
+def test_parameters_beyond_the_kernel_bound_are_config_errors(tmp_path, capsys,
+                                                              old, new, message):
+    # these used to end in an OverflowError traceback, a false defective
+    # mode (exit 3) or a numpy overflow warning
+    cfg_path = write_cfg(tmp_path / "run.cfg", GROUND_CFG.replace(old, new))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["ground-qfi", "--config", cfg_path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: invalid [model] parameters: {message}\n"
+    assert captured.out == ""
     assert os.listdir(out) == []
 
 
@@ -1058,7 +1111,16 @@ REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
      "[gird] n_values is not a known key"),
     ("ground-qfi", GROUND_CFG.replace("seed = 3", "seed = 3\nworkers = 2"),
      "[run] workers is not a known key"),
-], ids=["misspelt-anchor", "unknown-section", "unknown-run-key"])
+    ("dyn-qfi", DYN_CFG + "\n[dynamics]\nderivative = analytic\n",
+     "[dynamics] derivative is not a known key"),
+    ("dyn-qfi", DYN_CFG + "\n[dynamics]\nfd_step = 1e-6\n",
+     "[dynamics] fd_step is not a known key"),
+    ("sweep", BAD_POINT_CFG.format(
+        command="sweep", section="sweep", keys="variable = kappa\n"
+        "kappa_values = 1e-3\nn_values = 8 16 32\nenforce_window = false"),
+     "[sweep] enforce_window is not a known key"),
+], ids=["misspelt-anchor", "unknown-section", "unknown-run-key",
+        "retired-derivative", "retired-fd-step", "retired-enforce-window"])
 def test_unknown_key_is_config_error(tmp_path, capsys, command, text, message):
     # a misspelt key must not run on the default of the key it meant
     with pytest.raises(ConfigError, match=re.escape(message)):

@@ -340,9 +340,32 @@ def test_asymptotic_qfi_domain_errors():
         # the leading term: pi/N = 0.0157 < 10 theta* = 0.02
         asymptotic_qfi(ChainParams(h=1.0, gamma=0.5, k_ksea=0.5 + 1e-6,
                                    n_sites=200), "near_degenerate")
+    with pytest.raises(DomainError, match="near_degenerate regime requires h = 1"):
+        asymptotic_qfi(ChainParams(h=1.1, gamma=0.5, k_ksea=0.5 + 1e-6,
+                                   n_sites=200), "near_degenerate")
     with pytest.raises(ParameterError):
         asymptotic_qfi(ChainParams(h=1.0, gamma=0.5, k_ksea=0.2, n_sites=100),
                        "no_such_regime")
+
+
+M = iksea.model.PARAM_MAX
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_ground_qfi_is_clean_up_to_the_parameter_bound(n):
+    # every |h|, gamma, K <= PARAM_MAX gives a finite total >= 0 or a
+    # contracted error, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for h in (1.0, 0.3, M, -M):
+            for gam in (0.5, M):
+                for k in (0.2, M, M * (1 - 1e-15)):
+                    try:
+                        total = ground_qfi(ChainParams(h=h, gamma=gam, k_ksea=k,
+                                                       n_sites=n)).total
+                    except ExceptionalModeError:
+                        continue
+                    assert 0.0 <= total < math.inf
 
 
 B = iksea.ground._BLOCK

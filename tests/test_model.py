@@ -6,6 +6,7 @@ from scipy.optimize import brentq, minimize_scalar
 
 from iksea.errors import ParameterError
 from iksea.model import (
+    PARAM_MAX,
     ChainParams,
     block_elements,
     block_matrix,
@@ -55,6 +56,11 @@ def test_params_validation():
         ChainParams(h=1.0, gamma=0.5, k_ksea=0.2, n_sites=7)
     with pytest.raises(ParameterError):
         ChainParams(h=1.0, gamma=0.5, k_ksea=0.2, n_sites=4.0)
+    # |h|, gamma and K above PARAM_MAX would overflow the kernels
+    for bad in ({"h": -1.01e50}, {"gamma": 1e51}, {"k_ksea": 1e50 * (1 + 1e-15)}):
+        with pytest.raises(ParameterError, match=r"must be <= 1e\+50"):
+            ChainParams(**{"h": 1.0, "gamma": 0.5, "k_ksea": 0.2, "n_sites": 4, **bad})
+    ChainParams(h=-PARAM_MAX, gamma=PARAM_MAX, k_ksea=PARAM_MAX, n_sites=4)
     # replace() keeps the other fields and re-validates
     p = ChainParams(h=1.0, gamma=0.5, k_ksea=0.2, n_sites=4)
     q = p.replace(n_sites=8)
