@@ -45,7 +45,6 @@ from .ground import (
     asymptotic_qfi,
 )
 from .dynamics import (
-    DynQfiSeries,
     block_propagator,
     propagator_derivative,
     dynamical_qfi,

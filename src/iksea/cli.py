@@ -33,7 +33,7 @@ from .dynamics import _qfi_totals
 from .errors import ConfigError, EvolutionOverflowError, IkseaError, ParameterError
 from .ground import _field_rows, ground_qfi
 from .model import ChainParams, classify_phase
-from .oracle import DENSE_CAP, run_oracle_suite
+from .oracle import run_oracle_suite
 from .runner import Manifest, run_grid
 from .scaling import ScalingFit, _kappa_values, _resolve_anchor, power_law_fit
 
@@ -214,11 +214,11 @@ def cmd_sweep(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
     lo, hi = window or (0, np.inf)
     fits, values, given = {"variable": variable}, [None], lambda x: {}
     if variable == "n_sites":
-        if window and sum(lo <= n <= hi for n in ns) < 3:
+        if window and len({n for n in ns if lo <= n <= hi}) < 3:
             raise ConfigError(f"[fit] window_lo..window_hi holds fewer than 3 of n_values {ns}")
     elif window is not None:
         raise ConfigError("[fit] window_lo/window_hi apply to n_sites sweeps only")
-    elif len(ns) < 3:
+    elif len(set(ns)) < 3:
         raise ConfigError(f"[sweep] n_values needs at least 3 sizes to fit "
                           f"mu for each {variable} value")
     else:
@@ -255,7 +255,7 @@ def cmd_sweep(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
     if variable == "n_sites":
         emit("", [[p.n_sites, total] for (_, p), total in done], ["N", "qfi_total"])
         inside = [(p.n_sites, total) for (_, p), total in done if lo <= p.n_sites <= hi]
-        fits["fit"] = None if len(inside) < 3 else _fit_json(
+        fits["fit"] = None if len({n for n, _ in inside}) < 3 else _fit_json(
             power_law_fit(*zip(*inside), window=window))
     else:
         # a value's sizes are the len(ns) points at its position in the list,
@@ -317,21 +317,14 @@ def cmd_fit(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
 
 
 def cmd_oracle_check(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
-    sizes = cfg.get_ints("oracle", "sizes", default=[4, 6, 8])
-    n_points = cfg.get_int("oracle", "points", default=20)
-    include_dynamics = cfg.get_bool("oracle", "include_dynamics", default=True)
-    corrupt_scale = cfg.get_float("oracle", "corrupt_scale", default=1.0)
-    if any(n % 2 or not 2 <= n <= DENSE_CAP for n in sizes):
-        raise ConfigError(f"[oracle] sizes must be even integers in [2, {DENSE_CAP}] "
-                          f"(dense capacity), got {sizes}")
-    if n_points < 0:
-        raise ConfigError(f"[oracle] points must be >= 0, got {n_points}")
-    if not abs(corrupt_scale) <= 1e150:     # squares overflow from 1.3e154
-        raise ConfigError(f"[oracle] corrupt_scale must be finite with magnitude "
-                          f"<= 1e150, got {corrupt_scale!r}")
-    report = run_oracle_suite(sizes=tuple(sizes), n_points=n_points,
-                              seed=cfg.seed, include_dynamics=include_dynamics,
-                              corrupt_scale=corrupt_scale)
+    try:
+        report = run_oracle_suite(
+            sizes=cfg.get_ints("oracle", "sizes", default=[4, 6, 8]),
+            n_points=cfg.get_int("oracle", "points", default=20), seed=cfg.seed,
+            include_dynamics=cfg.get_bool("oracle", "include_dynamics", default=True),
+            corrupt_scale=cfg.get_float("oracle", "corrupt_scale", default=1.0))
+    except ParameterError as exc:
+        raise ConfigError(f"[oracle] {exc}") from exc
     emit("_report", report)
     for row in report["rows"]:
         manifest.task(row["quantity"], "ok" if row["pass"] else "failed",
@@ -400,9 +393,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             cfg.seed = args.seed
         if args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-        manifest = Manifest(command=cfg.command, config_text=cfg.text,
-                            seed=cfg.seed, workers=args.workers,
-                            version=cfg.version)
+        manifest = Manifest(cfg, args.workers)
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
@@ -420,10 +411,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         if not task:
             manifest.task("compute", "error", str(exc))
         print(f"compute error: {task}{exc}", file=sys.stderr)
-        manifest.write(args.out, cfg.prefix)
+        manifest.write(args.out)
         return 3
     if cfg.command != "phase":
-        manifest.write(args.out, cfg.prefix)
+        manifest.write(args.out)
     return code
 
 

@@ -8,7 +8,7 @@ Grammar (INI-style, parsed with the stdlib configparser):
 
 * values are bare strings; numbers use C locale ('.' decimal point)
 * lists are whitespace-separated and non-empty, e.g. ``n_values = 1024 2048``
-* booleans: true/false (case-insensitive), 1/0, yes/no
+* booleans: true/false, yes/no, on/off or 1/0 in any case (BOOLEAN_STATES)
 * section and key names are case-sensitive and lower-case by convention
 
 Every run file needs a ``[run]`` section with at least ``command``; the
@@ -30,7 +30,7 @@ COMMANDS = ("ground-qfi", "dyn-qfi", "sweep", "fit", "oracle-check", "phase")
 
 #: the keys each section may hold
 _KEYS = {
-    "run": "command seed version prefix",
+    "run": "command seed prefix",
     "model": "h gamma k_ksea n_sites",
     "grid": "n_values h_values",
     "times": "values start stop count spacing",
@@ -55,7 +55,7 @@ def _getter(parse, what: str):
     """Typed accessor get(section, key, default) that parses with `parse`.
 
     An absent key gives `default`, or a ConfigError when none is passed; a
-    stripped value that `parse` rejects with ValueError raises
+    stripped value that `parse` rejects with ValueError or KeyError raises
     ConfigError("[section] key = 'raw' is not <what>"), and an empty list
     raises ConfigError("[section] key is empty").
     """
@@ -68,7 +68,7 @@ def _getter(parse, what: str):
         raw = sec[key]
         try:
             value = parse(raw.strip())
-        except ValueError as exc:
+        except (KeyError, ValueError) as exc:
             raise ConfigError(f"[{section}] {key} = {raw!r} is not {what}") from exc
         if value == []:
             raise ConfigError(f"[{section}] {key} is empty")
@@ -81,15 +81,6 @@ def _list_of(parse):
     return lambda raw: [parse(tok) for tok in raw.split()]
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(raw)
-
-
 @dataclass
 class RunConfig:
     """Parsed run configuration plus typed accessors."""
@@ -98,7 +89,6 @@ class RunConfig:
     sections: Dict[str, Dict[str, str]]
     path: Optional[str] = None
     seed: int = 0
-    version: str = "1"
     prefix: str = "run"
     text: str = field(default="", repr=False)
 
@@ -128,7 +118,6 @@ class RunConfig:
         cfg.seed = cfg.get_int("run", "seed", default=0)
         if cfg.seed < 0:
             raise ConfigError("[run] seed must be a non-negative integer")
-        cfg.version = run.get("version", "1").strip()
         cfg.prefix = run.get("prefix", command.replace("-", "_")).strip()
         return cfg
 
@@ -146,6 +135,7 @@ class RunConfig:
     get_str = _getter(str, "a string")
     get_float = _getter(float, "a number")
     get_int = _getter(int, "an integer")
-    get_bool = _getter(_parse_bool, "a boolean")
+    get_bool = _getter(lambda raw: configparser.ConfigParser.BOOLEAN_STATES[raw.lower()],
+                       "a boolean")
     get_floats = _getter(_list_of(float), "a list of numbers")
     get_ints = _getter(_list_of(int), "a list of integers")

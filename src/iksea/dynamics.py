@@ -43,7 +43,6 @@ math.fsum below EXACT_SUM_CUTOVER).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +54,6 @@ from .errors import (
 from .model import ChainParams, block_elements, block_matrix, exact_sum, momentum_grid
 
 __all__ = [
-    "DynQfiSeries",
     "block_propagator",
     "propagator_derivative",
     "dynamical_qfi",
@@ -73,13 +71,6 @@ _CLAMP_FLOOR = -1e-10
 
 #: (time, mode) pairs per row block of _qfi_totals (temporaries stay in L2)
 _BLOCK = 2 ** 13
-
-
-@dataclass(frozen=True)
-class DynQfiSeries:
-    times: np.ndarray
-    values: np.ndarray
-    params: ChainParams
 
 
 def _libm(fn, x) -> np.ndarray:
@@ -303,20 +294,18 @@ def dynamical_qfi(params: ChainParams, t: float) -> float:
     anything more negative raises NumericalConsistencyError.  A non-finite
     t raises ParameterError.
     """
-    return float(qfi_time_series(params, [t]).values[0])
+    return float(qfi_time_series(params, [t])[0])
 
 
-def qfi_time_series(params: ChainParams, times) -> DynQfiSeries:
-    """Dynamical QFI on a grid of times, in one kernel call.
+def qfi_time_series(params: ChainParams, times) -> np.ndarray:
+    """Dynamical QFI at each time, as a float64 array, in one kernel call.
 
     All modes and times are evaluated at once from the closed-form columns
     v = U|0> and w = (dU/dh)|0>.  Each value is dynamical_qfi at that time,
     bit for bit; the first time that fails raises its error.
     """
-    times = np.asarray(times, dtype=float)
     vals = _qfi_totals(params, times)
     for v in vals:
         if isinstance(v, Exception):
             raise v
-    return DynQfiSeries(times=times, values=np.array(vals, dtype=float),
-                        params=params)
+    return np.array(vals, dtype=float)

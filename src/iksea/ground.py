@@ -67,7 +67,6 @@ class QfiRecord:
     """
 
     total: float
-    params: ChainParams
     flag_near_singular: bool
     phi: np.ndarray = field(repr=False, compare=False)
     values: np.ndarray = field(repr=False, compare=False)
@@ -156,7 +155,7 @@ def ground_qfi(params: ChainParams) -> QfiRecord:
         raise row
     total, near, vals = row
     phi.flags.writeable = vals.flags.writeable = False
-    return QfiRecord(total, params, near, phi, vals)
+    return QfiRecord(total, near, phi, vals)
 
 
 def asymptotic_qfi(params: ChainParams, regime: str) -> float:

@@ -23,6 +23,7 @@ pair (PT-broken modes), eps_sq = 0 an exceptional (defective) mode.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -91,9 +92,7 @@ class ChainParams:
             raise ParameterError(f"n_sites must be an even integer >= 2, got {n!r}")
 
     def replace(self, **kw) -> "ChainParams":
-        d = dict(h=self.h, gamma=self.gamma, k_ksea=self.k_ksea, n_sites=self.n_sites)
-        d.update(kw)
-        return ChainParams(**d)
+        return dataclasses.replace(self, **kw)
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from .errors import (
     CapacityError,
     ExceptionalModeError,
     LevelCrossingError,
+    ParameterError,
 )
 from .dynamics import dynamical_qfi
 from .ground import ground_qfi
@@ -423,8 +424,17 @@ def run_oracle_suite(sizes=(4, 6, 8), n_points: int = 20, seed: int = 0,
     Returns a report dict whose "rows" each carry (quantity, analytic,
     oracle, rel_err, pass), None where not finite; report["ok"] is the verdict.
     corrupt_scale (test hook, physical value 1.0) multiplies the dense
-    Hamiltonian so the suite can be shown to fail.
+    Hamiltonian so the suite can be shown to fail.  Bad sizes or n_points and
+    |corrupt_scale| > 1e150 raise ParameterError before any work.
     """
+    if not sizes or any(n % 2 or not 2 <= n <= DENSE_CAP for n in sizes):
+        raise ParameterError(f"sizes must be even integers in [2, {DENSE_CAP}] "
+                             f"(dense capacity), got {list(sizes)}")
+    if n_points < 0:
+        raise ParameterError(f"points must be >= 0, got {n_points}")
+    if not abs(corrupt_scale) <= 1e150:     # squares overflow from 1.3e154
+        raise ParameterError(f"corrupt_scale must be finite with magnitude "
+                             f"<= 1e150, got {corrupt_scale!r}")
     rng = np.random.default_rng(seed)
     rows = []
 

@@ -19,6 +19,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from .config import RunConfig
 from .errors import IkseaError
 
 __all__ = ["run_grid", "sha256_file", "Manifest"]
@@ -46,19 +47,15 @@ def sha256_file(path: str) -> str:
 class Manifest:
     """Collects run metadata and writes <prefix>_manifest.json.
 
-    The manifest is the only emitted file containing timestamps; data files
-    stay byte-reproducible across runs.  "version" is the config-format tag;
+    The command, seed, config text and prefix are read from the RunConfig
+    at write time.  The manifest is the only emitted file with timestamps;
     "package_version", "python", "numpy" and "scipy" name the software that
     ran.
     """
 
-    def __init__(self, command: str, config_text: str, seed: int,
-                 workers: int, version: str):
-        self.command = command
-        self.config_text = config_text
-        self.seed = seed
+    def __init__(self, cfg: RunConfig, workers: int):
+        self.cfg = cfg
         self.workers = workers
-        self.version = version
         self.started = datetime.datetime.now(datetime.timezone.utc).isoformat()
         self.tasks: List[dict] = []
         self.outputs: List[dict] = []
@@ -73,24 +70,22 @@ class Manifest:
             "bytes": os.path.getsize(path),
         })
 
-    def write(self, out_dir: str, prefix: str) -> str:
+    def write(self, out_dir: str) -> None:
         body = {
-            "command": self.command,
-            "version": self.version,
+            "command": self.cfg.command,
             "package_version": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
-            "seed": self.seed,
+            "seed": self.cfg.seed,
             "workers": self.workers,
             "started": self.started,
             "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            "config": self.config_text,
+            "config": self.cfg.text,
             "tasks": self.tasks,
             "outputs": self.outputs,
         }
-        path = os.path.join(out_dir, f"{prefix}_manifest.json")
+        path = os.path.join(out_dir, f"{self.cfg.prefix}_manifest.json")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(body, fh, indent=1, sort_keys=False)
             fh.write("\n")
-        return path

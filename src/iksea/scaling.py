@@ -58,7 +58,7 @@ def power_law_fit(xs, ys, window: Optional[Tuple[float, float]] = None) -> Scali
     """OLS fit of ln y against ln x, optionally restricted to xs in [lo, hi].
 
     Raises DomainError on nonpositive data and InsufficientDataError when
-    fewer than 3 points survive the window filter.
+    fewer than 3 distinct xs survive the window filter.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -74,9 +74,10 @@ def power_law_fit(xs, ys, window: Optional[Tuple[float, float]] = None) -> Scali
         xs, ys = xs[keep], ys[keep]
     else:
         lo, hi = (float(xs.min()), float(xs.max())) if xs.size else (np.nan, np.nan)
-    if xs.size < 3:
+    if np.unique(xs).size < 3:
         raise InsufficientDataError(
-            f"need at least 3 points inside the fit window, got {xs.size}")
+            f"need at least 3 points inside the fit window, got {xs.size}"
+            + (" (fewer than 3 distinct xs)" if xs.size >= 3 else ""))
     lx, ly = np.log(xs), np.log(ys)
     slope, intercept = np.polyfit(lx, ly, 1)
     pred = slope * lx + intercept

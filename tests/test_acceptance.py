@@ -191,8 +191,8 @@ def test_criterion_07_dynamical_scaling_regimes():
     size_grid = np.array([16.0, 32.0, 64.0, 128.0])
     # (a) unbroken: quadratic growth in t, linear-in-N at fixed late time
     p_a = ChainParams(h=1.5, gamma=0.5, k_ksea=0.2, n_sites=64)
-    series = qfi_time_series(p_a, np.geomspace(10.0, 100.0, 12))
-    beta_fit = power_law_fit(series.times, series.values)
+    times = np.geomspace(10.0, 100.0, 12)
+    beta_fit = power_law_fit(times, qfi_time_series(p_a, times))
     vals_a = [dynamical_qfi(p_a.replace(n_sites=int(n)), 100.0)
               for n in size_grid]
     mu_a_fit = power_law_fit(size_grid, np.asarray(vals_a))

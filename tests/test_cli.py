@@ -54,7 +54,7 @@ def test_config_roundtrip_and_defaults(tmp_path):
     assert cfg.command == "ground-qfi"
     assert cfg.seed == 3
     assert cfg.prefix == "ground_qfi"      # dashes become underscores
-    assert cfg.version == "1"
+    assert not hasattr(cfg, "version")     # [run] version is not a key
     assert cfg.text == GROUND_CFG
     # typed accessors
     assert cfg.get_float("model", "h") == 1.2
@@ -380,7 +380,7 @@ def test_run_grid_returns_values_or_errors_in_input_order():
 
 
 def test_run_points_records_each_result_and_returns_the_errors():
-    manifest = Manifest("dyn-qfi", "", 0, 1, "1")
+    manifest = Manifest(RunConfig.from_text("[run]\ncommand = dyn-qfi\n"), 1)
     over, bad = EvolutionOverflowError("too late"), DomainError("bad point")
     done, errors = _run_points(manifest, [1, 2, 3, 4, 5],
                                [1.5, over, bad, 4.5, bad],
@@ -534,9 +534,14 @@ n_sites = 8
      "[sweep] n_values needs at least 3 sizes to fit mu for each dh value"),
     ("sweep", "sweep", "variable = kappa\nkappa_values = 1e-3\nn_values = 8",
      "[sweep] n_values needs at least 3 sizes to fit mu for each kappa value"),
+    ("sweep", "sweep", "variable = dh\ndh_values = 0.3\nn_values = 64 64 64",
+     "[sweep] n_values needs at least 3 sizes to fit mu for each dh value"),
+    ("sweep", "sweep", "variable = kappa\nkappa_values = 1e-3\nn_values = 8 16 8 16",
+     "[sweep] n_values needs at least 3 sizes to fit mu for each kappa value"),
 ], ids=["grid-odd-n", "grid-nan-h", "sweep-odd-n", "sweep-nan-dh",
         "sweep-unknown-anchor", "sweep-zero-kappa", "sweep-dh-two-sizes",
-        "sweep-kappa-one-size"])
+        "sweep-kappa-one-size", "sweep-dh-one-distinct-size",
+        "sweep-kappa-two-distinct-sizes"])
 def test_bad_point_values_are_config_errors(tmp_path, capsys, command,
                                             section, keys, message):
     # caught before any point runs: exit 2 and no data file, where these
@@ -616,19 +621,27 @@ n_values = 24 4 16 12 8
                                                         "sweep_fits.json"}
 
 
-@pytest.mark.parametrize("lo, hi, message", [
-    ("600", "100", "[fit] needs finite window_lo <= window_hi, got 600.0, 100.0"),
-    ("nan", "1000", "[fit] needs finite window_lo <= window_hi, got nan, 1000.0"),
-    ("64", "inf", "[fit] needs finite window_lo <= window_hi, got 64.0, inf"),
-    ("100", "200", "[fit] window_lo..window_hi holds fewer than 3 of n_values "
-                   "[64, 128, 256, 512]"),
-], ids=["inverted", "nan", "inf", "two-sizes"])
-def test_bad_n_sites_fit_window_is_config_error(tmp_path, capsys, lo, hi,
-                                                message):
+@pytest.mark.parametrize("n_values, lo, hi, message", [
+    ("512 64 256 128", "600", "100",
+     "[fit] needs finite window_lo <= window_hi, got 600.0, 100.0"),
+    ("512 64 256 128", "nan", "1000",
+     "[fit] needs finite window_lo <= window_hi, got nan, 1000.0"),
+    ("512 64 256 128", "64", "inf",
+     "[fit] needs finite window_lo <= window_hi, got 64.0, inf"),
+    ("512 64 256 128", "100", "200",
+     "[fit] window_lo..window_hi holds fewer than 3 of n_values "
+     "[64, 128, 256, 512]"),
+    ("64 64 64 128", "64", "64",
+     "[fit] window_lo..window_hi holds fewer than 3 of n_values "
+     "[64, 64, 64, 128]"),
+], ids=["inverted", "nan", "inf", "two-sizes", "one-distinct-size"])
+def test_bad_n_sites_fit_window_is_config_error(tmp_path, capsys, n_values, lo,
+                                                hi, message):
     # found before any point runs: exit 2 and no data file, where these used
-    # to exit 3 after the sweep with sweep.csv but no sweep_fits.json
+    # to exit 3 after the sweep with sweep.csv but no sweep_fits.json; three
+    # copies of one size used to give r^2 = -2.4e270
     cfg_path = write_cfg(tmp_path / "run.cfg", SWEEP_CFG.replace(
-        "128 256 512 1024", "512 64 256 128") +
+        "128 256 512 1024", n_values) +
         f"\n[fit]\nwindow_lo = {lo}\nwindow_hi = {hi}\n")
     out = tmp_path / "out"
     assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 2
@@ -693,6 +706,18 @@ def test_sweep_n_sites_fits_only_the_points_left_in_its_window(tmp_path):
     assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 3
     with open(out / "sweep.csv", newline="") as fh:
         assert [r[0] for r in csv.reader(fh)] == ["N", "8", "16", "24"]
+    fits = json.loads((out / "sweep_fits.json").read_text())
+    assert fits == {"variable": "n_sites", "fit": None}
+
+
+def test_sweep_n_sites_fit_is_null_below_three_distinct_sizes(tmp_path):
+    # three points at two sizes: every row is written, but no exponent
+    cfg_path = write_cfg(tmp_path / "run.cfg", SWEEP_CFG.replace(
+        "128 256 512 1024", "256 128 128"))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 0
+    with open(out / "sweep.csv", newline="") as fh:
+        assert [r[0] for r in csv.reader(fh)] == ["N", "128", "128", "256"]
     fits = json.loads((out / "sweep_fits.json").read_text())
     assert fits == {"variable": "n_sites", "fit": None}
 
@@ -802,8 +827,11 @@ window_hi = {hi}
      "non-numeric data in {src!r}: could not convert string to float: 'x'"),
     ("N,qfi_total\n8,1.0\n16,4.0\n32,9.0\n", "window_lo = 8\n",
      "[fit] window_lo and window_hi come as a pair"),
+    ("N,qfi_total\n8,1.0\n8,1.5\n16,4.0\n", "",
+     "cannot fit [fit] input {src!r}: need at least 3 points inside the fit "
+     "window, got 3 (fewer than 3 distinct xs)"),
 ], ids=["header-only", "zero-value", "two-in-window", "non-numeric",
-        "lo-without-hi"])
+        "lo-without-hi", "two-distinct-xs"])
 def test_fit_input_that_decides_no_fit_is_config_error(tmp_path, capsys, data,
                                                        window, message):
     # the input file and the [fit] keys alone decide these: exit 2, no file
@@ -1119,8 +1147,11 @@ REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
         command="sweep", section="sweep", keys="variable = kappa\n"
         "kappa_values = 1e-3\nn_values = 8 16 32\nenforce_window = false"),
      "[sweep] enforce_window is not a known key"),
+    ("ground-qfi", GROUND_CFG.replace("seed = 3", "seed = 3\nversion = 1"),
+     "[run] version is not a known key"),
 ], ids=["misspelt-anchor", "unknown-section", "unknown-run-key",
-        "retired-derivative", "retired-fd-step", "retired-enforce-window"])
+        "retired-derivative", "retired-fd-step", "retired-enforce-window",
+        "retired-version"])
 def test_unknown_key_is_config_error(tmp_path, capsys, command, text, message):
     # a misspelt key must not run on the default of the key it meant
     with pytest.raises(ConfigError, match=re.escape(message)):

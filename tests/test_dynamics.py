@@ -1,6 +1,5 @@
 """Block propagators, analytic field derivative, and dynamical QFI."""
 
-import dataclasses
 import math
 import re
 
@@ -194,12 +193,10 @@ def test_analytic_vs_fd_qfi():
 def test_qfi_time_series_shape_and_nonnegativity():
     ts = np.linspace(0.0, 20.0, 41)
     series = qfi_time_series(UNBROKEN, ts)
-    assert series.times.shape == series.values.shape == (41,)
-    assert series.values[0] == 0.0
-    assert np.all(series.values >= 0.0)
-    assert series.params == UNBROKEN
-    assert [f.name for f in dataclasses.fields(series)] == \
-        ["times", "values", "params"]
+    assert type(series) is np.ndarray and series.dtype == np.float64
+    assert series.shape == (41,)
+    assert series[0] == 0.0
+    assert np.all(series >= 0.0)
 
 
 def test_overflow_raises_named_error():
@@ -509,8 +506,7 @@ def test_series_rows_at_the_block_edges_equal_the_per_time_route(extra):
     rows = _BLOCK // 500 + extra
     times = np.geomspace(0.05, 900.0, rows)
     _assert_same_rows(_qfi_totals(p, times), _per_time(p, times))
-    series = qfi_time_series(p, times)
-    assert series.values.tolist() == _per_time(p, times)
+    assert qfi_time_series(p, times).tolist() == _per_time(p, times)
 
 
 def test_series_equals_matrix_route_bit_for_bit():
@@ -518,8 +514,7 @@ def test_series_equals_matrix_route_bit_for_bit():
     p = ChainParams(h=0.7, gamma=0.6, k_ksea=0.25, n_sites=24)
     r_max = math.sqrt(np.abs(block_elements(p, momentum_grid(24))[3]).max())
     times = [0.0, -0.4, 1e-5, 0.3, 2.0, 95.0 / r_max]
-    series = qfi_time_series(p, times)
-    assert series.values.tolist() == [_matrix_route(p, t) for t in times]
+    assert qfi_time_series(p, times).tolist() == [_matrix_route(p, t) for t in times]
 
 
 def test_series_edge_rows_equal_the_per_time_route():
@@ -563,7 +558,7 @@ def test_gamma_equal_k_series_is_zero_at_every_time():
     times = np.concatenate([[0.0, -3.0, 1e-5], np.geomspace(0.1, 1e6, 60)])
     for p in (GAMMA_IS_K, GAMMA_IS_K.replace(h=1.3, n_sites=4096),
               GAMMA_IS_K.replace(h=-0.8, n_sites=8)):
-        assert qfi_time_series(p, times).values.tolist() == [0.0] * times.size
+        assert qfi_time_series(p, times).tolist() == [0.0] * times.size
 
 
 def test_overflowing_oscillating_time_is_an_overflow_error():
@@ -609,5 +604,5 @@ def test_series_evaluates_block_elements_once(monkeypatch):
     monkeypatch.setattr(dyn, "block_elements", counting)
     p = ChainParams(h=0.5, gamma=0.5, k_ksea=0.2, n_sites=1024)
     times = np.geomspace(0.1, 1500.0, 40)
-    assert qfi_time_series(p, times).values.shape == (40,)
+    assert qfi_time_series(p, times).shape == (40,)
     assert calls == [512]

@@ -192,7 +192,6 @@ def test_record_structure_and_fsum_total():
         [0.006702926086341442, 13.109393579072478, 8.533577592891895],
         rtol=1e-13)
     np.testing.assert_allclose(rec.phi, momentum_grid(6))
-    assert rec.params == p
     # total is the fsum of the per-mode values, bit for bit
     assert rec.total == math.fsum(rec.values.tolist())
 

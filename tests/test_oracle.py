@@ -1,8 +1,10 @@
 """Dense-matrix oracle: spectra, calibration, FD QFI, and its self-checks."""
 
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from scipy.optimize import linear_sum_assignment
 
 import iksea
 from iksea.dynamics import dynamical_qfi
-from iksea.errors import CapacityError, ExceptionalModeError, LevelCrossingError
+from iksea.errors import (CapacityError, ExceptionalModeError, LevelCrossingError,
+                          ParameterError)
 from iksea.ground import ground_qfi
 from iksea.model import ChainParams
 from iksea.oracle import (
@@ -331,6 +334,26 @@ def test_oracle_suite_passes_clean():
     assert any(q.startswith("even-sector spectrum") for q in quantities)
     assert any(q.startswith("energy-scale consistency") for q in quantities)
     assert any(q.startswith("ground_qfi") for q in quantities)
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"sizes": (4, 5)}, "sizes must be even integers in [2, 14] (dense capacity), "
+                        "got [4, 5]"),
+    ({"sizes": (16,)}, "sizes must be even integers in [2, 14]"),
+    ({"sizes": ()}, "sizes must be even integers in [2, 14] (dense capacity), got []"),
+    ({"n_points": -1}, "points must be >= 0, got -1"),
+    ({"corrupt_scale": 1e300}, "corrupt_scale must be finite with magnitude <= 1e150, "
+                               "got 1e+300"),
+    ({"corrupt_scale": float("nan")}, "corrupt_scale must be finite"),
+], ids=["odd-size", "over-cap", "no-sizes", "negative-points", "overflowing-scale",
+        "nan-scale"])
+def test_oracle_suite_refuses_bad_inputs_before_any_work(kw, message):
+    # these used to reach numpy (an overflow warning at corrupt_scale = 1e300)
+    args = {"sizes": (4,), "n_points": 1, "include_dynamics": False, **kw}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            run_oracle_suite(**args)
 
 
 def test_oracle_suite_catches_corruption():

@@ -20,7 +20,7 @@ PUBLIC = {
         "QfiRecord", "ground_qfi", "asymptotic_qfi", "NEAR_SINGULAR_CONTRIB",
     ],
     "iksea.dynamics": [
-        "DynQfiSeries", "block_propagator", "propagator_derivative",
+        "block_propagator", "propagator_derivative",
         "dynamical_qfi", "qfi_time_series",
     ],
     "iksea.scaling": [
@@ -46,7 +46,7 @@ PUBLIC = {
 #: submodules its imports load
 PACKAGE = sorted([
     "CalibrationError", "CapacityError", "ChainParams",
-    "ConfigError", "DomainError", "DynQfiSeries", "EvolutionOverflowError",
+    "ConfigError", "DomainError", "EvolutionOverflowError",
     "ExceptionalModeError", "IkseaError", "InsufficientDataError",
     "LevelCrossingError", "NearSingularWarning", "NumericalConsistencyError",
     "OutOfWindowError", "ParameterError", "PhaseInfo", "QfiRecord",
@@ -67,7 +67,7 @@ PACKAGE = sorted([
 SIGNATURES = {
     ("iksea.dynamics", "dynamical_qfi"): "(params: 'ChainParams', t: 'float') -> 'float'",
     ("iksea.dynamics", "qfi_time_series"):
-        "(params: 'ChainParams', times) -> 'DynQfiSeries'",
+        "(params: 'ChainParams', times) -> 'np.ndarray'",
     ("iksea.scaling", "kappa_sweep"):
         "(gamma: 'float', kappa_grid: 'Sequence[float]', "
         "n_grid: 'Sequence[int]', h: 'float' = 1.0) -> 'SweepResult'",

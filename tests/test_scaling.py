@@ -83,6 +83,9 @@ def test_fit_rejects_bad_inputs():
         power_law_fit(xs[:2], xs[:2] ** 2)
     with pytest.raises(InsufficientDataError):
         power_law_fit(xs, xs ** 2, window=(90.0, 110.0))
+    # repeated xs leave the slope undetermined (numpy: poorly conditioned)
+    with pytest.raises(InsufficientDataError, match="fewer than 3 distinct xs"):
+        power_law_fit([64.0, 64.0, 64.0, 128.0], [1.0, 2.0, 3.0, 4.0])
 
 
 def test_low_quality_flag():
@@ -175,8 +178,8 @@ def test_time_exponent_unbroken_window():
     tpl = ChainParams(h=1.5, gamma=0.5, k_ksea=0.2, n_sites=32)
     ts = np.geomspace(10.0, 100.0, 10)
     series = qfi_time_series(tpl, ts)
-    fit = power_law_fit(series.times, series.values)
+    fit = power_law_fit(ts, series)
     assert 1.8 <= fit.exponent <= 2.2
     # window argument narrows the fit on the same series
-    fit_w = power_law_fit(series.times, series.values, window=(20.0, 80.0))
+    fit_w = power_law_fit(ts, series, window=(20.0, 80.0))
     assert fit_w.n_points < fit.n_points
