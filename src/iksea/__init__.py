@@ -34,7 +34,6 @@ from .model import (
     block_matrix,
     block_elements,
     dispersion,
-    critical_field,
     exceptional_field,
     zero_crossings,
     classify_phase,

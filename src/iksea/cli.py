@@ -338,9 +338,7 @@ def cmd_oracle_check(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
 
 def cmd_phase(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
     params = _model_params(cfg)
-    body = asdict(classify_phase(params))
-    body["params"] = asdict(params)
-    print(json.dumps(body, indent=1))
+    print(json.dumps(asdict(classify_phase(params)), indent=1))
     return 0
 
 
@@ -371,8 +369,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=".", metavar="DIR",
                         help="output directory (default: current)")
         sp.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="worker count recorded in the manifest (default "
-                             "1; runs are serial)")
+                        help="accepted for existing scripts; >= 1, selects "
+                             "nothing (runs are serial)")
         sp.add_argument("--seed", type=int, default=None, metavar="U64",
                         help="override the config seed")
         sp.add_argument("--format", choices=["csv", "json"], default="csv",
@@ -393,7 +391,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             cfg.seed = args.seed
         if args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-        manifest = Manifest(cfg, args.workers)
+        manifest = Manifest(cfg)
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:

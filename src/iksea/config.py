@@ -119,6 +119,9 @@ class RunConfig:
         if cfg.seed < 0:
             raise ConfigError("[run] seed must be a non-negative integer")
         cfg.prefix = run.get("prefix", command.replace("-", "_")).strip()
+        if cfg.prefix in ("", ".", "..") or set("/\\") & set(cfg.prefix):
+            raise ConfigError(
+                f"[run] prefix must be a plain file name, got {cfg.prefix!r}")
         return cfg
 
     @classmethod

@@ -60,15 +60,14 @@ _BLOCK = 2 ** 13
 
 @dataclass(frozen=True)
 class QfiRecord:
-    """Total ground QFI with its per-mode arrays (ascending mode order).
+    """Total ground QFI with its per-mode values (ascending mode order).
 
-    phi and values are read-only arrays over the grid; flag_near_singular is
-    set when any value is within 1e6 of float overflow.
+    values is a read-only array over momentum_grid(n_sites);
+    flag_near_singular is set when any value is within 1e6 of float overflow.
     """
 
     total: float
     flag_near_singular: bool
-    phi: np.ndarray = field(repr=False, compare=False)
     values: np.ndarray = field(repr=False, compare=False)
 
 
@@ -116,13 +115,13 @@ def _mode_qfi(params: ChainParams, phi: np.ndarray, offset: int = 0, h=None):
     return eps_sq, vals
 
 
-def _field_rows(params: ChainParams, hs, phi=None) -> list:
+def _field_rows(params: ChainParams, hs) -> list:
     """(total, flag_near_singular, values) of ground_qfi at each field in hs,
-    with params' N, gamma and K (momentum grid phi), or its
-    ExceptionalModeError, in input order.  The kernel takes blocks of about
-    _BLOCK (field, mode) pairs, or _BLOCK modes of a wider row; a block with
-    a defective mode runs again row by row, so only the defective rows fail."""
-    phi = momentum_grid(params.n_sites) if phi is None else phi
+    with params' N, gamma and K, or its ExceptionalModeError, in input order.
+    The kernel takes blocks of about _BLOCK (field, mode) pairs, or _BLOCK
+    modes of a wider row; a block with a defective mode runs again row by
+    row, so only the defective rows fail."""
+    phi = momentum_grid(params.n_sites)
 
     def rows(h):
         vals = np.empty((len(h), phi.size))
@@ -131,7 +130,7 @@ def _field_rows(params: ChainParams, hs, phi=None) -> list:
             for i in range(0, phi.size, _BLOCK):
                 vals[:, i:i + _BLOCK] = _mode_qfi(params, phi[i:i + _BLOCK], i, col)[1]
         except ExceptionalModeError as exc:
-            return [exc] if len(h) == 1 else [_field_rows(params, [x], phi)[0] for x in h]
+            return [exc] if len(h) == 1 else [_field_rows(params, [x])[0] for x in h]
         big = vals >= NEAR_SINGULAR_CONTRIB
         near = np.count_nonzero(big, axis=1) if big.any() else np.zeros(len(h), int)
         for n, x in zip(near[near > 0], h[near > 0]):
@@ -149,13 +148,12 @@ def ground_qfi(params: ChainParams) -> QfiRecord:
     exactly rounded (math.fsum's, ascending mode order), ExceptionalModeError
     naming a defective mode, one NearSingularWarning with the count of values
     within 1e6 of float overflow."""
-    phi = momentum_grid(params.n_sites)
-    (row,) = _field_rows(params, [params.h], phi)
+    (row,) = _field_rows(params, [params.h])
     if isinstance(row, ExceptionalModeError):
         raise row
     total, near, vals = row
-    phi.flags.writeable = vals.flags.writeable = False
-    return QfiRecord(total, near, phi, vals)
+    vals.flags.writeable = False
+    return QfiRecord(total, near, vals)
 
 
 def asymptotic_qfi(params: ChainParams, regime: str) -> float:

@@ -40,14 +40,13 @@ __all__ = [
     "block_elements",
     "dispersion",
     "exceptional_tolerance",
-    "critical_field",
     "exceptional_field",
     "zero_crossings",
     "classify_phase",
 ]
 
-#: relative floor used when deciding a mode is numerically exceptional
-EXC_TOL = 1e-12
+#: one ulp at 1 (twice the unit roundoff): the error taken for each rounding in eps_sq
+EXC_TOL = 2.0 ** -52
 #: bound B on |h|, gamma and K.  With B >= 1: |g| <= 2B, eps_sq <= 5B^2, the
 #: real-branch denominator gamma g + eps K <= (2 + sqrt 5) B^2 and the
 #: eigenvector norm A <= 22B^2, so the ground kernel's largest intermediates,
@@ -152,13 +151,25 @@ def block_matrix(params: ChainParams, phi: float) -> np.ndarray:
 
 
 def exceptional_tolerance(g, a_plus, a_minus):
-    """Scale-aware threshold below which eps_sq is treated as exactly zero.
+    """Bound on the rounding error of eps_sq computed from the elements g,
+    a_plus, a_minus; an |eps_sq| at or below it is treated as exactly zero.
 
-    At (|h| + 1, gamma + K, gamma - K) it bounds every mode's threshold with
-    no slack: |sin|, |cos| <= 1 and each rounding is monotone.
+    Each rounding is taken at e = EXC_TOL (sin, cos and pow are within one
+    ulp, + - * within half; the spare half covers the O(e^2) terms):
+      * g = h + cos phi is off by d = e (|g| + 1), so g^2 by d (2|g| + d);
+        g*g and the final sum add e g^2 each;
+      * K**2 - gamma**2 is off by e (K^2 + gamma^2 + |K^2 - gamma^2|); times
+        sin^2 phi that is e ((a_plus^2 + a_minus^2) / 2 + |a_plus a_minus|);
+        two sin factors, two products and the final sum add 5 e |a_plus a_minus|.
+    The g part and the a part sum to at most twice the larger.  Each grows
+    with |g|, |a_plus| and |a_minus|, so the value at (|h| + 1, gamma + K,
+    gamma - K) bounds every mode's, and equals it where one part is the
+    larger at both.
     """
-    return EXC_TOL * np.maximum(1.0, np.maximum(np.asarray(g) ** 2,
-                                                np.abs(a_plus * a_minus)))
+    g, ap, am = np.abs(g), np.abs(a_plus), np.abs(a_minus)
+    d = EXC_TOL * (g + 1.0)
+    return 2.0 * np.maximum(d * (2.0 * g + d) + 2.0 * EXC_TOL * g * g,
+                            EXC_TOL * (0.5 * (ap * ap + am * am) + 6.0 * ap * am))
 
 
 def exact_sum(values: np.ndarray) -> float:
@@ -215,11 +226,6 @@ def dispersion(params: ChainParams, phi):
     if scalar:
         return float(eps_sq), complex(eps)
     return eps_sq, eps
-
-
-def critical_field(params: ChainParams) -> float:
-    """Critical field h_c; equals 1 independently of gamma, K."""
-    return 1.0
 
 
 def exceptional_field(params: ChainParams) -> Optional[float]:

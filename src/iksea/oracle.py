@@ -22,7 +22,6 @@ assignment-matched spectra must fit the same value, 1, at every point.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
@@ -41,7 +40,6 @@ from .model import ChainParams, block_elements, block_matrix, dispersion, moment
 __all__ = [
     "DENSE_CAP",
     "EVOLUTION_CAP",
-    "SpectralDecomposition",
     "dense_hamiltonian",
     "parity_vector",
     "even_sector_indices",
@@ -61,12 +59,6 @@ __all__ = [
 
 DENSE_CAP = 14
 EVOLUTION_CAP = 12
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    eigenvalues: np.ndarray
-    right_vectors: np.ndarray    # columns, embedded in the full 2^N space
 
 
 def _hamiltonian(params: ChainParams, scale: float, even: bool):
@@ -130,9 +122,9 @@ def sector_hamiltonian(params: ChainParams,
     return _hamiltonian(params, scale, even=True)
 
 
-def spectral_decomposition(params: ChainParams,
-                           scale: float = 1.0) -> SpectralDecomposition:
-    """Eigen-decomposition of the even parity sector with residual checks.
+def spectral_decomposition(params: ChainParams, scale: float = 1.0):
+    """(eigenvalues, right eigenvectors as columns, basis indices) of the
+    even parity sector, with residual checks.
 
     Raises ExceptionalModeError when the sector matrix is (numerically)
     defective: eigenvector matrix close to singular or residuals beyond
@@ -153,9 +145,7 @@ def spectral_decomposition(params: ChainParams,
         raise ExceptionalModeError(
             detail=f"eigenvector matrix condition number "
                    f"{cond:.3e} indicates a defective sector")
-    full = np.zeros((1 << params.n_sites, vals.size), dtype=complex)
-    full[idx, :] = vecs
-    return SpectralDecomposition(eigenvalues=vals, right_vectors=full)
+    return vals, vecs, idx
 
 
 def _select_ground(vals: np.ndarray) -> int:
@@ -178,14 +168,15 @@ def spectral_ground_state(params: ChainParams, scale: float = 1.0):
 
     Gauge fixed by making the largest-magnitude component real positive.
     """
-    dec = spectral_decomposition(params, scale=scale)
-    i = _select_ground(dec.eigenvalues)
-    vec = dec.right_vectors[:, i].copy()
+    vals, vecs, idx = spectral_decomposition(params, scale=scale)
+    i = _select_ground(vals)
+    vec = np.zeros(1 << params.n_sites, dtype=complex)
+    vec[idx] = vecs[:, i]
     vec /= np.linalg.norm(vec)
     j = int(np.argmax(np.abs(vec)))
     ph = vec[j] / abs(vec[j])
     vec *= np.conj(ph)
-    return vec, complex(dec.eigenvalues[i])
+    return vec, complex(vals[i])
 
 
 def block_even_multiset(params: ChainParams) -> np.ndarray:

@@ -1,9 +1,7 @@
 """Sweep execution and run-manifest bookkeeping.
 
 Grid points run one after the other, in input order; a point that fails gives
-the IkseaError it raised in place of its value, and the sweep goes on.  The
-``--workers`` count selects no code path: it is recorded in the manifest, so
-that existing scripts keep working.
+the IkseaError it raised in place of its value, and the sweep goes on.
 """
 
 from __future__ import annotations
@@ -53,9 +51,8 @@ class Manifest:
     ran.
     """
 
-    def __init__(self, cfg: RunConfig, workers: int):
+    def __init__(self, cfg: RunConfig):
         self.cfg = cfg
-        self.workers = workers
         self.started = datetime.datetime.now(datetime.timezone.utc).isoformat()
         self.tasks: List[dict] = []
         self.outputs: List[dict] = []
@@ -78,7 +75,6 @@ class Manifest:
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "seed": self.cfg.seed,
-            "workers": self.workers,
             "started": self.started,
             "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "config": self.cfg.text,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, InsufficientDataError, ParameterError
 from .ground import ground_qfi
-from .model import ChainParams, classify_phase, critical_field, exceptional_field
+from .model import ChainParams, classify_phase, exceptional_field
 
 __all__ = [
     "ScalingFit",
@@ -102,7 +102,7 @@ def size_exponent(template: ChainParams, n_grid: Sequence[int]) -> SweepResult:
 
 def _resolve_anchor(template: ChainParams, anchor: str) -> float:
     if anchor == "h_c":
-        return critical_field(template)
+        return 1.0
     if anchor == "h_e":
         he = exceptional_field(template)
         if he is None:

@@ -80,6 +80,21 @@ def test_config_error_cases():
         cfg.get_str("model", "missing")                  # required, no default
     with pytest.raises(ConfigError):
         RunConfig.from_file("/nonexistent/path.cfg")
+    # the prefix names files inside --out: no path, no hidden file
+    for prefix in ("", " ", ".", "..", "sub/dir", "../x", "/abs", "a\\b"):
+        with pytest.raises(ConfigError, match=r"\[run\] prefix must be a plain"):
+            RunConfig.from_text(f"[run]\ncommand = phase\nprefix = {prefix}\n")
+
+
+def test_prefix_with_a_path_is_config_error_before_any_work(tmp_path, capsys):
+    # refused before the series is computed, and nothing is written
+    cfg_path = write_cfg(tmp_path / "run.cfg", DYN_CFG.replace(
+        "command = dyn-qfi", "command = dyn-qfi\nprefix = sub/dir"))
+    out = tmp_path / "out"
+    assert main(["dyn-qfi", "--config", cfg_path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "config error: [run] prefix must be a plain file name, got 'sub/dir'\n"
+    assert not out.exists()
 
 
 def test_config_empty_list_is_error(tmp_path, capsys):
@@ -380,7 +395,7 @@ def test_run_grid_returns_values_or_errors_in_input_order():
 
 
 def test_run_points_records_each_result_and_returns_the_errors():
-    manifest = Manifest(RunConfig.from_text("[run]\ncommand = dyn-qfi\n"), 1)
+    manifest = Manifest(RunConfig.from_text("[run]\ncommand = dyn-qfi\n"))
     over, bad = EvolutionOverflowError("too late"), DomainError("bad point")
     done, errors = _run_points(manifest, [1, 2, 3, 4, 5],
                                [1.5, over, bad, 4.5, bad],
@@ -1063,7 +1078,6 @@ n_sites = 8
     assert body["region"] == "Broken"
     np.testing.assert_allclose(body["h_e"], 1.1, rtol=1e-12)
     assert len(body["omega_pm"]) == 2
-    assert body["params"]["n_sites"] == 8
     assert os.listdir(out) == []
 
 
@@ -1092,23 +1106,21 @@ def test_workers_resolution(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_workers_default_is_one(tmp_path, monkeypatch):
-    # the IKSEA_WORKERS variable was removed: its value changes nothing
+def test_workers_flag_changes_no_output(tmp_path, monkeypatch):
+    # --workers 2 and no flag write the same data files, and no manifest
+    # records a worker count; the removed IKSEA_WORKERS variable changes nothing
     monkeypatch.setenv("IKSEA_WORKERS", "many")
     cfg_path = write_cfg(tmp_path / "run.cfg", GROUND_CFG)
-    out = tmp_path / "out"
-    assert main(["ground-qfi", "--config", cfg_path, "--out", str(out)]) == 0
-    manifest = json.loads((out / "ground_qfi_manifest.json").read_text())
-    assert manifest["workers"] == 1
-
-
-def test_workers_flag_recorded_in_manifest(tmp_path):
-    cfg_path = write_cfg(tmp_path / "run.cfg", GROUND_CFG)
-    out = tmp_path / "out"
-    assert main(["ground-qfi", "--config", cfg_path, "--out", str(out),
-                 "--workers", "2"]) == 0
-    manifest = json.loads((out / "ground_qfi_manifest.json").read_text())
-    assert manifest["workers"] == 2
+    data = []
+    for flags in ([], ["--workers", "2"]):
+        out = tmp_path / f"out{len(flags)}"
+        assert main(["ground-qfi", "--config", cfg_path, "--out", str(out),
+                     *flags]) == 0
+        manifest = json.loads((out / "ground_qfi_manifest.json").read_text())
+        assert "workers" not in manifest
+        data.append({f: (out / f).read_bytes() for f in sorted(os.listdir(out))
+                     if not f.endswith("_manifest.json")})
+    assert data[0] == data[1] and len(data[0]) == 2
 
 
 def test_manifest_records_versions(tmp_path):
@@ -1121,7 +1133,6 @@ def test_manifest_records_versions(tmp_path):
     assert manifest["python"] == platform.python_version()
     assert manifest["numpy"] == np.__version__
     assert manifest["scipy"] == scipy.__version__
-    assert manifest["workers"] == 1
 
 
 # --------------------------------------------------------- shipped configs

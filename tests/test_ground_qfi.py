@@ -147,7 +147,7 @@ def test_gamma_equals_k_line_is_finite():
     np.testing.assert_allclose(
         rec.values, [0.0, 0.0, 26.563268860007877, 0.55040274526771],
         rtol=1e-12)
-    assert (block_elements(p, rec.phi)[3] > 0).all()
+    assert (block_elements(p, momentum_grid(8))[3] > 0).all()
     assert rec.flag_near_singular is False
 
     # the kernel on one angle at a time agrees with the record
@@ -176,8 +176,9 @@ def test_per_mode_branches_match_zero_crossings():
     p = ChainParams(h=0.5, gamma=0.5, k_ksea=0.2, n_sites=64)
     lo, hi = zero_crossings(p)
     rec = ground_qfi(p)
-    real = block_elements(p, rec.phi)[3] > 0
-    for phi, is_real, value in zip(rec.phi, real, rec.values):
+    grid = momentum_grid(64)
+    real = block_elements(p, grid)[3] > 0
+    for phi, is_real, value in zip(grid, real, rec.values):
         inside = lo < phi < hi
         assert is_real == (not inside)
         assert value >= 0.0
@@ -191,7 +192,6 @@ def test_record_structure_and_fsum_total():
         rec.values,
         [0.006702926086341442, 13.109393579072478, 8.533577592891895],
         rtol=1e-13)
-    np.testing.assert_allclose(rec.phi, momentum_grid(6))
     # total is the fsum of the per-mode values, bit for bit
     assert rec.total == math.fsum(rec.values.tolist())
 
@@ -199,14 +199,12 @@ def test_record_structure_and_fsum_total():
 def test_per_mode_equals_stored_arrays():
     p = ChainParams(h=0.5, gamma=0.5, k_ksea=0.2, n_sites=64)
     rec = ground_qfi(p)
-    assert rec.phi.tolist() == momentum_grid(64).tolist()
     assert rec.values.shape == (32,)
-    real = block_elements(p, rec.phi)[3] > 0
+    real = block_elements(p, momentum_grid(64))[3] > 0
     assert not real.all() and real.any()
     assert rec.total == math.fsum(rec.values.tolist())
-    for a in (rec.phi, rec.values):
-        with pytest.raises(ValueError):
-            a[0] = 1.0           # the record's arrays are read-only
+    with pytest.raises(ValueError):
+        rec.values[0] = 1.0      # the record's values are read-only
 
 
 @pytest.mark.parametrize("h, gamma, k", [
@@ -232,7 +230,7 @@ def test_fd_oracle_matches_both_branches():
     n_imag = 0
     for p in pts:
         rec = ground_qfi(p)
-        for phi, analytic in zip(rec.phi, rec.values):
+        for phi, analytic in zip(momentum_grid(p.n_sites), rec.values):
             g, ap, am, eps_sq = block_elements(p, float(phi))
             if abs(eps_sq) < 1e-3:  # FD step is not reliable that close to
                 continue            # a branch crossing
@@ -441,29 +439,61 @@ def test_block_branches_keep_the_pinned_bits(h, gamma, k, n, kinds, digest,
     assert _block_kinds(p) == kinds
     rec = ground_qfi(p)
     if gamma == k:
-        assert (block_elements(p, rec.phi)[0] < 0).any()
+        assert (block_elements(p, momentum_grid(n))[0] < 0).any()
     assert hashlib.sha256(rec.values.tobytes()).hexdigest() == digest
     assert np.float64(rec.total).view(np.int64) == total
 
 
+def test_clean_mode_near_pi_at_small_kappa_is_not_flagged():
+    # kappa = 1e-4, N = 32768, mode p = 16384 (a Figure 3 point): eps_sq is
+    # 9.19e-13, far above its rounding error, and eig gives a clean pair +-9.59e-7
+    p = ChainParams(h=1.0, gamma=0.5, k_ksea=0.5 + 1e-4, n_sites=32768)
+    phi = momentum_grid(p.n_sites)[16383]
+    g, ap, am, eps_sq = block_elements(p, phi)
+    np.testing.assert_allclose(eps_sq, 9.19e-13, rtol=1e-3)
+    assert abs(eps_sq) > 1e6 * exceptional_tolerance(g, ap, am)
+    np.testing.assert_allclose(np.sort(np.linalg.eigvals(block_matrix(p, phi)).real),
+                               [-9.59e-7, 9.59e-7], rtol=1e-3)
+    assert kernel_qfi(p, phi) > 0.0
+    assert ground_qfi(p).total > 0.0
+
+
+def _exc_tol_reaching(monkeypatch, g, ap, am, target):
+    """Smallest float EXC_TOL in (0, 1] whose tolerance at (g, ap, am)
+    reaches target, as an int64 view; the tolerance grows with EXC_TOL."""
+    def reaches(i):
+        monkeypatch.setattr(iksea.model, "EXC_TOL", float(np.int64(i).view(float)))
+        return exceptional_tolerance(g, ap, am) >= target
+    lo, hi = 0, int(np.float64(1.0).view(np.int64))
+    assert not reaches(lo) and reaches(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if reaches(mid) else (mid, hi)
+    return hi
+
+
 @pytest.mark.parametrize("h, gamma, k, phi", [
-    (0.5, 0.2, 0.5, 0.0),           # g = |h| + 1: the (|h| + 1)^2 term
+    (0.5, 0.2, 0.5, 0.0),           # g = |h| + 1: the g part
     (-0.5, 0.2, 0.5, math.pi),      # g = -(|h| + 1)
-    (0.0, 2.0, 0.0, math.pi / 2),   # |a_plus a_minus| = |(gamma + K)(gamma - K)|
+    (0.0, 2.0, 0.0, math.pi / 2),   # |a_plus|, |a_minus| = gamma + K, |gamma - K|
 ])
 @pytest.mark.parametrize("exc_tol", [
     np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)])
 def test_exceptional_bound_is_attained_and_keeps_the_verdict(
         monkeypatch, h, gamma, k, phi, exc_tol):
-    # with EXC_TOL near 1 a mode's |eps_sq| sits just above, on or just below
-    # its tolerance, which equals the scalar bound: the kernel must give the
-    # per-mode verdict, so any bound lower than the tolerance fails here
-    monkeypatch.setattr(iksea.model, "EXC_TOL", float(exc_tol))
+    # EXC_TOL goes to the float at which the mode's tolerance first reaches
+    # |eps_sq| (exc_tol 1) or to the float below or above it (exc_tol one ulp
+    # below or above 1): the mode sits just above its tolerance, or on or
+    # just below it.  The tolerance equals the kernel's scalar bound, so the
+    # kernel must give the per-mode verdict: any lower bound fails here.
     p = ChainParams(h=h, gamma=gamma, k_ksea=k, n_sites=4)
     g, ap, am, eps_sq = block_elements(p, phi)
+    first = _exc_tol_reaching(monkeypatch, g, ap, am, abs(eps_sq))
+    step = int(np.sign(exc_tol - 1.0))
+    monkeypatch.setattr(iksea.model, "EXC_TOL", float(np.int64(first + step).view(float)))
     tol = exceptional_tolerance(g, ap, am)
     assert tol == exceptional_tolerance(abs(h) + 1.0, gamma + k, gamma - k)
-    assert (abs(eps_sq) == tol) == (exc_tol == 1.0)
+    assert (abs(eps_sq) <= tol) == (exc_tol >= 1.0)
     if abs(eps_sq) <= tol:
         with pytest.raises(ExceptionalModeError):
             kernel_qfi(p, phi)

@@ -11,7 +11,6 @@ from iksea.model import (
     block_elements,
     block_matrix,
     classify_phase,
-    critical_field,
     dispersion,
     exceptional_field,
     exceptional_tolerance,
@@ -130,14 +129,24 @@ def test_dispersion_scalar_in_scalar_out():
 
 
 def test_exceptional_tolerance_scales_with_coefficients():
-    assert exceptional_tolerance(0.0, 0.0, 0.0) == 1e-12
-    assert exceptional_tolerance(10.0, 0.0, 0.0) == 1e-12 * 100.0
-    assert exceptional_tolerance(0.0, 20.0, 30.0) == 1e-12 * 600.0
+    # twice the larger of the g part d (2|g| + d) + 2 e g^2, d = e (|g| + 1),
+    # and the a part e ((a+^2 + a-^2) / 2 + 6 |a+ a-|), with e = 2^-52
+    e = 2.0 ** -52
+    assert exceptional_tolerance(0.0, 0.0, 0.0) == 2 * e * e   # no floor of its own
+    assert exceptional_tolerance(10.0, 0.0, 0.0) == pytest.approx(
+        2 * (11 * e * (20 + 11 * e) + 200 * e), rel=1e-15)
+    assert exceptional_tolerance(0.0, 20.0, 30.0) == pytest.approx(
+        2 * e * (650 + 3600), rel=1e-15)
+    # signs do not matter, and the bound grows with the larger part's elements
+    assert exceptional_tolerance(-10.0, -20.0, 30.0) == \
+        exceptional_tolerance(10.0, 20.0, -30.0)
+    assert exceptional_tolerance(1e3, 2.0, 3.0) > exceptional_tolerance(1e2, 2.0, 3.0)
+    assert exceptional_tolerance(1.0, 20.0, 3.0) > exceptional_tolerance(1.0, 2.0, 3.0)
+    assert exceptional_tolerance(1.0, 2.0, 30.0) > exceptional_tolerance(1.0, 2.0, 3.0)
 
 
 def test_critical_and_exceptional_fields():
     p = ChainParams(h=0.5, gamma=0.5, k_ksea=0.2, n_sites=6)
-    assert critical_field(p) == 1.0
     np.testing.assert_allclose(exceptional_field(p), 1.1, rtol=1e-15)
     assert exceptional_field(p.replace(gamma=0.2, k_ksea=0.5)) is None
     assert exceptional_field(p.replace(gamma=0.4, k_ksea=0.4)) is None

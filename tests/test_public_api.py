@@ -13,8 +13,7 @@ PUBLIC = {
     "iksea.model": [
         "ChainParams", "PhaseInfo", "momentum_grid", "block_matrix",
         "block_elements", "dispersion", "exceptional_tolerance",
-        "critical_field", "exceptional_field", "zero_crossings",
-        "classify_phase",
+        "exceptional_field", "zero_crossings", "classify_phase",
     ],
     "iksea.ground": [
         "QfiRecord", "ground_qfi", "asymptotic_qfi", "NEAR_SINGULAR_CONTRIB",
@@ -32,7 +31,7 @@ PUBLIC = {
         "run_grid", "sha256_file", "Manifest",
     ],
     "iksea.oracle": [
-        "DENSE_CAP", "EVOLUTION_CAP", "SpectralDecomposition",
+        "DENSE_CAP", "EVOLUTION_CAP",
         "dense_hamiltonian", "parity_vector", "even_sector_indices",
         "sector_hamiltonian", "spectral_decomposition", "spectral_ground_state",
         "block_even_multiset", "spectrum_match_error", "fd_qfi_ground",
@@ -52,7 +51,7 @@ PACKAGE = sorted([
     "OutOfWindowError", "ParameterError", "PhaseInfo", "QfiRecord",
     "RunConfig", "ScalingFit", "SweepResult", "asymptotic_qfi",
     "block_elements", "block_matrix", "block_propagator",
-    "classify_phase", "critical_field", "dispersion",
+    "classify_phase", "dispersion",
     "dynamical_qfi", "exceptional_field", "exponent_vs_offset", "ground_qfi",
     "kappa_sweep", "momentum_grid",
     "power_law_fit", "propagator_derivative", "qfi_time_series",
