@@ -1106,21 +1106,38 @@ def test_workers_resolution(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_workers_flag_changes_no_output(tmp_path, monkeypatch):
-    # --workers 2 and no flag write the same data files, and no manifest
-    # records a worker count; the removed IKSEA_WORKERS variable changes nothing
+def _ground_qfi_run(out, cfg_path, flags):
+    # runs ground-qfi into out; returns its manifest and its data files' bytes
+    assert main(["ground-qfi", "--config", cfg_path, "--out", str(out),
+                 *flags]) == 0
+    manifest = json.loads((out / "ground_qfi_manifest.json").read_text())
+    data = {f: (out / f).read_bytes() for f in sorted(os.listdir(out))
+            if not f.endswith("_manifest.json")}
+    assert len(data) == 2
+    return manifest, data
+
+
+def test_workers_default_is_one(tmp_path, monkeypatch):
+    # no flag writes what --workers 1 writes; the removed IKSEA_WORKERS
+    # variable changes nothing
     monkeypatch.setenv("IKSEA_WORKERS", "many")
     cfg_path = write_cfg(tmp_path / "run.cfg", GROUND_CFG)
-    data = []
-    for flags in ([], ["--workers", "2"]):
-        out = tmp_path / f"out{len(flags)}"
-        assert main(["ground-qfi", "--config", cfg_path, "--out", str(out),
-                     *flags]) == 0
-        manifest = json.loads((out / "ground_qfi_manifest.json").read_text())
-        assert "workers" not in manifest
-        data.append({f: (out / f).read_bytes() for f in sorted(os.listdir(out))
-                     if not f.endswith("_manifest.json")})
-    assert data[0] == data[1] and len(data[0]) == 2
+    _, default = _ground_qfi_run(tmp_path / "default", cfg_path, [])
+    _, one = _ground_qfi_run(tmp_path / "one", cfg_path, ["--workers", "1"])
+    assert default == one
+
+
+def test_workers_flag_recorded_in_manifest(tmp_path):
+    # the manifest records no worker count: --workers 2 gives the same
+    # manifest fields and data files as no flag
+    cfg_path = write_cfg(tmp_path / "run.cfg", GROUND_CFG)
+    m_none, d_none = _ground_qfi_run(tmp_path / "none", cfg_path, [])
+    m_two, d_two = _ground_qfi_run(tmp_path / "two", cfg_path,
+                                   ["--workers", "2"])
+    assert "workers" not in m_two
+    assert m_two.keys() == m_none.keys()
+    assert m_two["config"] == m_none["config"]
+    assert d_two == d_none
 
 
 def test_manifest_records_versions(tmp_path):
