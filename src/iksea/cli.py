@@ -298,7 +298,7 @@ def cmd_fit(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
                 ys.append(float(rec[y_col]))
     except ConfigError:
         raise
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise ConfigError(f"cannot read [fit] input {src!r}: {exc}") from exc
     except TypeError as exc:
         # csv.DictReader fills the cells missing from a short row with None

@@ -129,7 +129,7 @@ class RunConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeError) as exc:
             raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
         return cls.from_text(text, path=path)
 

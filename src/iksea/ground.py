@@ -173,8 +173,9 @@ def asymptotic_qfi(params: ChainParams, regime: str) -> float:
     distance delta from omega_c contributes 1/(gamma delta)^2.  On the grid
     phi_p = (2p - 1) pi/N the nearest mode lies at x pi/N from omega_c, with
     the offset x in [0, 1] set by N itself (x = 1: omega_c midway between two
-    modes), so this regime's prediction is not a pure power of N.  Raises
-    ExceptionalModeError when omega_c lies on a grid mode.
+    modes), so this regime's prediction is not a pure power of N.  h = h_e is
+    zero_crossings' verdict (one root); h = 1 is exact in the other regimes.
+    Raises ExceptionalModeError when omega_c lies on a grid mode.
 
     "near_degenerate" is the term 16 kappa^2 / theta^6 of the mode at
     theta = pi - phi = pi/N.  It holds while theta >> theta* =
@@ -189,17 +190,17 @@ def asymptotic_qfi(params: ChainParams, regime: str) -> float:
     if regime == "critical_unbroken":
         if not k > gam:
             raise DomainError("critical_unbroken regime requires K > gamma")
-        if abs(h - 1.0) > 1e-12:
+        if h != 1.0:
             raise DomainError(f"critical_unbroken regime requires h = 1, got {params.h!r}")
         return float((n / np.pi) ** 2 / (k * k))
     if regime == "exceptional":
         if not gam > k:
             raise DomainError("exceptional regime requires gamma > K")
-        he = exceptional_field(params)
-        if abs(h - he) > 1e-12 * max(1.0, he):
-            raise DomainError(
-                f"exceptional regime requires h = h_e = {he!r}, got {params.h!r}")
-        (omega_c,) = zero_crossings(params)
+        roots = zero_crossings(params) or ()
+        if len(roots) != 1:
+            raise DomainError(f"exceptional regime requires h = h_e = "
+                              f"{exceptional_field(params)!r}, got {params.h!r}")
+        (omega_c,) = roots
         s = omega_c * n / np.pi
         p = min(max(round((s + 1.0) / 2.0), 1), n // 2)   # nearest grid mode
         phi = (2 * p - 1) * np.pi / n
@@ -207,7 +208,7 @@ def asymptotic_qfi(params: ChainParams, regime: str) -> float:
         x = abs(s - (2 * p - 1))
         return float((n / np.pi) ** 2 / (gam * gam * x * x))
     if regime == "near_degenerate":
-        if abs(h - 1.0) > 1e-12:
+        if h != 1.0:
             raise DomainError(f"near_degenerate regime requires h = 1, got {params.h!r}")
         kappa = abs(k - gam)
         theta_star = 2.0 * math.sqrt(abs(k * k - gam * gam))

@@ -98,12 +98,13 @@ class ChainParams:
 class PhaseInfo:
     """Result of :func:`classify_phase`.
 
-    region : one of "Unbroken", "Broken", "ExceptionalPoint", "ExceptionalLine"
+    region : one of "Unbroken", "Broken", "ExceptionalPoint", "ExceptionalLine",
+        read from zero_crossings (see classify_phase)
     h_c : critical field (always 1.0 for this model)
     h_e : exceptional field sqrt(1 + gamma^2 - k^2) when k < gamma, else None
     omega_pm : (omega_minus, omega_plus) dispersion zero-crossing angles when
         the point is in the Broken region, else None
-    at_critical : True when |h| equals h_c within tolerance
+    at_critical : True when |h| == h_c exactly
     """
 
     region: str
@@ -236,58 +237,46 @@ def exceptional_field(params: ChainParams) -> Optional[float]:
 
 
 def zero_crossings(params: ChainParams) -> Optional[tuple]:
-    """Angles in [0, pi] where eps_sq changes sign.
+    """Angles in [0, pi] where eps_sq changes sign; the one exceptional-point
+    verdict, which classify_phase and asymptotic_qfi read.
 
-    For k < gamma and |h| < h_e returns (omega_minus, omega_plus) with
-    eps_sq < 0 strictly between them; for |h| = h_e (within tolerance)
-    returns the single tangency angle (omega_c,); otherwise None.
-    eps_sq vanishes at the returned angles to ~1e-12 absolute.
+    For k < gamma, eps_sq is smallest at cos(omega_c) = -|h| / h_e^2, where
+    it is (gamma^2 - k^2)(h^2 - h_e^2) / h_e^2, and its value there is judged
+    as a mode's is: within exceptional_tolerance of 0 gives the tangency
+    (omega_c,); above it (or |h| > h_e^2, no omega_c) None; below it the
+    roots (omega_minus, omega_plus) with eps_sq < 0 strictly between them.
     """
     he = exceptional_field(params)
-    if he is None:
+    gam, k, h = params.gamma, params.k_ksea, abs(params.h)
+    if he is None or h > he * he:
         return None
-    gam, k = params.gamma, params.k_ksea
-    h = abs(params.h)
     he2 = he * he
-    tol = 1e-12 * max(1.0, he)
-    if h > he + tol:
+    omega_c = float(np.arccos(-h / he2))
+    s, g, eps_sq = _elements(params, omega_c, h)
+    if abs(eps_sq) <= exceptional_tolerance(g, *_couplings(params, s)):
+        return (omega_c,)
+    if eps_sq > 0.0:
         return None
-    if abs(h - he) <= tol:
-        # tangency: cos(omega_c) = -h / h_e^2  (double root of the quadratic)
-        return (float(np.arccos(-h / he2)),)
     # roots of he^2 c^2 + 2 h c + h^2 - (gamma^2 - k^2) = 0 in c = cos(omega);
     # both lie in [-1, 1] whenever |h| < h_e
     disc = (gam * gam - k * k) * (he2 - h * h)
     root = np.sqrt(disc)
-    c_hi = (-h + root) / he2
-    c_lo = (-h - root) / he2
-    c_hi = min(1.0, max(-1.0, c_hi))
-    c_lo = min(1.0, max(-1.0, c_lo))
-    omega_minus = float(np.arccos(c_hi))
-    omega_plus = float(np.arccos(c_lo))
-    return (omega_minus, omega_plus)
+    return tuple(float(np.arccos(min(1.0, max(-1.0, (-h + r) / he2))))
+                 for r in (root, -root))
 
 
 def classify_phase(params: ChainParams) -> PhaseInfo:
-    """Classify the point in the (h, gamma, K) phase diagram.
-
-    The spectrum depends on the field only through |h|, so the classification
-    is symmetric under h -> -h.
+    """Classify the point in the (h, gamma, K) phase diagram, symmetric under
+    h -> -h.  zero_crossings gives the region (no root "Unbroken", one
+    "ExceptionalPoint", two "Broken"); the exceptional line is gamma == K
+    exactly (gamma - K is exact near it), defective for |h| < 1, and
+    at_critical is |h| == 1 exactly (g = h + cos phi closes at phi = pi).
     """
-    gam, k = params.gamma, params.k_ksea
     h = abs(params.h)
-    h_c = 1.0
-    at_critical = abs(h - h_c) <= 1e-12
-    if abs(gam - k) <= 1e-12 * max(1.0, gam):
-        # gamma = K line: spectrum real for all h, defective continuum for h < 1
-        region = "ExceptionalLine" if h < 1.0 - 1e-12 else "Unbroken"
-        return PhaseInfo(region, h_c, None, None, at_critical)
-    he = exceptional_field(params)
-    if he is None:
-        return PhaseInfo("Unbroken", h_c, None, None, at_critical)
-    tol = 1e-12 * max(1.0, he)
-    if abs(h - he) <= tol:
-        return PhaseInfo("ExceptionalPoint", h_c, he, None, at_critical)
-    if h > he:
-        return PhaseInfo("Unbroken", h_c, he, None, at_critical)
-    return PhaseInfo("Broken", h_c, he, zero_crossings(params), at_critical)
+    if params.gamma == params.k_ksea:
+        region = "ExceptionalLine" if h < 1.0 else "Unbroken"
+        return PhaseInfo(region, 1.0, None, None, h == 1.0)
+    roots = zero_crossings(params) or ()
+    return PhaseInfo(("Unbroken", "ExceptionalPoint", "Broken")[len(roots)], 1.0,
+                     exceptional_field(params), roots if len(roots) == 2 else None,
+                     h == 1.0)

@@ -64,7 +64,7 @@ def test_config_roundtrip_and_defaults(tmp_path):
     assert "t_values" not in cfg.sections["grid"]
 
 
-def test_config_error_cases():
+def test_config_error_cases(tmp_path, capsys):
     with pytest.raises(ConfigError):
         RunConfig.from_text("[model]\nh = 1\n")          # no [run]
     with pytest.raises(ConfigError):
@@ -80,6 +80,14 @@ def test_config_error_cases():
         cfg.get_str("model", "missing")                  # required, no default
     with pytest.raises(ConfigError):
         RunConfig.from_file("/nonexistent/path.cfg")
+    # a config that is not UTF-8 (a Latin-1 byte in a comment) is unreadable
+    latin = tmp_path / "latin.cfg"
+    latin.write_bytes(b"[run]\ncommand = phase\n# caf\xe9\n")
+    with pytest.raises(ConfigError, match="cannot read config"):
+        RunConfig.from_file(str(latin))
+    assert main(["phase", "--config", str(latin), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: cannot read config {str(latin)!r}: 'utf-8' codec")
     # the prefix names files inside --out: no path, no hidden file
     for prefix in ("", " ", ".", "..", "sub/dir", "../x", "/abs", "a\\b"):
         with pytest.raises(ConfigError, match=r"\[run\] prefix must be a plain"):
@@ -803,6 +811,24 @@ y_column = qfi_total
     assert main(["fit", "--config", cfg_path, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "short.csv" in err
+    assert not (tmp_path / "fit_fit.json").exists()
+
+
+def test_fit_input_not_utf8_is_unreadable_config_error(tmp_path, capsys):
+    # a Latin-1 byte is a decoding failure, not "non-numeric data"
+    (tmp_path / "latin.csv").write_bytes(b"N,qfi_total\n8,1.0\n16,4.0 \xb5\n")
+    cfg_path = write_cfg(tmp_path / "fit.cfg", """\
+[run]
+command = fit
+
+[fit]
+input = latin.csv
+x_column = N
+y_column = qfi_total
+""")
+    assert main(["fit", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read [fit] input ") and "latin.csv" in err
     assert not (tmp_path / "fit_fit.json").exists()
 
 

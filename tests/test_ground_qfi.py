@@ -309,6 +309,22 @@ def test_asymptotic_qfi_formulas():
                                16 * kappa ** 2 * (120 / np.pi) ** 6, rtol=1e-9)
 
 
+def test_asymptotic_regimes_need_the_exact_point():
+    # 5e-13 above h_e = 1.1 zero_crossings finds no tangency
+    with pytest.raises(DomainError, match="requires h = h_e = 1.1, got"):
+        asymptotic_qfi(ChainParams(h=1.1 + 5e-13, gamma=0.5, k_ksea=0.2, n_sites=100),
+                       "exceptional")
+    # h = 1 is |h| == 1 exactly
+    with pytest.raises(DomainError, match="critical_unbroken regime requires h = 1"):
+        asymptotic_qfi(ChainParams(h=1.0 + 1e-13, gamma=0.2, k_ksea=0.5, n_sites=100),
+                       "critical_unbroken")
+    with pytest.raises(DomainError, match="near_degenerate regime requires h = 1"):
+        asymptotic_qfi(ChainParams(h=1.0 + 1e-13, gamma=0.5, k_ksea=0.5 + 1e-6,
+                                   n_sites=200), "near_degenerate")
+    assert asymptotic_qfi(ChainParams(h=-1.0, gamma=0.2, k_ksea=0.5, n_sites=100),
+                          "critical_unbroken") == (100 / np.pi) ** 2 / 0.25
+
+
 def test_asymptotic_qfi_domain_errors():
     with pytest.raises(DomainError):
         asymptotic_qfi(ChainParams(h=1.0, gamma=0.5, k_ksea=0.2, n_sites=100),

@@ -1,10 +1,15 @@
 """Momentum blocks, dispersion branches, and phase classification."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
 
 from iksea.errors import ParameterError
+from iksea.ground import ground_qfi
 from iksea.model import (
     PARAM_MAX,
     ChainParams,
@@ -241,3 +246,65 @@ def test_classify_phase_symmetric_in_field_sign():
         b = classify_phase(ChainParams(h=-h, gamma=gamma, k_ksea=k, n_sites=8))
         assert a.region == b.region
         assert a.at_critical == b.at_critical
+
+
+def test_k_just_off_gamma_is_not_the_exceptional_line():
+    # K = gamma + 1e-13: gamma - K is not 0, and every mode is regular
+    p = ChainParams(h=0.5, gamma=0.5, k_ksea=0.5 + 1e-13, n_sites=64)
+    assert classify_phase(p).region == "Unbroken"
+    assert np.isfinite(ground_qfi(p).total)
+
+
+def test_field_just_above_h_e_is_unbroken():
+    # 5e-13 from h_e = 1.1 the smallest eps_sq (1.9e-13) is some 800 times
+    # its rounding bound; exactly on h_e, at either sign, it is the tangency
+    p = ChainParams(h=1.1, gamma=0.5, k_ksea=0.2, n_sites=64)
+    he = exceptional_field(p)
+    above = p.replace(h=he + 5e-13)
+    assert classify_phase(above).region == "Unbroken"
+    assert zero_crossings(above) is None
+    for h in (he, -he):
+        assert classify_phase(p.replace(h=h)).region == "ExceptionalPoint"
+        assert len(zero_crossings(p.replace(h=h))) == 1
+
+
+def test_field_just_below_h_e_is_broken():
+    p = ChainParams(h=1.1, gamma=0.5, k_ksea=0.2, n_sites=64)
+    below = p.replace(h=exceptional_field(p) - 5e-13)
+    info = classify_phase(below)
+    assert info.region == "Broken"
+    assert len(info.omega_pm) == 2 and info.omega_pm == zero_crossings(below)
+    assert info.omega_pm[0] < info.omega_pm[1]
+
+
+def test_critical_field_is_exact():
+    p = ChainParams(h=-1.0, gamma=0.2, k_ksea=0.5, n_sites=8)
+    assert classify_phase(p).at_critical is True
+    assert classify_phase(p.replace(h=1.0 + 1e-13)).at_critical is False
+
+
+@st.composite
+def phase_points(draw):
+    """Chains anywhere, on the gamma = K line, and at or near h = +-1 and h_e."""
+    gamma = draw(st.floats(0.0, 2.0))
+    k = draw(st.one_of(st.floats(0.0, 2.0), st.just(gamma)))
+    he = math.sqrt(1.0 + gamma * gamma - k * k) if k < gamma else 1.0
+    h = draw(st.one_of(st.floats(-3.0, 3.0), st.sampled_from([1.0, -1.0, he, -he]),
+                       st.floats(-1e-9, 1e-9).map(lambda d: he * (1.0 + d)),
+                       st.floats(-1e-12, 1e-12).map(lambda d: he * (1.0 + d))))
+    return ChainParams(h=h, gamma=gamma, k_ksea=k, n_sites=2 * draw(st.integers(1, 2 ** 11)))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(phase_points())
+def test_phase_agrees_with_the_grid(p):
+    # the spectrum at -h is that at h with phi -> pi - phi; the roots are at |h|
+    info = classify_phase(p)
+    phi = momentum_grid(p.n_sites)
+    g, ap, am, eps_sq = block_elements(p.replace(h=abs(p.h)), phi)
+    if info.region == "Unbroken":
+        assert (eps_sq >= -exceptional_tolerance(g, ap, am)).all()
+    if info.region == "Broken":
+        (lo, hi), margin = info.omega_pm, 1e-10
+        assert (eps_sq[(phi > lo + margin) & (phi < hi - margin)] < 0).all()
+        assert (eps_sq[(phi < lo - margin) | (phi > hi + margin)] > 0).all()

@@ -4,8 +4,11 @@ model.exceptional_tolerance is a bound on the rounding error of the computed
 eps_sq.  Here eps_sq = (h + cos phi)^2 + (K^2 - gamma^2) sin^2 phi is taken in
 mpmath at the kernel's own float angle and float parameters, at any N up to
 2^20, with the cancelling corners (phi -> pi at h ~ 1, phi -> 0 at h ~ -1,
-K ~ gamma) drawn on purpose.
+K ~ gamma) drawn on purpose.  The phase's tangency verdict is checked against
+the continuum minimum of eps_sq in the same arithmetic.
 """
+
+import math
 
 import mpmath
 import numpy as np
@@ -16,7 +19,8 @@ from hypothesis import strategies as st
 import iksea.ground
 from iksea.errors import ExceptionalModeError
 from iksea.ground import ground_qfi
-from iksea.model import ChainParams, block_elements, exceptional_tolerance, momentum_grid
+from iksea.model import (ChainParams, block_elements, classify_phase, exceptional_field,
+                         exceptional_tolerance, momentum_grid)
 
 
 def mp_eps_sq(p, phi):
@@ -70,3 +74,32 @@ def test_exact_exceptional_mode_is_still_flagged(n, mode):
     with pytest.raises(ExceptionalModeError) as info:
         ground_qfi(p)
     assert info.value.mode_index == mode
+
+
+@st.composite
+def near_tangency(draw):
+    """gamma > K with h within a few ulps, or up to 1e-12 relative, of +-h_e."""
+    gamma = draw(st.floats(1e-3, 2.0))
+    k = gamma * draw(st.floats(0.0, 0.999))
+    h = exceptional_field(ChainParams(h=1.0, gamma=gamma, k_ksea=k, n_sites=2))
+    h = draw(st.one_of(
+        st.integers(-8, 8).map(lambda j: h + j * math.ulp(h)),
+        st.floats(-1e-12, 1e-12).map(lambda d: h * (1.0 + d))))
+    return ChainParams(h=h * draw(st.sampled_from([1.0, -1.0])), gamma=gamma,
+                       k_ksea=k, n_sites=8)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(near_tangency())
+def test_tangency_verdict_against_the_continuum_minimum(p):
+    # min over phi of eps_sq = (gamma^2 - K^2)(h^2 - h_e^2) / h_e^2, exactly
+    # for the float h, gamma and K; clear of twice the mode bound at omega_c
+    # the point is Broken or Unbroken by its sign, never the exceptional point
+    with mpmath.workdps(50):
+        k, gam, h = mpmath.mpf(p.k_ksea), mpmath.mpf(p.gamma), mpmath.mpf(abs(p.h))
+        he2 = 1 + gam * gam - k * k
+        minimum = (gam * gam - k * k) * (h * h - he2) / he2
+    omega_c = float(np.arccos(-abs(p.h) / exceptional_field(p) ** 2))
+    g, ap, am, _ = block_elements(p.replace(h=abs(p.h)), omega_c)
+    if abs(minimum) > 2 * exceptional_tolerance(g, ap, am):
+        assert classify_phase(p).region == ("Broken" if minimum < 0 else "Unbroken")
