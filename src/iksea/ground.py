@@ -36,12 +36,12 @@ from .errors import (
 )
 from .model import (
     ChainParams,
+    _angles,
     _couplings,
     _elements,
     exact_sum,
     exceptional_field,
     exceptional_tolerance,
-    momentum_grid,
     zero_crossings,
 )
 
@@ -119,26 +119,27 @@ def _field_rows(params: ChainParams, hs) -> list:
     """(total, flag_near_singular, values) of ground_qfi at each field in hs,
     with params' N, gamma and K, or its ExceptionalModeError, in input order.
     The kernel takes blocks of about _BLOCK (field, mode) pairs, or _BLOCK
-    modes of a wider row; a block with a defective mode runs again row by
-    row, so only the defective rows fail."""
-    phi = momentum_grid(params.n_sites)
+    modes of a wider row, each with its own angles and near-singular count,
+    so only the values outlive a block; a block with a defective mode runs
+    again row by row, so only the defective rows fail."""
+    modes = params.n_sites // 2
 
     def rows(h):
-        vals = np.empty((len(h), phi.size))
+        vals, near = np.empty((len(h), modes)), np.zeros(len(h), int)
         col = h[:, None] if len(h) > 1 else h[0]    # one field: 1-D arrays
         try:
-            for i in range(0, phi.size, _BLOCK):
-                vals[:, i:i + _BLOCK] = _mode_qfi(params, phi[i:i + _BLOCK], i, col)[1]
+            for i in range(0, modes, _BLOCK):
+                block, phi = vals[:, i:i + _BLOCK], _angles(params.n_sites, i, i + _BLOCK)
+                block[:] = _mode_qfi(params, phi, i, col)[1]
+                near += np.count_nonzero(block >= NEAR_SINGULAR_CONTRIB, axis=1)
         except ExceptionalModeError as exc:
             return [exc] if len(h) == 1 else [_field_rows(params, [x])[0] for x in h]
-        big = vals >= NEAR_SINGULAR_CONTRIB
-        near = np.count_nonzero(big, axis=1) if big.any() else np.zeros(len(h), int)
-        for n, x in zip(near[near > 0], h[near > 0]):
+        for c, x in zip(near[near > 0], h[near > 0]):
             warnings.warn(NearSingularWarning(
-                f"{n} mode(s) contribute within 1e6 of float overflow at h={x:.12g}"))
-        return [(exact_sum(v), bool(n), v) for v, n in zip(vals, near)]
+                f"{c} mode(s) contribute within 1e6 of float overflow at h={x:.12g}"))
+        return [(exact_sum(v), bool(c), v) for v, c in zip(vals, near)]
 
-    fields, step = np.asarray(hs, dtype=float), max(1, _BLOCK // phi.size)
+    fields, step = np.asarray(hs, dtype=float), max(1, _BLOCK // modes)
     return [x for r in range(0, len(fields), step) for x in rows(fields[r:r + step])]
 
 
@@ -203,8 +204,7 @@ def asymptotic_qfi(params: ChainParams, regime: str) -> float:
         (omega_c,) = roots
         s = omega_c * n / np.pi
         p = min(max(round((s + 1.0) / 2.0), 1), n // 2)   # nearest grid mode
-        phi = (2 * p - 1) * np.pi / n
-        _mode_qfi(params.replace(h=h), np.array([phi]), offset=p - 1)
+        _mode_qfi(params.replace(h=h), _angles(n, p - 1, p), offset=p - 1)
         x = abs(s - (2 * p - 1))
         return float((n / np.pi) ** 2 / (gam * gam * x * x))
     if regime == "near_degenerate":

@@ -118,7 +118,12 @@ def momentum_grid(n_sites: int) -> np.ndarray:
     """Antiperiodic momentum angles phi_p = (2p-1)pi/N for p = 1..N/2."""
     if n_sites < 2 or n_sites % 2 != 0:
         raise ParameterError(f"n_sites must be an even integer >= 2, got {n_sites!r}")
-    return np.arange(1, n_sites, 2) * np.pi / n_sites
+    return _angles(n_sites, 0, n_sites // 2)
+
+
+def _angles(n_sites: int, start: int, stop: int) -> np.ndarray:
+    """Modes start + 1 .. min(stop, N/2) of momentum_grid(n_sites), same bits."""
+    return np.arange(2 * start + 1, min(2 * stop, n_sites), 2) * np.pi / n_sites
 
 
 def _elements(params: ChainParams, phi, h=None):

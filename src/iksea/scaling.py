@@ -74,7 +74,7 @@ def power_law_fit(xs, ys, window: Optional[Tuple[float, float]] = None) -> Scali
         xs, ys = xs[keep], ys[keep]
     else:
         lo, hi = (float(xs.min()), float(xs.max())) if xs.size else (np.nan, np.nan)
-    if np.unique(xs).size < 3:
+    if len(set(xs.tolist())) < 3:
         raise InsufficientDataError(
             f"need at least 3 points inside the fit window, got {xs.size}"
             + (" (fewer than 3 distinct xs)" if xs.size >= 3 else ""))

@@ -6,6 +6,7 @@ import math
 import os
 import platform
 import re
+import subprocess
 import sys
 import warnings
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 import scipy
 
+import iksea
 from iksea.cli import _run_points, main
 from iksea.config import RunConfig
 from iksea.dynamics import dynamical_qfi
@@ -450,6 +452,23 @@ def test_sweep_n_sites_and_fit_file(tmp_path):
     assert fits["fit"]["n_points"] == 4
     assert math.isclose(fits["fit"]["amplitude"],
                         math.exp(fits["fit"]["intercept"]), rel_tol=1e-12)
+
+
+def test_sweep_leaves_numpy_ma_out(tmp_path):
+    # power_law_fit counts distinct xs without np.unique, whose first call
+    # imports numpy.ma (some 10 ms and 1 MB on every sweep and fit)
+    cfg_path = write_cfg(tmp_path / "run.cfg", SWEEP_CFG)
+    code = ("import sys, iksea.cli; "
+            f"rc = iksea.cli.main(['sweep', '--config', {cfg_path!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}]); "
+            "assert rc == 0, rc; "
+            "assert 'numpy.ma' not in sys.modules")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(iksea.__file__)))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "out" / "sweep_fits.json").exists()
 
 
 def test_sweep_reruns_are_byte_identical(tmp_path):

@@ -8,6 +8,10 @@ import pytest
 from scipy.linalg import expm
 
 from iksea.dynamics import (
+    _BLOCK,
+    _CLAMP_FLOOR,
+    _mode_values,
+    _qfi_totals,
     block_propagator,
     dynamical_qfi,
     propagator_derivative,
@@ -507,6 +511,22 @@ def test_series_rows_at_the_block_edges_equal_the_per_time_route(extra):
     times = np.geomspace(0.05, 900.0, rows)
     _assert_same_rows(_qfi_totals(p, times), _per_time(p, times))
     assert qfi_time_series(p, times).tolist() == _per_time(p, times)
+
+
+@pytest.mark.parametrize("modes", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 ** 17])
+def test_series_rows_equal_one_unblocked_whole_grid_pass(modes):
+    # the reference evaluates every mode of every time in one kernel call,
+    # so a blocking change (offsets, row counts) cannot hide behind it
+    p = ChainParams(h=0.5, gamma=0.5, k_ksea=0.2, n_sites=2 * modes)
+    times = np.array([1e-6, 0.3, 7.0, 900.0])     # 1e-6: round-off below 0
+    phi = momentum_grid(p.n_sites)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        whole = _mode_values(p, block_elements(p, phi), phi, times[:, None])
+    assert (whole < 0.0).any() and (whole >= _CLAMP_FLOOR).all()
+    want = [exact_sum(np.where(row < 0.0, 0.0, row)) for row in whole]
+    got = _qfi_totals(p, times)
+    assert np.array(got).view(np.int64).tolist() == \
+        np.array(want).view(np.int64).tolist()
 
 
 def test_series_equals_matrix_route_bit_for_bit():

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -599,6 +600,35 @@ def test_field_rows_at_the_block_edges(half):
     hs = [0.3, 0.5, 1.0, 1.7]
     _assert_rows_equal_per_point(
         ChainParams(h=1.0, gamma=0.5, k_ksea=0.2, n_sites=2 * half), hs)
+
+
+@pytest.mark.parametrize("n", [2 * B - 2, 2 * B, 2 * B + 2, 2 ** 18])
+@pytest.mark.parametrize("gamma, k", [(0.5, 0.2), (0.3, 0.3)])
+def test_field_rows_equal_one_unblocked_whole_grid_call(n, gamma, k):
+    # the reference takes every angle from momentum_grid in one kernel call,
+    # so a blocking change (angles, offsets) cannot hide behind it
+    hs = [-0.5, 0.5, 1.0, 1.7]
+    p = ChainParams(h=1.0, gamma=gamma, k_ksea=k, n_sites=n)
+    for h, (total, flag, values) in zip(hs, iksea.ground._field_rows(p, hs)):
+        _, whole = iksea.ground._mode_qfi(p.replace(h=h), momentum_grid(n))
+        assert (values.view(np.int64) == whole.view(np.int64)).all(), h
+        assert np.float64(total).view(np.int64) == \
+            np.float64(math.fsum(whole.tolist())).view(np.int64), h
+        assert flag is False
+
+
+def test_ground_qfi_working_set_is_its_values_and_one_block():
+    # numpy reports its buffers to tracemalloc: beyond the values it hands
+    # back, ground_qfi holds O(_BLOCK) temporaries, not N/2 angles or flags
+    p = ChainParams(h=1.0, gamma=0.2, k_ksea=0.5, n_sites=2 ** 20)
+    tracemalloc.start()
+    try:
+        rec = ground_qfi(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.values.size == 2 ** 19
+    assert peak <= rec.values.nbytes + 2 * 2 ** 20, peak
 
 
 def test_near_singular_rows_warn_once_per_field(monkeypatch):
