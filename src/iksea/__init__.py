@@ -41,6 +41,7 @@ from .model import (
 from .ground import (
     QfiRecord,
     ground_qfi,
+    ground_qfi_values,
     asymptotic_qfi,
 )
 from .dynamics import (

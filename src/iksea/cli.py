@@ -142,7 +142,7 @@ def cmd_ground_qfi(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
     if errors:
         raise errors[0]
     rows = [[p.n_sites, h, p.gamma, p.k_ksea, ph.region, total, flag]
-            for (p, h, ph), (total, flag, _) in done]
+            for (p, h, ph), (total, flag) in done]
     emit("", rows, ["N", "h", "gamma", "K", "phase", "qfi_total",
                     "flag_near_singular"])
     emit("_summary", {

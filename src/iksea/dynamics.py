@@ -69,8 +69,10 @@ _RESCALE_ARG = 100.0
 #: negative per-mode contributions beyond this are treated as real errors
 _CLAMP_FLOOR = -1e-10
 
-#: (time, mode) pairs per row block of _qfi_totals (temporaries stay in L2)
-_BLOCK = 2 ** 13
+#: (time, mode) pairs per row block of _qfi_totals: 40 times at N = 4096 peak at
+#: 0.97 MiB traced (1.86 at 2^13); the four big-jobs dyn-qfi series took 43-65 ms
+#: against 51-75 at 2^13 and 48-75 at 2^11 (30 interleaved rounds, twice, 2 CPUs)
+_BLOCK = 2 ** 12
 
 
 def _libm(fn, x) -> np.ndarray:

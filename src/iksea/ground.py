@@ -16,38 +16,26 @@ and the field-estimation QFI of the Dirac-normalised state splits by branch:
 Fields at one N are evaluated in (fields x modes) blocks of about 2^13 pairs,
 with the same bits as one field at a time; a block clear of the scalar
 exceptional bound evaluates only its branch.  Totals are exactly rounded sums
-in ascending mode order (model.exact_sum, equal to math.fsum).
+in ascending mode order, added up block by block (equal to math.fsum).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    ExceptionalModeError,
-    NearSingularWarning,
-    ParameterError,
-    OutOfWindowError,
-)
-from .model import (
-    ChainParams,
-    _angles,
-    _couplings,
-    _elements,
-    exact_sum,
-    exceptional_field,
-    exceptional_tolerance,
-    zero_crossings,
-)
+from .errors import (DomainError, ExceptionalModeError, NearSingularWarning, ParameterError,
+                     OutOfWindowError)
+from .model import (ChainParams, _angles, _couplings, _elements, _exact_add, _exact_round,
+                    exact_sum, exceptional_field, exceptional_tolerance, zero_crossings)
 
 __all__ = [
     "QfiRecord",
     "ground_qfi",
+    "ground_qfi_values",
     "asymptotic_qfi",
     "NEAR_SINGULAR_CONTRIB",
 ]
@@ -60,15 +48,10 @@ _BLOCK = 2 ** 13
 
 @dataclass(frozen=True)
 class QfiRecord:
-    """Total ground QFI with its per-mode values (ascending mode order).
-
-    values is a read-only array over momentum_grid(n_sites);
-    flag_near_singular is set when any value is within 1e6 of float overflow.
-    """
+    """Total ground QFI, flagged when a per-mode value reaches NEAR_SINGULAR_CONTRIB."""
 
     total: float
     flag_near_singular: bool
-    values: np.ndarray = field(repr=False, compare=False)
 
 
 def _mode_qfi(params: ChainParams, phi: np.ndarray, offset: int = 0, h=None):
@@ -115,46 +98,64 @@ def _mode_qfi(params: ChainParams, phi: np.ndarray, offset: int = 0, h=None):
     return eps_sq, vals
 
 
+def _blocks(params: ChainParams, h: np.ndarray):
+    """(i, values of modes i + 1 ..) of each kernel block at the fields h in
+    turn, each with its own angles: (len(h), width), or (width,) for one h."""
+    col = h[:, None] if len(h) > 1 else h[0]    # one field: 1-D arrays
+    for i in range(0, params.n_sites // 2, _BLOCK):
+        yield i, _mode_qfi(params, _angles(params.n_sites, i, i + _BLOCK), i, col)[1]
+
+
 def _field_rows(params: ChainParams, hs) -> list:
-    """(total, flag_near_singular, values) of ground_qfi at each field in hs,
-    with params' N, gamma and K, or its ExceptionalModeError, in input order.
-    The kernel takes blocks of about _BLOCK (field, mode) pairs, or _BLOCK
-    modes of a wider row, each with its own angles and near-singular count,
-    so only the values outlive a block; a block with a defective mode runs
-    again row by row, so only the defective rows fail."""
+    """(total, flag_near_singular) of ground_qfi at each field in hs (params'
+    N, gamma, K), or its ExceptionalModeError, in input order.  Blocks of about
+    _BLOCK (field, mode) pairs, or _BLOCK modes of a wider row, go into their
+    rows' sums and near-singular counts while in cache; a block with a
+    defective mode runs again row by row."""
     modes = params.n_sites // 2
 
     def rows(h):
-        vals, near = np.empty((len(h), modes)), np.zeros(len(h), int)
-        col = h[:, None] if len(h) > 1 else h[0]    # one field: 1-D arrays
+        near, exact = np.zeros(len(h), int), 0
         try:
-            for i in range(0, modes, _BLOCK):
-                block, phi = vals[:, i:i + _BLOCK], _angles(params.n_sites, i, i + _BLOCK)
-                block[:] = _mode_qfi(params, phi, i, col)[1]
-                near += np.count_nonzero(block >= NEAR_SINGULAR_CONTRIB, axis=1)
+            for _, block in _blocks(params, h):
+                near += np.count_nonzero(block >= NEAR_SINGULAR_CONTRIB, axis=-1)
+                if modes <= _BLOCK:             # one block of whole rows
+                    totals = [exact_sum(v) for v in block.reshape(len(h), -1)]
+                else:                           # one row over many blocks
+                    exact = _exact_add(exact, block, modes)
         except ExceptionalModeError as exc:
             return [exc] if len(h) == 1 else [_field_rows(params, [x])[0] for x in h]
+        if modes > _BLOCK:              # a sum left to math.fsum: the row again
+            totals = [_exact_round(exact, lambda: ground_qfi_values(
+                params.replace(h=float(h[0]))))]
         for c, x in zip(near[near > 0], h[near > 0]):
             warnings.warn(NearSingularWarning(
                 f"{c} mode(s) contribute within 1e6 of float overflow at h={x:.12g}"))
-        return [(exact_sum(v), bool(c), v) for v, c in zip(vals, near)]
+        return [(t, bool(c)) for t, c in zip(totals, near)]
 
     fields, step = np.asarray(hs, dtype=float), max(1, _BLOCK // modes)
     return [x for r in range(0, len(fields), step) for x in rows(fields[r:r + step])]
 
 
 def ground_qfi(params: ChainParams) -> QfiRecord:
-    """Total ground-state QFI over the positive-momentum grid, the one-row
-    view of _field_rows: per-mode values (each >= 0) on the record, their sum
-    exactly rounded (math.fsum's, ascending mode order), ExceptionalModeError
-    naming a defective mode, one NearSingularWarning with the count of values
-    within 1e6 of float overflow."""
+    """Total ground-state QFI over the positive-momentum grid, one row of
+    _field_rows: ground_qfi_values' sum exactly rounded (math.fsum's, modes
+    in ascending order); ExceptionalModeError names a defective mode, one
+    NearSingularWarning counts the values within 1e6 of float overflow."""
     (row,) = _field_rows(params, [params.h])
     if isinstance(row, ExceptionalModeError):
         raise row
-    total, near, vals = row
-    vals.flags.writeable = False
-    return QfiRecord(total, near, vals)
+    return QfiRecord(*row)
+
+
+def ground_qfi_values(params: ChainParams) -> np.ndarray:
+    """Per-mode ground QFI (each >= 0) over momentum_grid(n_sites), read-only,
+    from ground_qfi's blocks; ExceptionalModeError names a defective mode."""
+    values = np.empty(params.n_sites // 2)
+    for i, block in _blocks(params, np.array([params.h])):
+        values[i:i + block.size] = block
+    values.flags.writeable = False
+    return values
 
 
 def asymptotic_qfi(params: ChainParams, regime: str) -> float:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -179,36 +179,47 @@ def exceptional_tolerance(g, a_plus, a_minus):
 
 
 def exact_sum(values: np.ndarray) -> float:
-    """math.fsum(values.tolist()) of a 1-D float64 array, bit for bit.
-
-    Error-free extraction on blocks of n values: with max|r| < 2^e and
-    sigma = 2^k >= n 2^e, each q = (r + sigma) - sigma is exact, a multiple
-    of u = ulp(sigma/2) and at most 2^e <= 2^53 u / n, so q.sum() is exact in
-    any order.  Each level adds it to one Python int and goes on with r - q
-    until r is zero; the int is rounded once.  math.fsum
-    itself sums fewer than EXACT_SUM_CUTOVER or 2^26 values or more, an inf
-    or nan, a sum that could overflow and a zero or subnormal total.
-    """
-    n, exact = values.size, 0               # exact: units of 2^-1074
+    """math.fsum(values.tolist()) of a 1-D float64 array, bit for bit: the
+    _exact_round of the _exact_add of its blocks of _SUM_BLOCK values, and
+    math.fsum itself below EXACT_SUM_CUTOVER values or from 2^26 on."""
+    n, exact = values.size, 0
     if not EXACT_SUM_CUTOVER <= n < 2 ** 26:
         return math.fsum(values.tolist())
-    top = 1022 - (n - 1).bit_length()       # all |v| < 2^top: |sum| < 2^1022
-    spread = (min(n, _SUM_BLOCK) - 1).bit_length()   # 2^spread >= n
     for i in range(0, n, _SUM_BLOCK):
-        r = values[i:i + _SUM_BLOCK]
+        exact = _exact_add(exact, values[i:i + _SUM_BLOCK], n)
+    return _exact_round(exact, lambda: values)
+
+
+def _exact_add(exact: Optional[int], r: np.ndarray, n: int) -> Optional[int]:
+    """exact + sum(r) in units of 2^-1074, exactly, for a non-empty block r
+    of a sum of n values; None (also for None) where math.fsum must sum: an
+    inf or nan, or some |v| >= 2^top, where the sum could overflow.
+
+    Error-free extraction: with max|r| < 2^e and sigma = 2^k >= r.size 2^e,
+    each q = (r + sigma) - sigma is exact, a multiple of u = ulp(sigma/2) and
+    at most 2^e <= 2^53 u / r.size, so q.sum() is exact in any order; each
+    level adds it to exact and goes on with r - q until r is zero."""
+    top = 1022 - (n - 1).bit_length()       # all |v| < 2^top: |sum| < 2^1022
+    m = None if exact is None else max(r.max(), -r.min())
+    if m is None or not m < 2.0 ** top:     # also inf and nan
+        return None
+    spread = (r.size - 1).bit_length()      # 2^spread >= r.size
+    while m:
+        k = math.frexp(m)[1] + spread       # sigma = 2^k <= 2^1022
+        q = r + 2.0 ** k
+        q -= 2.0 ** k
+        r = r - q
+        unit = max(k - 53, -1074)
+        exact += int(math.ldexp(q.sum(), -unit)) << unit + 1074
         m = max(r.max(), -r.min())
-        if not m < 2.0 ** top:              # also inf and nan
-            return math.fsum(values.tolist())
-        while m:
-            k = math.frexp(m)[1] + spread    # sigma = 2^k <= 2^1022
-            q = r + 2.0 ** k
-            q -= 2.0 ** k
-            r = r - q
-            unit = max(k - 53, -1074)
-            exact += int(math.ldexp(q.sum(), -unit)) << unit + 1074
-            m = max(r.max(), -r.min())
-    total = exact / (1 << 1074)
-    return total if abs(total) >= 2.0 ** -1022 else math.fsum(values.tolist())
+    return exact
+
+
+def _exact_round(exact: Optional[int], whole: Callable[[], np.ndarray]) -> float:
+    """_exact_add's sum rounded once, as math.fsum rounds it, or for None and
+    a zero or subnormal total math.fsum of the array whole() itself."""
+    total = 0.0 if exact is None else exact / (1 << 1074)
+    return total if abs(total) >= 2.0 ** -1022 else math.fsum(whole().tolist())
 
 
 def dispersion(params: ChainParams, phi):

@@ -11,10 +11,10 @@ import hashlib
 import json
 import os
 import platform
+import sys
 from typing import Callable, List, Sequence
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import RunConfig
@@ -47,8 +47,8 @@ class Manifest:
 
     The command, seed, config text and prefix are read from the RunConfig
     at write time.  The manifest is the only emitted file with timestamps;
-    "package_version", "python", "numpy" and "scipy" name the software that
-    ran.
+    "package_version", "python", "numpy" and "scipy" (null unless the process
+    loaded it) name the software that ran.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -73,7 +73,7 @@ class Manifest:
             "package_version": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": getattr(sys.modules.get("scipy"), "__version__", None),
             "seed": self.cfg.seed,
             "started": self.started,
             "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),

@@ -1194,7 +1194,34 @@ def test_manifest_records_versions(tmp_path):
     assert manifest["package_version"] == iksea.__version__
     assert manifest["python"] == platform.python_version()
     assert manifest["numpy"] == np.__version__
-    assert manifest["scipy"] == scipy.__version__
+    # "scipy" names the scipy the process has loaded; this module imports it
+    assert "scipy" in sys.modules and manifest["scipy"] == scipy.__version__
+
+
+def test_manifest_names_scipy_only_once_a_run_loads_it(tmp_path):
+    # a fresh interpreter: import iksea.cli loads no scipy module, ground-qfi
+    # loads none, and oracle-check's dense evolution loads scipy.linalg
+    ground = write_cfg(tmp_path / "ground.cfg", GROUND_CFG)
+    oracle = write_cfg(tmp_path / "oracle.cfg",
+                       "[run]\ncommand = oracle-check\n[oracle]\nsizes = 4\n"
+                       "points = 1\ninclude_dynamics = true\n")
+    code = ("import sys, iksea.cli; "
+            "assert not [m for m in sys.modules if m.startswith('scipy')]; "
+            f"assert iksea.cli.main(['ground-qfi', '--config', {ground!r}, "
+            f"'--out', {str(tmp_path / 'ground')!r}]) == 0; "
+            "assert not [m for m in sys.modules if m.startswith('scipy')]; "
+            f"assert iksea.cli.main(['oracle-check', '--config', {oracle!r}, "
+            f"'--out', {str(tmp_path / 'oracle')!r}]) == 0")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(iksea.__file__)))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    manifests = [json.loads(path.read_text())
+                 for path in (*(tmp_path / "ground").glob("*_manifest.json"),
+                              *(tmp_path / "oracle").glob("*_manifest.json"))]
+    assert [m["command"] for m in manifests] == ["ground-qfi", "oracle-check"]
+    assert [m["scipy"] for m in manifests] == [None, scipy.__version__]
 
 
 # --------------------------------------------------------- shipped configs

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -505,7 +506,7 @@ def _assert_same_rows(got, want):
 @pytest.mark.parametrize("extra", [-1, 0, 1])
 def test_series_rows_at_the_block_edges_equal_the_per_time_route(extra):
     from iksea.dynamics import _BLOCK, _qfi_totals
-    # 500 modes do not divide the block: each block holds 16 rows of times
+    # 500 modes do not divide the block: each block holds _BLOCK // 500 rows
     p = ChainParams(h=0.5, gamma=0.5, k_ksea=0.2, n_sites=1000)
     rows = _BLOCK // 500 + extra
     times = np.geomspace(0.05, 900.0, rows)
@@ -513,7 +514,8 @@ def test_series_rows_at_the_block_edges_equal_the_per_time_route(extra):
     assert qfi_time_series(p, times).tolist() == _per_time(p, times)
 
 
-@pytest.mark.parametrize("modes", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 ** 17])
+@pytest.mark.parametrize("modes", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 1,
+                                   2 * _BLOCK, 2 * _BLOCK + 1, 2 ** 17])
 def test_series_rows_equal_one_unblocked_whole_grid_pass(modes):
     # the reference evaluates every mode of every time in one kernel call,
     # so a blocking change (offsets, row counts) cannot hide behind it
@@ -626,3 +628,19 @@ def test_series_evaluates_block_elements_once(monkeypatch):
     times = np.geomspace(0.1, 1500.0, 40)
     assert qfi_time_series(p, times).shape == (40,)
     assert calls == [512]
+
+
+def test_series_working_set_is_a_few_row_blocks():
+    # numpy reports its buffers to tracemalloc: 40 times at N = 4096 (2048
+    # modes) run in row blocks of _BLOCK pairs, so the Gram form's
+    # temporaries stay a few blocks (0.97 MiB; 1.86 with blocks of 2^13)
+    p = ChainParams(h=0.5, gamma=0.5, k_ksea=0.2, n_sites=4096)
+    times = np.geomspace(0.1, 1500.0, 40)
+    qfi_time_series(p, times)
+    tracemalloc.start()
+    try:
+        qfi_time_series(p, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 2 ** 20, peak

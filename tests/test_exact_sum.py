@@ -6,11 +6,11 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import iksea.model
-from iksea.model import EXACT_SUM_CUTOVER, exact_sum
+from iksea.model import EXACT_SUM_CUTOVER, _exact_add, _exact_round, exact_sum
 
 CUT = EXACT_SUM_CUTOVER
 
@@ -242,3 +242,61 @@ def test_block_boundaries_equal_fsum(n):
     x[-1] = 1e-300
     assert_same_as_fsum(x)
     assert_same_as_fsum(np.abs(x[::-1]))
+
+
+def assert_blocks_add_up_to_fsum(x, edges):
+    """The blocks of x between the edges, through _exact_add and one
+    _exact_round, give math.fsum(x.tolist()) bit for bit, and make the whole
+    array only where exact_sum leaves the sum to math.fsum: an inf or nan,
+    some |v| >= 2^top, or a zero or subnormal total."""
+    exact, made = 0, []
+    for a, b in zip(edges, edges[1:]):
+        exact = _exact_add(exact, x[a:b], x.size)
+    total = _exact_round(exact, lambda: made.append(x) or x[:0])
+    if not np.abs(x).max() < 2.0 ** (1022 - (x.size - 1).bit_length()):
+        assert exact is None and made
+        return
+    want = math.fsum(x.tolist())
+    if abs(want) < 2.0 ** -1022:
+        assert exact is not None and made
+    else:
+        assert not made and type(total) is float and total == want
+
+
+def random_edges(rng, n, cuts):
+    """0, up to cuts distinct random block edges inside n, and n."""
+    inner = np.unique(rng.integers(0, n, cuts))
+    return [0, *inner[inner > 0].tolist(), n]
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(float_arrays(), st.integers(0, 2 ** 32 - 1), st.integers(0, 40))
+def test_blocks_at_random_edges_add_up_to_fsum(x, seed, cuts):
+    # the sizes of float_arrays: below the cutover, at it and above
+    assume(x.size > 0)
+    assert_blocks_add_up_to_fsum(x, random_edges(np.random.default_rng(seed), x.size, cuts))
+
+
+@pytest.mark.parametrize("n", [7, CUT - 1, CUT, 4 * CUT + 3])
+@pytest.mark.parametrize("fill", [0.0, -0.0, 0.5])
+@pytest.mark.parametrize("special", [
+    [0.0, -0.0],
+    [-0.0, -0.0],
+    [2.0 ** -1074, 2.0 ** -1060],       # a subnormal total over zeros
+    [2.0 ** -1022, -2.0 ** -1074],      # just below the normal range
+    [math.inf],
+    [-math.inf],
+    [math.nan],
+    [math.inf, -math.inf],
+    ["top"],                            # 2^top: math.fsum's guard
+    ["below top"],                      # one ulp below it: added exactly
+])
+def test_blocks_with_zeros_subnormals_and_specials_add_up_to_fsum(n, fill, special):
+    rng = np.random.default_rng(n)
+    top = 2.0 ** (1022 - (n - 1).bit_length())
+    x = np.full(n, fill)
+    x[rng.choice(n, len(special), replace=False)] = [
+        top if v == "top" else top * (1.0 - 2.0 ** -53) if v == "below top" else v
+        for v in special]
+    for cuts in (0, 1, 5, n):
+        assert_blocks_add_up_to_fsum(x, random_edges(rng, n, cuts))

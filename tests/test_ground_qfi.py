@@ -17,7 +17,7 @@ from iksea.errors import (
     OutOfWindowError,
     ParameterError,
 )
-from iksea.ground import asymptotic_qfi, ground_qfi
+from iksea.ground import asymptotic_qfi, ground_qfi, ground_qfi_values
 from iksea.model import (
     EXACT_SUM_CUTOVER,
     ChainParams,
@@ -144,16 +144,17 @@ def test_gamma_equals_k_line_is_finite():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rec = ground_qfi(p)
+        values = ground_qfi_values(p)
     np.testing.assert_allclose(rec.total, 27.113671605275588, rtol=1e-12)
     np.testing.assert_allclose(
-        rec.values, [0.0, 0.0, 26.563268860007877, 0.55040274526771],
+        values, [0.0, 0.0, 26.563268860007877, 0.55040274526771],
         rtol=1e-12)
     assert (block_elements(p, momentum_grid(8))[3] > 0).all()
     assert rec.flag_near_singular is False
 
     # the kernel on one angle at a time agrees with the record
     grid = momentum_grid(8)
-    for value, phi in zip(rec.values, grid):
+    for value, phi in zip(values, grid):
         np.testing.assert_allclose(kernel_qfi(p, phi), value,
                                    rtol=1e-12, atol=1e-300)
 
@@ -176,10 +177,9 @@ def test_gamma_k_zero_gives_zero_qfi():
 def test_per_mode_branches_match_zero_crossings():
     p = ChainParams(h=0.5, gamma=0.5, k_ksea=0.2, n_sites=64)
     lo, hi = zero_crossings(p)
-    rec = ground_qfi(p)
     grid = momentum_grid(64)
     real = block_elements(p, grid)[3] > 0
-    for phi, is_real, value in zip(grid, real, rec.values):
+    for phi, is_real, value in zip(grid, real, ground_qfi_values(p)):
         inside = lo < phi < hi
         assert is_real == (not inside)
         assert value >= 0.0
@@ -187,34 +187,35 @@ def test_per_mode_branches_match_zero_crossings():
 
 def test_record_structure_and_fsum_total():
     p = ChainParams(h=0.5, gamma=0.5, k_ksea=0.2, n_sites=6)
-    rec = ground_qfi(p)
+    rec, values = ground_qfi(p), ground_qfi_values(p)
     np.testing.assert_allclose(rec.total, 21.649674098050713, rtol=1e-13)
     np.testing.assert_allclose(
-        rec.values,
+        values,
         [0.006702926086341442, 13.109393579072478, 8.533577592891895],
         rtol=1e-13)
     # total is the fsum of the per-mode values, bit for bit
-    assert rec.total == math.fsum(rec.values.tolist())
+    assert rec.total == math.fsum(values.tolist())
 
 
 def test_per_mode_equals_stored_arrays():
     p = ChainParams(h=0.5, gamma=0.5, k_ksea=0.2, n_sites=64)
-    rec = ground_qfi(p)
-    assert rec.values.shape == (32,)
+    rec, values = ground_qfi(p), ground_qfi_values(p)
+    assert values.shape == (32,)
     real = block_elements(p, momentum_grid(64))[3] > 0
     assert not real.all() and real.any()
-    assert rec.total == math.fsum(rec.values.tolist())
+    assert rec.total == math.fsum(values.tolist())
     with pytest.raises(ValueError):
-        rec.values[0] = 1.0      # the record's values are read-only
+        values[0] = 1.0      # the per-mode values are read-only
 
 
 @pytest.mark.parametrize("h, gamma, k", [
     (0.5, 0.5, 0.2), (1.0, 0.5, 0.2), (1.5, 0.5, 0.2), (0.5, 0.4, 0.4)])
 def test_total_is_fsum_above_the_cutover(h, gamma, k):
     # 32768 modes take exact_sum's array path, not math.fsum itself
-    rec = ground_qfi(ChainParams(h=h, gamma=gamma, k_ksea=k, n_sites=2 ** 16))
-    assert rec.values.size > 16 * EXACT_SUM_CUTOVER
-    assert rec.total == math.fsum(rec.values.tolist())
+    p = ChainParams(h=h, gamma=gamma, k_ksea=k, n_sites=2 ** 16)
+    values = ground_qfi_values(p)
+    assert values.size > 16 * EXACT_SUM_CUTOVER
+    assert ground_qfi(p).total == math.fsum(values.tolist())
 
 
 def test_fd_oracle_matches_both_branches():
@@ -230,8 +231,7 @@ def test_fd_oracle_matches_both_branches():
     ]
     n_imag = 0
     for p in pts:
-        rec = ground_qfi(p)
-        for phi, analytic in zip(momentum_grid(p.n_sites), rec.values):
+        for phi, analytic in zip(momentum_grid(p.n_sites), ground_qfi_values(p)):
             g, ap, am, eps_sq = block_elements(p, float(phi))
             if abs(eps_sq) < 1e-3:  # FD step is not reliable that close to
                 continue            # a branch crossing
@@ -280,7 +280,7 @@ def test_near_singular_flag_plumbing(monkeypatch):
     with pytest.warns(NearSingularWarning):
         rec = ground_qfi(p)
     assert rec.flag_near_singular is True
-    assert (rec.values >= 1.0).any()
+    assert (ground_qfi_values(p) >= 1.0).any()
 
 
 def test_no_warning_on_ordinary_sweep():
@@ -393,10 +393,9 @@ B = iksea.ground._BLOCK
 ])
 def test_blocked_values_equal_one_whole_grid_pass(half, h, gamma, k):
     p = ChainParams(h=h, gamma=gamma, k_ksea=k, n_sites=2 * half)
-    rec = ground_qfi(p)
     _, whole = iksea.ground._mode_qfi(p, momentum_grid(p.n_sites))
-    assert (rec.values.view(np.int64) == whole.view(np.int64)).all()
-    assert rec.total == math.fsum(whole.tolist())
+    assert (ground_qfi_values(p).view(np.int64) == whole.view(np.int64)).all()
+    assert ground_qfi(p).total == math.fsum(whole.tolist())
 
 
 def test_exceptional_mode_in_a_later_block_keeps_its_global_index():
@@ -411,12 +410,13 @@ def test_exceptional_mode_in_a_later_block_keeps_its_global_index():
 
 def test_near_singular_warns_once_per_call_with_the_total(monkeypatch):
     p = ChainParams(h=0.5, gamma=0.5, k_ksea=0.2, n_sites=2 * (2 * B + 1))
-    threshold = float(np.median(ground_qfi(p).values))
+    values = ground_qfi_values(p)
+    threshold = float(np.median(values))
     monkeypatch.setattr(iksea.ground, "NEAR_SINGULAR_CONTRIB", threshold)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rec = ground_qfi(p)
-    count = int(np.count_nonzero(rec.values >= threshold))
+    count = int(np.count_nonzero(values >= threshold))
     assert count > B                  # spread over more than one block
     assert [type(w.message) for w in caught] == [NearSingularWarning]
     assert str(caught[0].message).startswith(f"{count} mode(s)")
@@ -457,7 +457,7 @@ def test_block_branches_keep_the_pinned_bits(h, gamma, k, n, kinds, digest,
     rec = ground_qfi(p)
     if gamma == k:
         assert (block_elements(p, momentum_grid(n))[0] < 0).any()
-    assert hashlib.sha256(rec.values.tobytes()).hexdigest() == digest
+    assert hashlib.sha256(ground_qfi_values(p).tobytes()).hexdigest() == digest
     assert np.float64(rec.total).view(np.int64) == total
 
 
@@ -530,21 +530,40 @@ def _per_point(params, hs):
     return out
 
 
+def _block_rows(params, hs):
+    """The per-mode values _field_rows sums at each field of hs, from its
+    (fields x modes) kernel blocks; None for the fields of a block with a
+    defective mode, which _field_rows runs again one field at a time."""
+    fields = np.asarray(hs, dtype=float)
+    step = max(1, B // (params.n_sites // 2))
+    out = []
+    for r in range(0, len(fields), step):
+        h = fields[r:r + step]
+        try:
+            parts = [v.reshape(len(h), -1) for _, v in iksea.ground._blocks(params, h)]
+        except ExceptionalModeError:
+            out += [None] * len(h)
+            continue
+        out += list(np.hstack(parts))
+    return out
+
+
 def _assert_rows_equal_per_point(params, hs):
     rows = iksea.ground._field_rows(params, hs)
     points = _per_point(params, hs)
     assert len(rows) == len(points) == len(hs)
-    for h, row, point in zip(hs, rows, points):
+    for h, row, point, values in zip(hs, rows, points, _block_rows(params, hs)):
         if isinstance(point, ExceptionalModeError):
             assert type(row) is type(point), h
             assert (str(row), row.mode_index) == (str(point), point.mode_index)
             continue
-        total, flag, values = row
+        total, flag = row
         assert np.float64(total).view(np.int64) == \
             np.float64(point[0]).view(np.int64), h
         assert flag is point[1]
-        whole = ground_qfi(params.replace(h=h)).values
-        assert (values.view(np.int64) == whole.view(np.int64)).all()
+        if values is not None:
+            whole = ground_qfi_values(params.replace(h=h))
+            assert (values.view(np.int64) == whole.view(np.int64)).all()
     return rows
 
 
@@ -609,44 +628,76 @@ def test_field_rows_equal_one_unblocked_whole_grid_call(n, gamma, k):
     # so a blocking change (angles, offsets) cannot hide behind it
     hs = [-0.5, 0.5, 1.0, 1.7]
     p = ChainParams(h=1.0, gamma=gamma, k_ksea=k, n_sites=n)
-    for h, (total, flag, values) in zip(hs, iksea.ground._field_rows(p, hs)):
+    for h, (total, flag) in zip(hs, iksea.ground._field_rows(p, hs)):
         _, whole = iksea.ground._mode_qfi(p.replace(h=h), momentum_grid(n))
+        values = ground_qfi_values(p.replace(h=h))
         assert (values.view(np.int64) == whole.view(np.int64)).all(), h
         assert np.float64(total).view(np.int64) == \
             np.float64(math.fsum(whole.tolist())).view(np.int64), h
         assert flag is False
 
 
-def test_ground_qfi_working_set_is_its_values_and_one_block():
-    # numpy reports its buffers to tracemalloc: beyond the values it hands
-    # back, ground_qfi holds O(_BLOCK) temporaries, not N/2 angles or flags
-    p = ChainParams(h=1.0, gamma=0.2, k_ksea=0.5, n_sites=2 ** 20)
+@pytest.mark.parametrize("gamma, k, force", [
+    (0.0, 0.0, False),   # every value 0: a zero total, which math.fsum makes
+    (0.5, 0.2, True),    # broken phase, with _exact_add leaving the sum to math.fsum
+])
+def test_wide_row_left_to_fsum_is_made_again_whole(monkeypatch, gamma, k, force):
+    p = ChainParams(h=0.5, gamma=gamma, k_ksea=k, n_sites=2 * (2 * B + 1))
+    want = math.fsum(ground_qfi_values(p).tolist())
+    made, values = [], iksea.ground.ground_qfi_values
+    monkeypatch.setattr(iksea.ground, "ground_qfi_values",
+                        lambda q: made.append(q) or values(q))
+    if force:
+        monkeypatch.setattr(iksea.ground, "_exact_add", lambda exact, r, n: None)
+    assert ground_qfi(p).total.hex() == want.hex()
+    assert made == [p]
+
+
+def _traced_peak(fn, *args):
+    """(fn(*args), the peak bytes tracemalloc saw during the call); numpy
+    reports its buffers to tracemalloc."""
     tracemalloc.start()
     try:
-        rec = ground_qfi(p)
-        peak = tracemalloc.get_traced_memory()[1]
+        return fn(*args), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rec.values.size == 2 ** 19
-    assert peak <= rec.values.nbytes + 2 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("h, gamma, k", [(1.0, 0.2, 0.5), (0.5, 0.5, 0.2)])
+def test_ground_qfi_working_set_is_a_few_blocks(h, gamma, k):
+    # critical and broken: each block's values go into the total while in
+    # cache, so no N/2 row (4 MiB at N = 2^20) is ever made
+    p = ChainParams(h=h, gamma=gamma, k_ksea=k, n_sites=2 ** 20)
+    rec, peak = _traced_peak(ground_qfi, p)
+    assert rec.total > 0.0
+    assert peak <= 1.5 * 2 ** 20, peak
+
+
+def test_ground_qfi_values_working_set_is_its_row_and_a_few_blocks():
+    # beyond the row it hands back, O(_BLOCK) temporaries, not N/2 angles
+    p = ChainParams(h=1.0, gamma=0.2, k_ksea=0.5, n_sites=2 ** 20)
+    values, peak = _traced_peak(ground_qfi_values, p)
+    assert values.size == 2 ** 19
+    assert peak <= values.nbytes + 2 * 2 ** 20, peak
 
 
 def test_near_singular_rows_warn_once_per_field(monkeypatch):
     hs = [0.2, 0.5, 1.5, 0.8]
     p = ChainParams(h=1.0, gamma=0.5, k_ksea=0.2, n_sites=64)
-    threshold = float(np.median(ground_qfi(p.replace(h=0.5)).values))
+    threshold = float(np.median(ground_qfi_values(p.replace(h=0.5))))
     monkeypatch.setattr(iksea.ground, "NEAR_SINGULAR_CONTRIB", threshold)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rows = iksea.ground._field_rows(p, hs)
-    counts = [int(np.count_nonzero(values >= threshold)) for _, _, values in rows]
+    counts = [int(np.count_nonzero(ground_qfi_values(p.replace(h=h)) >= threshold))
+              for h in hs]
     flagged = [(c, h) for c, h in zip(counts, hs) if c]
     assert 0 < len(flagged) < len(hs)
     assert [type(w.message) for w in caught] == [NearSingularWarning] * len(flagged)
     assert [str(w.message) for w in caught] == [
         f"{c} mode(s) contribute within 1e6 of float overflow at h={h:.12g}"
         for c, h in flagged]
-    assert [flag for _, flag, _ in rows] == [c > 0 for c in counts]
+    assert [flag for _, flag in rows] == [c > 0 for c in counts]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NearSingularWarning)
         _assert_rows_equal_per_point(p, hs)

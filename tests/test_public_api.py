@@ -16,7 +16,8 @@ PUBLIC = {
         "exceptional_field", "zero_crossings", "classify_phase",
     ],
     "iksea.ground": [
-        "QfiRecord", "ground_qfi", "asymptotic_qfi", "NEAR_SINGULAR_CONTRIB",
+        "QfiRecord", "ground_qfi", "ground_qfi_values", "asymptotic_qfi",
+        "NEAR_SINGULAR_CONTRIB",
     ],
     "iksea.dynamics": [
         "block_propagator", "propagator_derivative",
@@ -53,6 +54,7 @@ PACKAGE = sorted([
     "block_elements", "block_matrix", "block_propagator",
     "classify_phase", "dispersion",
     "dynamical_qfi", "exceptional_field", "exponent_vs_offset", "ground_qfi",
+    "ground_qfi_values",
     "kappa_sweep", "momentum_grid",
     "power_law_fit", "propagator_derivative", "qfi_time_series",
     "size_exponent", "zero_crossings",
