@@ -162,6 +162,9 @@ def _time_grid(cfg: RunConfig) -> List[float]:
     if start is None or stop is None or count is None:
         raise ConfigError(
             "[times] needs either 'values' or 'start'/'stop'/'count'")
+    for key, bound in (("start", start), ("stop", stop)):
+        if not np.isfinite(bound):
+            raise ConfigError(f"[times] {key} must be finite, got {bound!r}")
     if count < 1:
         raise ConfigError("[times] count must be >= 1")
     spacing = cfg.get_str("times", "spacing", default="linear")
@@ -242,12 +245,13 @@ def cmd_sweep(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
             _kappa_values(values)
         except IkseaError as exc:
             raise ConfigError(f"[sweep] {exc}") from exc
-        fits.update(gamma=gamma, h=h, out_of_window=[
-            [kappa, n] for kappa in values for n in ns if not np.pi / n > 10.0 * kappa])
         given = lambda kappa: {"h": h, "k_ksea": gamma + kappa}
         header = ["kappa", "mu", "r_squared"]
         row = lambda kappa, p, f: [kappa, f.exponent, f.r_squared]
     points = [(x, _model_params(cfg, n_sites=n, **given(x))) for x in values for n in ns]
+    if variable == "kappa":         # after the points, which refuse N = 0
+        fits.update(gamma=gamma, h=h, out_of_window=[
+            [x, p.n_sites] for x, p in points if not np.pi / p.n_sites > 10.0 * x])
     results = run_grid(lambda xp: ground_qfi(xp[1]).total, points)
     label = "" if variable == "n_sites" else variable + "={:g} "
     done, errors = _run_points(manifest, points, results,
@@ -370,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output directory (default: current)")
         sp.add_argument("--workers", type=int, default=1, metavar="N",
                         help="accepted for existing scripts; >= 1, selects "
-                             "nothing (runs are serial)")
+                             "nothing (the thread count is fixed)")
         sp.add_argument("--seed", type=int, default=None, metavar="U64",
                         help="override the config seed")
         sp.add_argument("--format", choices=["csv", "json"], default="csv",

@@ -115,7 +115,7 @@ def _field_rows(params: ChainParams, hs) -> list:
     modes = params.n_sites // 2
 
     def rows(h):
-        near, exact = np.zeros(len(h), int), 0
+        near, exact = np.zeros(len(h), int), -0.0
         try:
             for _, block in _blocks(params, h):
                 near += np.count_nonzero(block >= NEAR_SINGULAR_CONTRIB, axis=-1)

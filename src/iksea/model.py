@@ -182,7 +182,7 @@ def exact_sum(values: np.ndarray) -> float:
     """math.fsum(values.tolist()) of a 1-D float64 array, bit for bit: the
     _exact_round of the _exact_add of its blocks of _SUM_BLOCK values, and
     math.fsum itself below EXACT_SUM_CUTOVER values or from 2^26 on."""
-    n, exact = values.size, 0
+    n, exact = values.size, -0.0
     if not EXACT_SUM_CUTOVER <= n < 2 ** 26:
         return math.fsum(values.tolist())
     for i in range(0, n, _SUM_BLOCK):
@@ -190,10 +190,11 @@ def exact_sum(values: np.ndarray) -> float:
     return _exact_round(exact, lambda: values)
 
 
-def _exact_add(exact: Optional[int], r: np.ndarray, n: int) -> Optional[int]:
+def _exact_add(exact, r: np.ndarray, n: int):
     """exact + sum(r) in units of 2^-1074, exactly, for a non-empty block r
     of a sum of n values; None (also for None) where math.fsum must sum: an
-    inf or nan, or some |v| >= 2^top, where the sum could overflow.
+    inf or nan, or some |v| >= 2^top, where the sum could overflow.  A sum
+    starts at -0.0, the empty sum, and keeps it while every value is -0.0.
 
     Error-free extraction: with max|r| < 2^e and sigma = 2^k >= r.size 2^e,
     each q = (r + sigma) - sigma is exact, a multiple of u = ulp(sigma/2) and
@@ -203,7 +204,9 @@ def _exact_add(exact: Optional[int], r: np.ndarray, n: int) -> Optional[int]:
     m = None if exact is None else max(r.max(), -r.min())
     if m is None or not m < 2.0 ** top:     # also inf and nan
         return None
-    spread = (r.size - 1).bit_length()      # 2^spread >= r.size
+    if not m and np.signbit(r).all():
+        return exact
+    exact, spread = int(exact), (r.size - 1).bit_length()      # 2^spread >= r.size
     while m:
         k = math.frexp(m)[1] + spread       # sigma = 2^k <= 2^1022
         q = r + 2.0 ** k
@@ -215,11 +218,11 @@ def _exact_add(exact: Optional[int], r: np.ndarray, n: int) -> Optional[int]:
     return exact
 
 
-def _exact_round(exact: Optional[int], whole: Callable[[], np.ndarray]) -> float:
-    """_exact_add's sum rounded once, as math.fsum rounds it, or for None and
-    a zero or subnormal total math.fsum of the array whole() itself."""
-    total = 0.0 if exact is None else exact / (1 << 1074)
-    return total if abs(total) >= 2.0 ** -1022 else math.fsum(whole().tolist())
+def _exact_round(exact, whole: Callable[[], np.ndarray]) -> float:
+    """_exact_add's sum rounded once, as math.fsum rounds it (for -0.0 values,
+    math.fsum's one -0.0), or for None math.fsum of the array whole() itself."""
+    return math.fsum(whole().tolist()) if exact is None else \
+        math.fsum([exact]) if isinstance(exact, float) else exact / (1 << 1074)
 
 
 def dispersion(params: ChainParams, phi):

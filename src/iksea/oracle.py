@@ -12,8 +12,9 @@ independent route:
     dispersions (pair occupation +-eps_p, extended by the "broken pair"
     states where a {p,-p} pair holds one fermion and contributes zero,
     degeneracy 2 per pair, even number of broken pairs),
-  * finite-difference ground-state QFI with explicit gauge alignment,
-  * matrix-exponential time evolution of the all-down state.
+  * finite-difference ground-state QFI with explicit gauge alignment, its dense
+    states made on the calling thread and one helper (_map), as one thread makes them,
+  * matrix-exponential time evolution of the all-down state, serial.
 
 The dense-to-block energy scale is a check, not a factor: least squares on
 assignment-matched spectra must fit the same value, 1, at every point.
@@ -21,40 +22,26 @@ assignment-matched spectra must fit the same value, 1, at every point.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
+import os
+import threading
 from typing import List, Tuple
 
 import numpy as np
 
-from .errors import (
-    CalibrationError,
-    CapacityError,
-    ExceptionalModeError,
-    LevelCrossingError,
-    ParameterError,
-)
+from .errors import (CalibrationError, CapacityError, ExceptionalModeError, LevelCrossingError,
+                     ParameterError)
 from .dynamics import dynamical_qfi
 from .ground import ground_qfi
 from .model import ChainParams, block_elements, block_matrix, dispersion, momentum_grid
 
 __all__ = [
-    "DENSE_CAP",
-    "EVOLUTION_CAP",
-    "dense_hamiltonian",
-    "parity_vector",
-    "even_sector_indices",
-    "sector_hamiltonian",
-    "spectral_decomposition",
-    "spectral_ground_state",
-    "block_even_multiset",
-    "spectrum_match_error",
-    "fd_qfi_ground",
-    "block_fd_qfi",
-    "dense_evolution_qfi",
-    "calibrate_energy_scale",
-    "fit_energy_scale",
-    "sample_conditioned_params",
-    "run_oracle_suite",
+    "DENSE_CAP", "EVOLUTION_CAP", "dense_hamiltonian", "parity_vector", "even_sector_indices",
+    "sector_hamiltonian", "spectral_decomposition", "spectral_ground_state",
+    "block_even_multiset", "spectrum_match_error", "fd_qfi_ground", "block_fd_qfi",
+    "dense_evolution_qfi", "calibrate_energy_scale", "fit_energy_scale",
+    "sample_conditioned_params", "run_oracle_suite",
 ]
 
 DENSE_CAP = 14
@@ -325,18 +312,52 @@ def _fd_qfi_from_states(psi0, psi_plus, psi_minus, delta: float) -> float:
     return 4.0 * (dd - abs(ov) ** 2)
 
 
-def _central_fd(state, params: ChainParams, delta: float) -> float:
-    """_fd_qfi_from_states on state(p) at h, h + delta and h - delta."""
-    return _fd_qfi_from_states(state(params),
-                               state(params.replace(h=params.h + delta)),
-                               state(params.replace(h=params.h - delta)), delta)
+def _map(fn, items: list) -> list:
+    """[fn(x) for x in items] on the calling thread and, with a second CPU free, one
+    helper in a copy of the caller's context (numpy's error state).  Each takes the next
+    index under one lock, none after a failure; the lowest failing index's error, the
+    serial loop's (every lower index ran), is raised."""
+    out, failed, lock, todo = [None] * len(items), {}, threading.Lock(), iter(range(len(items)))
+
+    def work():
+        while True:
+            with lock:
+                i = None if failed else next(todo, None)
+            if i is None:
+                return
+            try:
+                out[i] = fn(items[i])
+            except BaseException as exc:        # KeyboardInterrupt too
+                failed[i] = exc
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(work,))
+    if (cpus or 1) > 1:
+        helper.start()
+    try:
+        work()
+    finally:
+        todo = iter(())         # interrupted, in the join too: hand out no more
+        if helper.ident is not None:
+            helper.join()
+    if failed:
+        raise failed[min(failed)]
+    return out
+
+
+def _central_fd(state, points, delta: float, each=map) -> list:
+    """_fd_qfi_from_states of each point on state(p) at h, h + delta and
+    h - delta; each(state, stencil) makes the 3 len(points) states in order."""
+    s = list(each(state, [q for p in points for q in (
+        p, p.replace(h=p.h + delta), p.replace(h=p.h - delta))]))
+    return [_fd_qfi_from_states(*s[i:i + 3], delta) for i in range(0, len(s), 3)]
 
 
 def fd_qfi_ground(params: ChainParams, delta: float = 1e-5,
                   scale: float = 1.0) -> float:
     """Dense-oracle ground-state QFI by central finite differences in h."""
     return _central_fd(lambda p: spectral_ground_state(p, scale=scale)[0],
-                       params, delta)
+                       [params], delta, _map)[0]
 
 
 def block_fd_qfi(params: ChainParams, phi: float) -> float:
@@ -349,7 +370,7 @@ def block_fd_qfi(params: ChainParams, phi: float) -> float:
         vals, vecs = np.linalg.eig(block_matrix(p, phi))
         return vecs[:, _select_ground(vals)]
 
-    return _central_fd(unit, params, 1e-6)
+    return _central_fd(unit, [params], 1e-6)[0]
 
 
 def _evolved_dense_state(params: ChainParams, t: float,
@@ -372,7 +393,7 @@ def dense_evolution_qfi(params: ChainParams, t: float,
             f"dense evolution supports n_sites <= {EVOLUTION_CAP}, got {params.n_sites}")
     with np.errstate(over="ignore", invalid="ignore"):
         return _central_fd(lambda p: _evolved_dense_state(p, t, corrupt),
-                           params, 1e-5)
+                           [params], 1e-5)[0]
 
 
 def sample_conditioned_params(rng: np.random.Generator, n_points: int,
@@ -458,15 +479,16 @@ def run_oracle_suite(sizes=(4, 6, 8), n_points: int = 20, seed: int = 0,
     add("energy-scale consistency", s_ref, worst_s, worst, worst <= 1e-8,
         "worst refitted scale across random points vs cached calibration, tol 1e-08")
 
-    # 3. dense FD ground QFI vs closed forms, one row per sampled point
-    for p in sample_conditioned_params(rng, n_points, sizes=sizes):
-        ref = fd_qfi_ground(p, scale=corrupt_scale)
+    # 3. dense FD ground QFI vs closed forms, one row per sampled point (one _map)
+    points = sample_conditioned_params(rng, n_points, sizes=sizes)
+    for p, ref in zip(points, _central_fd(lambda q: spectral_ground_state(
+            q, scale=corrupt_scale)[0], points, 1e-5, _map)):
         val = ground_qfi(p).total
         rel = abs(val - ref) / max(abs(ref), 1e-300)
         add(f"ground_qfi (N={p.n_sites}, h={p.h:.4f}, gamma={p.gamma:.4f}, "
             f"K={p.k_ksea:.4f})", val, ref, rel, rel <= 1e-5, "tol 1e-05")
 
-    # 4. dense evolution QFI vs block dynamics
+    # 4. dense evolution QFI vs block dynamics, serial (scipy.linalg's expm)
     if include_dynamics:
         for h in (1.5, 0.5):
             p = ChainParams(h=h, gamma=0.5, k_ksea=0.2, n_sites=6)

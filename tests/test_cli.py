@@ -346,7 +346,13 @@ def test_dyn_qfi_time_grid_spacings(tmp_path, capsys):
              "[times] needs either 'values' or 'start'/'stop'/'count'"),
             ("start = 1\nstop = 8\ncount = 0", "[times] count must be >= 1"),
             ("start = 0\nstop = 8\ncount = 4\nspacing = geometric",
-             "[times] geometric spacing needs start, stop > 0")]:
+             "[times] geometric spacing needs start, stop > 0"),
+            # refused before linspace/geomspace, which warned and listed nan
+            ("start = 0.1\nstop = inf\ncount = 4", "[times] stop must be finite, got inf"),
+            ("start = nan\nstop = 8\ncount = 4\nspacing = geometric",
+             "[times] start must be finite, got nan"),
+            ("start = -inf\nstop = inf\ncount = 2",
+             "[times] start must be finite, got -inf")]:
         bad = write_cfg(tmp_path / "bad.cfg",
                         DYN_CFG.replace("values = 0 1 2", times))
         assert main(["dyn-qfi", "--config", bad, "--out", str(tmp_path / "bad")]) == 2
@@ -580,10 +586,16 @@ n_sites = 8
      "[sweep] n_values needs at least 3 sizes to fit mu for each dh value"),
     ("sweep", "sweep", "variable = kappa\nkappa_values = 1e-3\nn_values = 8 16 8 16",
      "[sweep] n_values needs at least 3 sizes to fit mu for each kappa value"),
+    # the window flags once divided by N = 0 first (ZeroDivisionError)
+    ("sweep", "sweep", "variable = kappa\nkappa_values = 1e-3\nn_values = 0 8 16",
+     "invalid [model] parameters: n_sites must be an even integer >= 2, got 0"),
+    ("sweep", "sweep", "variable = kappa\nkappa_values = 1e-3\nn_values = 8 16 -2",
+     "invalid [model] parameters: n_sites must be an even integer >= 2, got -2"),
 ], ids=["grid-odd-n", "grid-nan-h", "sweep-odd-n", "sweep-nan-dh",
         "sweep-unknown-anchor", "sweep-zero-kappa", "sweep-dh-two-sizes",
         "sweep-kappa-one-size", "sweep-dh-one-distinct-size",
-        "sweep-kappa-two-distinct-sizes"])
+        "sweep-kappa-two-distinct-sizes", "sweep-kappa-zero-size",
+        "sweep-kappa-negative-size"])
 def test_bad_point_values_are_config_errors(tmp_path, capsys, command,
                                             section, keys, message):
     # caught before any point runs: exit 2 and no data file, where these
@@ -593,7 +605,7 @@ def test_bad_point_values_are_config_errors(tmp_path, capsys, command,
     out = tmp_path / "out"
     assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: {message}")
+    assert err.startswith(f"config error: {message}") and err.count("\n") == 1
     assert "np.float64" not in err
     assert os.listdir(out) == []
 

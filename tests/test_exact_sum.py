@@ -229,9 +229,32 @@ def test_all_zero_sums_skip_the_array_pass(monkeypatch, signs):
         x = -x
     elif signs == "mixed":
         x[::3] = -0.0
-    # no extraction level runs; the zero total comes from math.fsum
-    assert levels_and_fsum_calls(monkeypatch, x) == (0, 1)
+    # no extraction level runs, and no math.fsum of the row decides the zero:
+    # only an all -0.0 row asks math.fsum, for its sum of the one value -0.0
+    assert levels_and_fsum_calls(monkeypatch, x) == (0, int(signs == "-"))
     assert_same_as_fsum(x)
+
+
+def test_negative_zero_rows_sum_as_one_negative_zero():
+    # the sign math.fsum gives -0.0 values does not depend on how many
+    assert all(math.copysign(1.0, math.fsum([-0.0] * k))
+               == math.copysign(1.0, math.fsum([-0.0])) for k in (2, 3, CUT, 4 * CUT))
+
+
+@pytest.mark.parametrize("n", [1, CUT - 1, CUT, 2 ** 14 + 1, 4 * CUT + 3])
+@pytest.mark.parametrize("pattern", ["+", "-", "first +", "last +", "alternating"])
+def test_signed_zero_rows_equal_fsum_bit_for_bit(n, pattern):
+    x = np.full(n, 0.0 if pattern == "+" else -0.0)
+    if pattern == "first +":
+        x[0] = 0.0
+    elif pattern == "last +":
+        x[-1] = 0.0
+    elif pattern == "alternating":
+        x[::2] = 0.0
+    assert_same_as_fsum(x)
+    rng = np.random.default_rng(n)
+    for cuts in (0, 1, 7, n):
+        assert_blocks_add_up_to_fsum(x, random_edges(rng, n, cuts))
 
 
 @pytest.mark.parametrize("n", [2 ** 14 - 1, 2 ** 14, 2 ** 14 + 1, 3 * 2 ** 14 + 5])
@@ -248,8 +271,9 @@ def assert_blocks_add_up_to_fsum(x, edges):
     """The blocks of x between the edges, through _exact_add and one
     _exact_round, give math.fsum(x.tolist()) bit for bit, and make the whole
     array only where exact_sum leaves the sum to math.fsum: an inf or nan,
-    some |v| >= 2^top, or a zero or subnormal total."""
-    exact, made = 0, []
+    or some |v| >= 2^top.  A zero or subnormal total, its sign included,
+    comes from the blocks alone."""
+    exact, made = -0.0, []
     for a, b in zip(edges, edges[1:]):
         exact = _exact_add(exact, x[a:b], x.size)
     total = _exact_round(exact, lambda: made.append(x) or x[:0])
@@ -257,10 +281,8 @@ def assert_blocks_add_up_to_fsum(x, edges):
         assert exact is None and made
         return
     want = math.fsum(x.tolist())
-    if abs(want) < 2.0 ** -1022:
-        assert exact is not None and made
-    else:
-        assert not made and type(total) is float and total == want
+    assert not made and type(total) is float and total == want
+    assert math.copysign(1.0, total) == math.copysign(1.0, want)
 
 
 def random_edges(rng, n, cuts):

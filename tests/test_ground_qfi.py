@@ -638,7 +638,7 @@ def test_field_rows_equal_one_unblocked_whole_grid_call(n, gamma, k):
 
 
 @pytest.mark.parametrize("gamma, k, force", [
-    (0.0, 0.0, False),   # every value 0: a zero total, which math.fsum makes
+    (0.0, 0.0, False),   # every value 0: a zero total, decided without the row
     (0.5, 0.2, True),    # broken phase, with _exact_add leaving the sum to math.fsum
 ])
 def test_wide_row_left_to_fsum_is_made_again_whole(monkeypatch, gamma, k, force):
@@ -650,7 +650,7 @@ def test_wide_row_left_to_fsum_is_made_again_whole(monkeypatch, gamma, k, force)
     if force:
         monkeypatch.setattr(iksea.ground, "_exact_add", lambda exact, r, n: None)
     assert ground_qfi(p).total.hex() == want.hex()
-    assert made == [p]
+    assert made == ([p] if force else [])
 
 
 def _traced_peak(fn, *args):
@@ -670,6 +670,16 @@ def test_ground_qfi_working_set_is_a_few_blocks(h, gamma, k):
     p = ChainParams(h=h, gamma=gamma, k_ksea=k, n_sites=2 ** 20)
     rec, peak = _traced_peak(ground_qfi, p)
     assert rec.total > 0.0
+    assert peak <= 1.5 * 2 ** 20, peak
+
+
+def test_zero_total_is_decided_without_the_row():
+    # gamma = K = 0: every mode's value is 0.0, a zero total the blocks'
+    # exact sum decides, sign included; math.fsum of the rebuilt row and its
+    # list peaked at 20 MiB
+    p = ChainParams(h=1.0, gamma=0.0, k_ksea=0.0, n_sites=2 ** 20)
+    rec, peak = _traced_peak(ground_qfi, p)
+    assert rec.total == 0.0 and math.copysign(1.0, rec.total) == 1.0
     assert peak <= 1.5 * 2 ** 20, peak
 
 

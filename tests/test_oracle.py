@@ -4,6 +4,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import iksea
+import iksea.oracle
 from iksea.dynamics import dynamical_qfi
 from iksea.errors import (CapacityError, ExceptionalModeError, LevelCrossingError,
                           ParameterError)
@@ -20,6 +23,7 @@ from iksea.ground import ground_qfi
 from iksea.model import ChainParams
 from iksea.oracle import (
     _assignment,
+    _map,
     _fd_qfi_from_states,
     block_even_multiset,
     calibrate_energy_scale,
@@ -381,3 +385,137 @@ def test_oracle_suite_rows_catch_their_corruption(scale, failing):
                           "energy-scale consistency", "ground_qfi"}
     assert [r["pass"] for r in report["rows"]] == \
         [kind not in failing for kind in kinds]
+
+
+# ------------------------------------------------- two-thread dense states
+
+
+def _cpus(monkeypatch, n):
+    """Make _map see n CPUs free to the process, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+@pytest.mark.parametrize("seed", [14, 250, 704])   # from the benchmark's suite pool
+def test_suite_report_with_the_helper_equals_the_one_cpu_report(monkeypatch, seed):
+    kw = dict(sizes=(4, 6, 8), n_points=20, seed=seed, include_dynamics=True)
+    _cpus(monkeypatch, 1)
+    serial = run_oracle_suite(**kw)
+    _cpus(monkeypatch, 2)
+    assert run_oracle_suite(**kw) == serial
+    assert len(serial["rows"]) == 3 + 1 + 20 + 6
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_map_keeps_input_order_and_runs_on_the_helper_with_a_second_cpu(monkeypatch, cpus):
+    _cpus(monkeypatch, cpus)
+    threads = set()
+
+    def fn(x):
+        threads.add(threading.get_ident())
+        time.sleep(0.002)               # lets go of the GIL, as LAPACK does
+        return x * x
+
+    assert _map(fn, list(range(40))) == [x * x for x in range(40)]
+    assert len(threads) == cpus
+    assert _map(fn, []) == []
+
+
+def test_map_hands_out_each_index_once_under_fast_thread_switches(monkeypatch):
+    # a lost update of the shared index would run an item twice or not at all
+    _cpus(monkeypatch, 2)
+    calls, interval = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _map(lambda i: calls.append(i) or -i, list(range(3000)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [-i for i in range(3000)]
+    assert sorted(calls) == list(range(3000))
+
+
+def _stencil_error(monkeypatch, cpus, fail):
+    """run_oracle_suite's error when the dense ground states at the stencil
+    indices in fail (index: seconds before it raises) fail, and the stencil
+    in order; only row 3 calls spectral_decomposition."""
+    _cpus(monkeypatch, cpus)
+    stencil, bad = [], {}
+
+    def failing(params, scale=1.0):
+        stencil.append(params)
+        if params in bad:
+            time.sleep(bad[params])
+            raise ExceptionalModeError(detail=f"state at h={params.h!r}")
+        return spectral_decomposition(params, scale=scale)
+
+    monkeypatch.setattr(iksea.oracle, "spectral_decomposition", failing)
+    kw = dict(sizes=(4,), n_points=4, seed=5, include_dynamics=False)
+    run_oracle_suite(**kw)
+    bad.update({stencil[i]: delay for i, delay in fail.items()})
+    with pytest.raises(ExceptionalModeError) as err:
+        run_oracle_suite(**kw)
+    return str(err.value), stencil
+
+
+def test_two_failing_states_raise_the_serial_loops_error(monkeypatch):
+    # point 1's h + delta (index 4) fails slowly, its h - delta (5) at once:
+    # with the helper the later index fails first, yet 4's error is raised
+    fail = {4: 0.2, 5: 0.0}
+    one, stencil = _stencil_error(monkeypatch, 1, fail)
+    two, _ = _stencil_error(monkeypatch, 2, fail)
+    assert one == two and one.endswith(f" state at h={stencil[4].h!r}")
+    assert stencil[4].h == stencil[3].h + 1e-5
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_map_starts_no_item_after_a_failure(monkeypatch, cpus):
+    _cpus(monkeypatch, cpus)
+    events, lock = [], threading.Lock()
+
+    def fn(i):
+        with lock:
+            events.append(("start", i))
+        time.sleep(0.005)
+        if i in (3, 6):
+            with lock:
+                events.append(("fail", i))
+            raise KeyboardInterrupt(f"item {i}") if i == 3 else RuntimeWarning(i)
+        return i
+
+    with pytest.raises(KeyboardInterrupt, match="item 3"):
+        _map(fn, list(range(30)))
+    first_fail = events.index(("fail", 3))
+    assert all(kind == "fail" for kind, _ in events[first_fail:])
+    assert len([i for kind, i in events if kind == "start"]) < 10
+
+
+def test_map_raises_the_lowest_failing_index_not_the_first_in_time(monkeypatch):
+    _cpus(monkeypatch, 2)
+
+    def fn(i):
+        if i == 0:
+            time.sleep(0.1)
+            raise ValueError("item 0")
+        raise LevelCrossingError(f"item {i}")
+
+    with pytest.raises(ValueError, match="item 0"):
+        _map(fn, [0, 1])
+
+
+def test_map_helper_sees_the_callers_numpy_error_state_and_warning_filters(monkeypatch):
+    # item 1 runs on the helper while item 0 sleeps on the calling thread
+    _cpus(monkeypatch, 2)
+
+    def fn(x):
+        if x == 1.0:
+            time.sleep(0.05)
+        return np.float64(1e308) * x
+
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        _map(fn, [1.0, 10.0])
+    with np.errstate(over="warn"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            _map(fn, [1.0, 10.0])
+    with np.errstate(over="ignore"):
+        assert _map(fn, [1.0, 10.0]) == [1e308, np.inf]
