@@ -31,7 +31,6 @@ from .model import (
     ChainParams,
     PhaseInfo,
     momentum_grid,
-    block_matrix,
     block_elements,
     dispersion,
     exceptional_field,
@@ -45,8 +44,6 @@ from .ground import (
     asymptotic_qfi,
 )
 from .dynamics import (
-    block_propagator,
-    propagator_derivative,
     dynamical_qfi,
     qfi_time_series,
 )

@@ -28,10 +28,9 @@ The QFI needs only the first columns, which have the closed forms
     w = (-g t^2 c1 + i (-b g + t c1),  i b a_minus),   b = -g t^3 c2,
 
 so qfi_time_series evaluates a whole grid of times with array operations on
-row blocks of (time, mode) pairs; dynamical_qfi is its one-time view (the
-kernel has no finite differences; propagator_derivative's mode="fd" checks
-it).  Each operation rounds as the 2x2 complex matrix route (block_propagator,
-propagator_derivative, np.vdot) does, which keeps the totals bit for bit
+row blocks of (time, mode) pairs; dynamical_qfi is its one-time view.  Each
+operation rounds as full 2x2 complex matrices with np.vdot would (the tests
+keep that route as their reference), which keeps the totals bit for bit
 equal to that route's, except that a mode with a_minus = 0 (gamma = K) is
 exactly 0 where that route leaves round-off: cos, sin and powers come from numpy, whose float64
 loops give the C math library's values (a test pins this), while cosh and
@@ -51,11 +50,9 @@ from .errors import (
     NumericalConsistencyError,
     ParameterError,
 )
-from .model import ChainParams, block_elements, block_matrix, exact_sum, momentum_grid
+from .model import ChainParams, block_elements, exact_sum, momentum_grid
 
 __all__ = [
-    "block_propagator",
-    "propagator_derivative",
     "dynamical_qfi",
     "qfi_time_series",
 ]
@@ -173,59 +170,19 @@ def _c012(z, rescale: bool = False):
     return c0, c1, c2
 
 
-def block_propagator(params: ChainParams, phi: float, t: float) -> np.ndarray:
-    """Closed-form 2x2 block propagator U(t) = c0 I - i t c1 H.
-
-    Well defined on every branch, including exactly at exceptional points
-    (z = 0).  Raises EvolutionOverflowError when |Im eps| * t would overflow.
-    """
-    _, _, _, eps_sq = block_elements(params, float(phi))
-    c0, c1, _ = map(float, _c012(float(eps_sq) * t * t))
-    return c0 * np.eye(2, dtype=complex) - 1j * t * c1 * block_matrix(params, phi)
-
-
-def propagator_derivative(params: ChainParams, phi: float, t: float,
-                          mode: str = "analytic", fd_step: float = 1e-6) -> np.ndarray:
-    """dU/dh at fixed (phi, t), analytic by default.
-
-    mode="fd" uses a central difference of block_propagator with step fd_step;
-    it is retained as an independent cross-check of the analytic formula.
-    fd_step must be finite and > 0, else ParameterError.
-    """
-    if mode == "fd":
-        if not 0.0 < fd_step < math.inf:
-            raise ParameterError(f"fd_step must be finite and > 0, got {fd_step!r}")
-        up = block_propagator(params.replace(h=params.h + fd_step), phi, t)
-        um = block_propagator(params.replace(h=params.h - fd_step), phi, t)
-        return (up - um) / (2.0 * fd_step)
-    if mode != "analytic":
-        raise ParameterError(f"unknown derivative mode {mode!r}")
-    g, _, _, eps_sq = block_elements(params, float(phi))
-    g, eps_sq = float(g), float(eps_sq)
-    z = eps_sq * t * t
-    _, c1, c2 = map(float, _c012(z))
-    try:
-        t3 = t ** 3
-    except OverflowError as exc:   # |t| above about 5.6e102
-        raise EvolutionOverflowError(f"t^3 at t={t:g} overflows") from exc
-    h = block_matrix(params, phi)
-    d = np.diag([-1.0, 1.0]).astype(complex)
-    return (-g * t * t * c1) * np.eye(2, dtype=complex) \
-        + (-1j * g * t3 * c2) * h + (-1j * t * c1) * d
-
-
 def _columns(params: ChainParams, phi: np.ndarray, t, rescale: bool,
              elements=None):
-    """U|0> = (c0 + i t c1 g, -i t c1 a_minus) at every angle in phi.
+    """v = U|0> and w = (dU/dh)|0> at every angle in phi (module docstring).
 
     t is a time or a column of times.  Returns the nonzero parts (Re v0,
-    Im v0, Im v1) and the block elements and coefficients dU/dh needs;
-    elements is block_elements(params, phi), if already known.
+    Im v0, Im v1) and (Re w0, Im w0, Im w1); elements is
+    block_elements(params, phi), if already known.
     """
     g, _, am, eps_sq = elements or block_elements(params, phi)
     c0, c1, c2 = _c012(eps_sq * t * t, rescale)
     tc1 = t * c1
-    return (c0, tc1 * g, -(tc1 * am)), (g, am, c1, c2, tc1)
+    b = (-g * np.float_power(t, 3.0)) * c2
+    return (c0, tc1 * g, -(tc1 * am)), (-g * t * t * c1, b * -g + tc1, b * am)
 
 
 def _mode_values(params: ChainParams, elements, phi, t) -> np.ndarray:
@@ -235,10 +192,8 @@ def _mode_values(params: ChainParams, elements, phi, t) -> np.ndarray:
     exactly 0: |0> is then an eigenvector of the block, and the Gram form
     would only leave round-off of either sign.
     """
-    (vr, vi, vi1), (g, am, c1, c2, tc1) = _columns(params, phi, t, True,
-                                                   elements)
-    b = (-g * np.float_power(t, 3.0)) * c2
-    wr, wi, wi1 = -g * t * t * c1, b * -g + tc1, b * am
+    (vr, vi, vi1), (wr, wi, wi1) = _columns(params, phi, t, True, elements)
+    am = elements[2]
     # np.vdot as zdotc sums it, fma(x1, y1, x0 * y0) per component;
     # the terms in Re v1 = Re w1 = 0 are exact and drop out
     sv, sw = _split(vi1), _split(wi1)
@@ -290,8 +245,8 @@ def dynamical_qfi(params: ChainParams, t: float) -> float:
     """Total dynamical QFI of the evolved (normalised) state at time t.
 
     The one-time view of qfi_time_series, equal to the 2x2 matrix route
-    (block_propagator, propagator_derivative, np.vdot) to the last bit, but
-    for modes with a_minus = 0 (gamma = K), which are exactly 0.
+    (full propagator matrices and np.vdot) to the last bit, but for modes
+    with a_minus = 0 (gamma = K), which are exactly 0.
     Per-mode contributions in [-1e-10, 0) are clamped to zero (round-off);
     anything more negative raises NumericalConsistencyError.  A non-finite
     t raises ParameterError.

@@ -36,7 +36,6 @@ __all__ = [
     "ChainParams",
     "PhaseInfo",
     "momentum_grid",
-    "block_matrix",
     "block_elements",
     "dispersion",
     "exceptional_tolerance",
@@ -53,6 +52,8 @@ EXC_TOL = 2.0 ** -52
 #: eps_sq den^2 and eps_sq A^2, are below 1e4 B^6.  B = 1e50 is the largest
 #: power of ten with 1e4 B^6 (1e304) under the float maximum (1.8e308).
 PARAM_MAX = 1e50
+#: bound on n_sites: 4x the largest N any config, test or benchmark uses
+N_MAX = 2 ** 22
 #: array size from which exact_sum beats math.fsum (measured crossover ~1 k)
 EXACT_SUM_CUTOVER = 1024
 #: values per block of exact_sum's array pass (its temporaries stay in L2)
@@ -67,7 +68,7 @@ class ChainParams:
         momentum relabelling phi -> pi - phi)
     gamma : non-Hermitian anisotropy, in [0, PARAM_MAX]
     k_ksea : KSEA exchange strength, in [0, PARAM_MAX]
-    n_sites : number of spins, even and >= 2
+    n_sites : number of spins, even, 2 <= n_sites <= N_MAX
     """
 
     h: float
@@ -89,6 +90,8 @@ class ChainParams:
         n = self.n_sites
         if not isinstance(n, (int, np.integer)) or n < 2 or n % 2 != 0:
             raise ParameterError(f"n_sites must be an even integer >= 2, got {n!r}")
+        if n > N_MAX:
+            raise ParameterError(f"n_sites must be <= {N_MAX}, got {n!r}")
 
     def replace(self, **kw) -> "ChainParams":
         return dataclasses.replace(self, **kw)
@@ -150,12 +153,6 @@ def block_elements(params: ChainParams, phi):
     return (g, *_couplings(params, s), eps_sq)
 
 
-def block_matrix(params: ChainParams, phi: float) -> np.ndarray:
-    """2x2 block Hamiltonian at momentum angle phi (complex ndarray)."""
-    g, ap, am, _ = block_elements(params, phi)
-    return np.array([[-g, -ap], [am, g]], dtype=complex)
-
-
 def exceptional_tolerance(g, a_plus, a_minus):
     """Bound on the rounding error of eps_sq computed from the elements g,
     a_plus, a_minus; an |eps_sq| at or below it is treated as exactly zero.
@@ -181,9 +178,9 @@ def exceptional_tolerance(g, a_plus, a_minus):
 def exact_sum(values: np.ndarray) -> float:
     """math.fsum(values.tolist()) of a 1-D float64 array, bit for bit: the
     _exact_round of the _exact_add of its blocks of _SUM_BLOCK values, and
-    math.fsum itself below EXACT_SUM_CUTOVER values or from 2^26 on."""
+    math.fsum itself below EXACT_SUM_CUTOVER values."""
     n, exact = values.size, -0.0
-    if not EXACT_SUM_CUTOVER <= n < 2 ** 26:
+    if n < EXACT_SUM_CUTOVER:
         return math.fsum(values.tolist())
     for i in range(0, n, _SUM_BLOCK):
         exact = _exact_add(exact, values[i:i + _SUM_BLOCK], n)

@@ -34,14 +34,14 @@ from .errors import (CalibrationError, CapacityError, ExceptionalModeError, Leve
                      ParameterError)
 from .dynamics import dynamical_qfi
 from .ground import ground_qfi
-from .model import ChainParams, block_elements, block_matrix, dispersion, momentum_grid
+from .model import ChainParams, block_elements, dispersion, momentum_grid
 
 __all__ = [
     "DENSE_CAP", "EVOLUTION_CAP", "dense_hamiltonian", "parity_vector", "even_sector_indices",
     "sector_hamiltonian", "spectral_decomposition", "spectral_ground_state",
-    "block_even_multiset", "spectrum_match_error", "fd_qfi_ground", "block_fd_qfi",
-    "dense_evolution_qfi", "calibrate_energy_scale", "fit_energy_scale",
-    "sample_conditioned_params", "run_oracle_suite",
+    "block_even_multiset", "spectrum_match_error", "fd_qfi_ground", "dense_evolution_qfi",
+    "calibrate_energy_scale", "fit_energy_scale", "sample_conditioned_params",
+    "run_oracle_suite",
 ]
 
 DENSE_CAP = 14
@@ -358,19 +358,6 @@ def fd_qfi_ground(params: ChainParams, delta: float = 1e-5,
     """Dense-oracle ground-state QFI by central finite differences in h."""
     return _central_fd(lambda p: spectral_ground_state(p, scale=scale)[0],
                        [params], delta, _map)[0]
-
-
-def block_fd_qfi(params: ChainParams, phi: float) -> float:
-    """Single-mode QFI by central differences, step 1e-6 in h, on the block state.
-
-    The ground vector comes from np.linalg.eig of the 2x2 block, picked by
-    _select_ground, not from the closed forms it checks.
-    """
-    def unit(p):
-        vals, vecs = np.linalg.eig(block_matrix(p, phi))
-        return vecs[:, _select_ground(vals)]
-
-    return _central_fd(unit, [params], 1e-6)[0]
 
 
 def _evolved_dense_state(params: ChainParams, t: float,

@@ -281,6 +281,16 @@ values = 0 1 2
 """
 
 
+def test_dyn_qfi_above_n_max_is_config_error(tmp_path, capsys):
+    # N = 2^50 once ended in numpy's allocation error, a traceback and exit 1
+    cfg_path = write_cfg(tmp_path / "run.cfg",
+                         DYN_CFG.replace("n_sites = 6", f"n_sites = {2 ** 50}"))
+    out = tmp_path / "out"
+    assert main(["dyn-qfi", "--config", cfg_path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("config error: invalid [model] parameters: "
+                                       f"n_sites must be <= {2 ** 22}, got {2 ** 50}\n")
+
+
 def test_dyn_qfi_rows(tmp_path):
     cfg_path = write_cfg(tmp_path / "run.cfg", DYN_CFG)
     out = tmp_path / "out"

@@ -13,9 +13,7 @@ from iksea.dynamics import (
     _CLAMP_FLOOR,
     _mode_values,
     _qfi_totals,
-    block_propagator,
     dynamical_qfi,
-    propagator_derivative,
     qfi_time_series,
 )
 from iksea.errors import EvolutionOverflowError, ParameterError
@@ -23,9 +21,15 @@ from iksea.model import (
     EXACT_SUM_CUTOVER,
     ChainParams,
     block_elements,
-    block_matrix,
     exact_sum,
     momentum_grid,
+)
+
+from _reference import (  # the 2x2 matrix route
+    block_matrix,
+    block_propagator,
+    fd_propagator_derivative,
+    propagator_derivative,
 )
 
 BROKEN = ChainParams(h=0.5, gamma=0.5, k_ksea=0.2, n_sites=8)
@@ -105,15 +109,10 @@ def test_analytic_derivative_matches_fd():
         _, _, _, eps_sq = block_elements(p, phi)
         if math.sqrt(abs(eps_sq)) * t > 20:
             continue
-        da = propagator_derivative(p, phi, t, mode="analytic")
-        df = propagator_derivative(p, phi, t, mode="fd", fd_step=1e-6)
+        da = propagator_derivative(p, phi, t)
+        df = fd_propagator_derivative(p, phi, t)
         scale = max(1.0, float(np.abs(da).max()))
         np.testing.assert_allclose(da, df, rtol=1e-6, atol=1e-7 * scale)
-
-
-def test_derivative_rejects_unknown_mode():
-    with pytest.raises(ParameterError):
-        propagator_derivative(UNBROKEN, 0.5, 1.0, mode="complex-step")
 
 
 def test_series_coefficients_match_exact_forms_near_seams():
@@ -165,14 +164,6 @@ def test_long_time_broken_mode_converges_to_dominant_eigenvector():
     assert overlap >= 1.0 - 1e-8
 
 
-@pytest.mark.parametrize("step", [0.0, -1e-6, math.nan, math.inf])
-def test_fd_step_must_be_finite_and_positive(step):
-    with pytest.raises(ParameterError, match="fd_step"):
-        propagator_derivative(UNBROKEN, 0.5, 1.0, mode="fd", fd_step=step)
-    assert (propagator_derivative(UNBROKEN, 0.5, 1.0, fd_step=step)
-            == propagator_derivative(UNBROKEN, 0.5, 1.0)).all()
-
-
 def test_qfi_zero_at_time_zero():
     assert dynamical_qfi(BROKEN, 0.0) == 0.0
     assert dynamical_qfi(UNBROKEN, 0.0) == 0.0
@@ -191,7 +182,7 @@ def test_analytic_vs_fd_qfi():
             # the kernel has only the analytic derivative; the finite
             # differences come from the 2x2 matrix route
             a = dynamical_qfi(p, t)
-            f = _matrix_route(p, t, "fd")
+            f = _matrix_route(p, t, fd_propagator_derivative)
             np.testing.assert_allclose(a, f, rtol=1e-6, atol=1e-9)
 
 
@@ -333,13 +324,12 @@ def test_pow2_rounds_like_scalar_power():
     assert np.any(got[:50000][small] != x[:50000][small] ** 2)
 
 
-def _matrix_route(params, t, derivative="analytic"):
+def _matrix_route(params, t, derivative=propagator_derivative):
     """Per-mode 2x2 route: propagator columns, np.vdot, fsum."""
     vals = []
     for phi in momentum_grid(params.n_sites):
         v = block_propagator(params, float(phi), t)[:, 0]
-        w = propagator_derivative(params, float(phi), t,
-                                  mode=derivative)[:, 0]
+        w = derivative(params, float(phi), t)[:, 0]
         n2 = float(np.real(np.vdot(v, v)))
         ww = float(np.real(np.vdot(w, w)))
         vw = np.vdot(v, w)
@@ -367,7 +357,8 @@ def test_kernel_matches_matrix_route():
             np.testing.assert_allclose(total, _matrix_route(p, t),
                                        rtol=1e-12, atol=0)
             # finite differences of the matrix route, at their own accuracy
-            np.testing.assert_allclose(total, _matrix_route(p, t, "fd"),
+            fd = _matrix_route(p, t, fd_propagator_derivative)
+            np.testing.assert_allclose(total, fd,
                                        rtol=1e-6, atol=1e-9)
     assert rescaled > 0
 
@@ -386,7 +377,7 @@ def test_kernel_equals_matrix_route_bit_for_bit():
         t = float(rng.uniform(0.0, 100.0 / r_max))
         # the draw keeps the sequence of points; every point is analytic
         rng.choice(["analytic", "fd"])
-        assert dynamical_qfi(p, t) == _matrix_route(p, t, "analytic")
+        assert dynamical_qfi(p, t) == _matrix_route(p, t)
         checked += p.n_sites // 2
     assert checked > 2000
 
@@ -597,12 +588,8 @@ def test_overflowing_oscillating_time_is_an_overflow_error():
 
 @pytest.mark.parametrize("t", [1e103, 1e150])
 def test_scalar_derivative_t_cubed_overflow_is_an_overflow_error(t):
-    # t^3 overflows while eps_sq t^2 stays finite: the scalar route raises
-    # the kernel's named error, not a bare OverflowError from float **
-    phi = float(momentum_grid(8)[0])
-    with pytest.raises(EvolutionOverflowError,
-                       match=re.escape(f"t^3 at t={t:g} overflows")):
-        propagator_derivative(UNBROKEN, phi, t)
+    # t^3 overflows while eps_sq t^2 stays finite: the kernel raises its
+    # named error
     with pytest.raises(EvolutionOverflowError):
         dynamical_qfi(UNBROKEN, t)
 

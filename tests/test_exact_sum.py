@@ -143,6 +143,18 @@ def test_large_sizes_take_the_array_path(monkeypatch):
     assert calls == [CUT - 1]
 
 
+def test_2_to_the_26_values_take_the_array_path():
+    # from 2^26 values on, exact_sum once summed math.fsum(values.tolist()),
+    # a list of over 2 GB; a zero-stride view holds them in 8 bytes, and
+    # tolist fails the test (0.1 * 2^26 is exact)
+    class NoList(np.ndarray):
+        def tolist(self):
+            raise AssertionError("exact_sum made a list")
+
+    x = np.broadcast_to(np.float64(0.1), 2 ** 26).view(NoList)
+    assert exact_sum(x) == 0.1 * 2 ** 26
+
+
 def levels_and_fsum_calls(monkeypatch, x):
     """exact_sum(x) with the number of its extraction levels and fsum calls.
 

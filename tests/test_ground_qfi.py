@@ -22,12 +22,13 @@ from iksea.model import (
     EXACT_SUM_CUTOVER,
     ChainParams,
     block_elements,
-    block_matrix,
     exceptional_tolerance,
     momentum_grid,
     zero_crossings,
 )
-from iksea.oracle import _select_ground, block_fd_qfi, sample_conditioned_params
+from iksea.oracle import _select_ground, sample_conditioned_params
+
+from _reference import block_fd_qfi, block_matrix
 
 
 def eig_ground(p, phi):

@@ -11,10 +11,10 @@ from scipy.optimize import brentq, minimize_scalar
 from iksea.errors import ParameterError
 from iksea.ground import ground_qfi
 from iksea.model import (
+    N_MAX,
     PARAM_MAX,
     ChainParams,
     block_elements,
-    block_matrix,
     classify_phase,
     dispersion,
     exceptional_field,
@@ -22,6 +22,8 @@ from iksea.model import (
     momentum_grid,
     zero_crossings,
 )
+
+from _reference import block_matrix
 
 
 def test_momentum_grid_small_sizes():
@@ -71,6 +73,14 @@ def test_params_validation():
     assert q.n_sites == 8 and q.h == p.h
     with pytest.raises(ParameterError):
         p.replace(n_sites=9)
+
+
+def test_n_sites_is_at_most_n_max():
+    # N_MAX = 2^22 is 4x the largest N any config, test or benchmark runs
+    assert ChainParams(h=1.0, gamma=0.5, k_ksea=0.2, n_sites=N_MAX).n_sites == N_MAX
+    for n in (N_MAX + 2, 2 ** 50):
+        with pytest.raises(ParameterError, match=f"n_sites must be <= {N_MAX}, got {n}"):
+            ChainParams(h=1.0, gamma=0.5, k_ksea=0.2, n_sites=n)
 
 
 def test_block_elements_frozen_values():
