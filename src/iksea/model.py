@@ -87,11 +87,7 @@ class ChainParams:
             if abs(getattr(self, name)) > PARAM_MAX:
                 raise ParameterError(f"|{name}| must be <= {PARAM_MAX:g}, "
                                      f"got {getattr(self, name)!r}")
-        n = self.n_sites
-        if not isinstance(n, (int, np.integer)) or n < 2 or n % 2 != 0:
-            raise ParameterError(f"n_sites must be an even integer >= 2, got {n!r}")
-        if n > N_MAX:
-            raise ParameterError(f"n_sites must be <= {N_MAX}, got {n!r}")
+        _check_n_sites(self.n_sites)
 
     def replace(self, **kw) -> "ChainParams":
         return dataclasses.replace(self, **kw)
@@ -117,10 +113,17 @@ class PhaseInfo:
     at_critical: bool
 
 
+def _check_n_sites(n) -> None:
+    """ParameterError unless n is an even integer in [2, N_MAX]."""
+    if not isinstance(n, (int, np.integer)) or n < 2 or n % 2 != 0:
+        raise ParameterError(f"n_sites must be an even integer >= 2, got {n!r}")
+    if n > N_MAX:
+        raise ParameterError(f"n_sites must be <= {N_MAX}, got {n!r}")
+
+
 def momentum_grid(n_sites: int) -> np.ndarray:
     """Antiperiodic momentum angles phi_p = (2p-1)pi/N for p = 1..N/2."""
-    if n_sites < 2 or n_sites % 2 != 0:
-        raise ParameterError(f"n_sites must be an even integer >= 2, got {n_sites!r}")
+    _check_n_sites(n_sites)
     return _angles(n_sites, 0, n_sites // 2)
 
 

@@ -1,9 +1,9 @@
 """Log-log scaling fits and parameter sweeps built on the QFI kernels.
 
-All fits are ordinary least squares on (ln x, ln y); the reported intercept
-lives in the natural-log domain.  Fits with r^2 < 0.99 are flagged
-low-quality rather than rejected — a drifting local exponent is physics,
-not an error.
+All fits are least squares on (ln x, ln y) from exact integer sums, each
+result rounded once, with no LAPACK call; the intercept is a natural log.
+Fits with r^2 < 0.99 are flagged low-quality rather than rejected — a
+drifting local exponent is physics, not an error.
 """
 
 from __future__ import annotations
@@ -54,11 +54,18 @@ class SweepResult:
     metadata: dict = field(default_factory=dict)
 
 
+def _fixed_point(values: np.ndarray):
+    """Integers k and one power of two u with values == k / u exactly."""
+    ratios = [v.as_integer_ratio() for v in values.tolist()]
+    u = max(q for _, q in ratios)
+    return [p * (u // q) for p, q in ratios], u
+
+
 def power_law_fit(xs, ys, window: Optional[Tuple[float, float]] = None) -> ScalingFit:
     """OLS fit of ln y against ln x, optionally restricted to xs in [lo, hi].
 
     Raises DomainError on nonpositive data and InsufficientDataError when
-    fewer than 3 distinct xs survive the window filter.
+    fewer than 3 distinct ln x survive the window filter.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -74,18 +81,21 @@ def power_law_fit(xs, ys, window: Optional[Tuple[float, float]] = None) -> Scali
         xs, ys = xs[keep], ys[keep]
     else:
         lo, hi = (float(xs.min()), float(xs.max())) if xs.size else (np.nan, np.nan)
-    if len(set(xs.tolist())) < 3:
+    lx, ly = np.log(xs), np.log(ys)
+    if len(set(lx.tolist())) < 3:   # distinct ln x: the values fitted
         raise InsufficientDataError(
             f"need at least 3 points inside the fit window, got {xs.size}"
             + (" (fewer than 3 distinct xs)" if xs.size >= 3 else ""))
-    lx, ly = np.log(xs), np.log(ys)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    pred = slope * lx + intercept
-    ss_res = float(np.sum((ly - pred) ** 2))
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 and ss_res <= 1e-30 else 1.0 - ss_res / max(ss_tot, 1e-300)
-    return ScalingFit(exponent=float(slope), intercept=float(intercept),
-                      r_squared=float(r2), window=(lo, hi), n_points=int(xs.size))
+    # n^2 times the centred sums, exact: kx = lx * ux and ky = ly * uy
+    (kx, ux), (ky, uy), n = _fixed_point(lx), _fixed_point(ly), xs.size
+    sx, sy = sum(kx), sum(ky)
+    sxx = n * sum(a * a for a in kx) - sx * sx
+    sxy = n * sum(a * b for a, b in zip(kx, ky)) - sx * sy
+    syy = n * sum(b * b for b in ky) - sy * sy
+    return ScalingFit(exponent=sxy * ux / (sxx * uy),
+                      intercept=(sy * sxx - sxy * sx) / (n * sxx * uy),
+                      r_squared=sxy * sxy / (sxx * syy) if syy else 1.0,
+                      window=(lo, hi), n_points=n)
 
 
 def size_exponent(template: ChainParams, n_grid: Sequence[int]) -> SweepResult:

@@ -912,8 +912,13 @@ window_hi = {hi}
     ("N,qfi_total\n8,1.0\n8,1.5\n16,4.0\n", "",
      "cannot fit [fit] input {src!r}: need at least 3 points inside the fit "
      "window, got 3 (fewer than 3 distinct xs)"),
+    # three distinct xs whose logs round to one value: ln x is what is fitted
+    (f"N,qfi_total\n1e10,1.0\n{math.nextafter(1e10, 2e10)!r},2.0\n"
+     f"{math.nextafter(math.nextafter(1e10, 2e10), 2e10)!r},3.0\n", "",
+     "cannot fit [fit] input {src!r}: need at least 3 points inside the fit "
+     "window, got 3 (fewer than 3 distinct xs)"),
 ], ids=["header-only", "zero-value", "two-in-window", "non-numeric",
-        "lo-without-hi", "two-distinct-xs"])
+        "lo-without-hi", "two-distinct-xs", "one-distinct-log"])
 def test_fit_input_that_decides_no_fit_is_config_error(tmp_path, capsys, data,
                                                        window, message):
     # the input file and the [fit] keys alone decide these: exit 2, no file
@@ -1303,6 +1308,43 @@ def test_shipped_and_benchmark_job_configs_parse_clean():
         assert made
         for job in made:
             assert RunConfig.from_text(job.config).command == job.command
+
+
+def test_commands_other_than_oracle_check_make_no_lapack_call(tmp_path,
+                                                              monkeypatch):
+    # every public numpy.linalg function and numpy.polyfit raise; each
+    # command but oracle-check still exits 0 with its pinned files
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+    for name in np.linalg.__all__:
+        if callable(getattr(np.linalg, name)) and name != "LinAlgError":
+            monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr(np, "polyfit", refuse)
+    with open(os.path.join(REPO, "tests", "data", "shipped_outputs.json"),
+              encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    for name in ("fig1_ground_field_scan", "fig4_dynamical_qfi",
+                 "crit2_critical_heisenberg", "fig2_offset_exponent",
+                 "crit4_super_heisenberg"):     # n_sites, dh and kappa sweeps
+        path = os.path.join(REPO, "configs", name + ".cfg")
+        out = tmp_path / name
+        assert main([RunConfig.from_file(path).command, "--config", path,
+                     "--out", str(out)]) == 0, name
+        for fname, digest in pinned[name]["files"].items():
+            assert sha256_file(str(out / fname)) == digest, fname
+    fit_cfg = write_cfg(tmp_path / "fit.cfg", """\
+[run]
+command = fit
+
+[fit]
+input = crit2_critical_heisenberg/crit2_critical_heisenberg.csv
+x_column = N
+y_column = qfi_total
+""")
+    assert main(["fit", "--config", fit_cfg, "--out", str(tmp_path)]) == 0
+    phase_cfg = write_cfg(tmp_path / "phase.cfg", "[run]\ncommand = phase\n"
+                          "[model]\nh = 1\ngamma = 0.2\nk_ksea = 0.5\nn_sites = 8\n")
+    assert main(["phase", "--config", phase_cfg, "--out", str(tmp_path)]) == 0
 
 
 def test_shipped_configs_match_recorded_digests(tmp_path):

@@ -712,3 +712,35 @@ def test_near_singular_rows_warn_once_per_field(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NearSingularWarning)
         _assert_rows_equal_per_point(p, hs)
+
+
+# --------------------------------------------- prefactors of the total QFI
+
+
+@pytest.mark.parametrize("n, ratio_lo", [(256, 0.967), (1024, 0.990),
+                                         (4096, 0.997), (16384, 0.9992)])
+def test_critical_total_approaches_its_lattice_sum(n, ratio_lo):
+    # h = 1, K > gamma: the leading per-mode law 1/(K^2 theta^2), summed over
+    # the odd grid theta_p = (2p - 1) pi / N, is N^2 / (8 K^2).  Its next
+    # term, a sum of 1/theta_p, is O(N ln N), so the gap N (1 - ratio) grows
+    # like a ln N + b; a = 1.111, b = 2.098 match it to 4e-4 from N = 64 to
+    # 65536 at gamma = 0.2, K = 0.5.
+    p = ChainParams(h=1.0, gamma=0.2, k_ksea=0.5, n_sites=n)
+    ratio = ground_qfi(p).total / (n * n / (8 * p.k_ksea ** 2))
+    assert ratio_lo < ratio < 1.0
+    assert abs(n * (1.0 - ratio) - (1.111 * math.log(n) + 2.098)) < 0.01
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+def test_near_degenerate_total_approaches_its_lattice_sum(n):
+    # h = 1, K = gamma + kappa: the per-mode law 16 kappa^2 / theta^6 sums to
+    # kappa^2 N^6 / 60 (sum of 1/(2j - 1)^6 = pi^6 / 960).  The ratio is
+    # 0.99990-0.99999 at kappa = 1e-8; its gap is the window term
+    # 0.607 kappa N^2 (theta* / theta_1 grows with N) plus the lattice term
+    # 1/N^4, each matched to 0.3 % at kappa = 1e-8 and 1e-7, N = 8 ... 128.
+    p = ChainParams(h=1.0, gamma=0.5, k_ksea=0.5 + 1e-8, n_sites=n)
+    kappa = p.k_ksea - p.gamma
+    ratio = ground_qfi(p).total / (kappa ** 2 * n ** 6 / 60)
+    assert 0.9999 < ratio < 1.0
+    gap = 0.607 * kappa * n * n + n ** -4.0
+    assert abs((1.0 - ratio) - gap) < 0.01 * gap

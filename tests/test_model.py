@@ -1,6 +1,7 @@
 """Momentum blocks, dispersion branches, and phase classification."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,6 +82,24 @@ def test_n_sites_is_at_most_n_max():
     for n in (N_MAX + 2, 2 ** 50):
         with pytest.raises(ParameterError, match=f"n_sites must be <= {N_MAX}, got {n}"):
             ChainParams(h=1.0, gamma=0.5, k_ksea=0.2, n_sites=n)
+
+
+def test_momentum_grid_keeps_the_n_max_bound_before_allocating():
+    # the same check and message as ChainParams, raised before the grid is
+    # made: 2^50 sites would otherwise ask numpy for 4 PiB
+    assert momentum_grid(N_MAX).size == N_MAX // 2
+    tracemalloc.start()
+    try:
+        for n in (N_MAX + 2, 2 ** 50):
+            with pytest.raises(ParameterError) as grid_error:
+                momentum_grid(n)
+            with pytest.raises(ParameterError) as params_error:
+                ChainParams(h=1.0, gamma=0.5, k_ksea=0.2, n_sites=n)
+            assert str(grid_error.value) == str(params_error.value) \
+                == f"n_sites must be <= {N_MAX}, got {n}"
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 16
+    finally:
+        tracemalloc.stop()
 
 
 def test_block_elements_frozen_values():

@@ -1,7 +1,13 @@
 """Power-law fitting and the exponent sweep drivers."""
 
+import math
+import os
+
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from iksea.errors import (
     DomainError,
@@ -9,14 +15,19 @@ from iksea.errors import (
     ParameterError,
 )
 from iksea.dynamics import qfi_time_series
+from iksea.config import RunConfig
 from iksea.model import ChainParams
 from iksea.scaling import (
     ScalingFit,
+    _resolve_anchor,
     exponent_vs_offset,
     kappa_sweep,
     power_law_fit,
     size_exponent,
 )
+
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                       "configs")
 
 
 def test_fit_recovers_exact_power_law():
@@ -83,9 +94,117 @@ def test_fit_rejects_bad_inputs():
         power_law_fit(xs[:2], xs[:2] ** 2)
     with pytest.raises(InsufficientDataError):
         power_law_fit(xs, xs ** 2, window=(90.0, 110.0))
-    # repeated xs leave the slope undetermined (numpy: poorly conditioned)
+    # repeated xs leave the slope undetermined
     with pytest.raises(InsufficientDataError, match="fewer than 3 distinct xs"):
         power_law_fit([64.0, 64.0, 64.0, 128.0], [1.0, 2.0, 3.0, 4.0])
+
+
+def test_fit_counts_distinct_logs_not_distinct_xs():
+    # three distinct xs whose logs round to one value leave the slope
+    # undetermined: the distinct count is taken on ln x, the values fitted
+    xs = [1e10, math.nextafter(1e10, 2e10)]
+    xs.append(math.nextafter(xs[1], 2e10))
+    assert len(set(xs)) == 3 and len(set(np.log(xs).tolist())) == 1
+    with pytest.raises(InsufficientDataError, match=r"got 3 \(fewer than 3 distinct xs\)"):
+        power_law_fit(xs, [1.0, 2.0, 3.0])
+
+
+def test_fit_of_constant_ys_is_flat_and_exact():
+    # every ln y equal: slope 0 and r^2 1 exactly, although the float mean
+    # of n equal logs need not equal them, and the intercept is that log
+    for n in (3, 5, 7, 9, 11):
+        xs = np.arange(1.0, n + 1.0) * 1.7
+        for y in (5.0, 1e10, 0.3, 77.7, 1e-300):
+            fit = power_law_fit(xs, np.full(n, y))
+            assert (fit.exponent, fit.r_squared) == (0.0, 1.0)
+            assert fit.intercept == float(np.log(y))
+
+
+def _mp_line(xs, ys):
+    """50-digit least-squares line of (ln x, ln y), the logs as numpy rounds
+    them, with cond = sum |dx dy| / sum dx^2 for the reference's own error."""
+    with mp.workdps(50):
+        lx = [mp.mpf(v) for v in np.log(xs).tolist()]
+        ly = [mp.mpf(v) for v in np.log(ys).tolist()]
+        n = len(lx)
+        mx, my = mp.fsum(lx) / n, mp.fsum(ly) / n
+        dx, dy = [v - mx for v in lx], [v - my for v in ly]
+        sxx = mp.fsum(a * a for a in dx)
+        sxy = mp.fsum(a * b for a, b in zip(dx, dy))
+        syy = mp.fsum(b * b for b in dy)
+        cond = mp.fsum(abs(a * b) for a, b in zip(dx, dy)) / sxx
+        slope = sxy / sxx
+        r2 = mp.mpf(1) if len(set(ly)) == 1 else sxy * sxy / (sxx * syy)
+        return slope, my - slope * mx, r2, cond, mx, my
+
+
+def _assert_rounded_once(fit, xs, ys):
+    # the exact line of the float logs rounded once: within half an ulp of
+    # the 50-digit reference (the measured worst case is 0.4999 ulp), plus
+    # that reference's own rounding error, at most 1e-45 times the
+    # cancellation in sum dx dy, so weakly correlated draws do not flake
+    slope, intercept, r2, cond, mx, my = _mp_line(xs, ys)
+    with mp.workdps(50):
+        eps = mp.mpf(10) ** -45
+        for got, want, ref_err in (
+                (fit.exponent, slope, eps * (cond + abs(slope))),
+                (fit.intercept, intercept,
+                 eps * (abs(my) + abs(mx) * (cond + abs(slope)))),
+                # the cancellation term of r^2 is at most 1 (Cauchy-Schwarz)
+                (fit.r_squared, r2, 3 * eps)):
+            assert abs(mp.mpf(got) - want) <= math.ulp(float(want)) / 2 + ref_err, \
+                (got, want)
+
+
+@st.composite
+def _fit_data(draw):
+    """Distinct ln x in [-20, 20]; ln y a line plus noise from none (an exact
+    power law) to ten times the line's own spread (weakly correlated)."""
+    n = draw(st.integers(3, 24))
+    lx = np.array(draw(st.lists(st.floats(-20, 20), min_size=n, max_size=n,
+                                unique=True)))
+    noise = np.array(draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n)))
+    scale = draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-2, 1.0, 10.0]))
+    xs = np.exp(lx)
+    ys = np.exp(draw(st.floats(-8, 8)) * lx + draw(st.floats(-40, 40))
+                + scale * noise)
+    assume(len(set(np.log(xs).tolist())) >= 3)
+    return xs, ys
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_fit_data())
+def test_fit_is_the_exact_line_rounded_once(data):
+    _assert_rounded_once(power_law_fit(*data), *data)
+
+
+def _shipped_sweep_fits():
+    """SweepResult of every size fit that a shipped sweep config makes."""
+    for name in sorted(os.listdir(CONFIGS)):
+        cfg = RunConfig.from_file(os.path.join(CONFIGS, name))
+        if cfg.command != "sweep":
+            continue
+        ns = cfg.get_ints("sweep", "n_values")
+        tpl = ChainParams(h=cfg.get_float("model", "h"),
+                          gamma=cfg.get_float("model", "gamma"),
+                          k_ksea=cfg.get_float("model", "k_ksea"), n_sites=ns[0])
+        variable = cfg.get_str("sweep", "variable")
+        if variable == "n_sites":
+            yield size_exponent(tpl, ns)
+        elif variable == "dh":
+            h0 = _resolve_anchor(tpl, cfg.get_str("sweep", "anchor"))
+            for dh in cfg.get_floats("sweep", "dh_values"):
+                yield size_exponent(tpl.replace(h=h0 + dh), ns)
+        else:
+            for kappa in cfg.get_floats("sweep", "kappa_values"):
+                yield size_exponent(tpl.replace(k_ksea=tpl.gamma + kappa), ns)
+
+
+def test_shipped_sweep_fits_are_the_exact_lines_rounded_once():
+    fits = list(_shipped_sweep_fits())
+    assert len(fits) == 13
+    for res in fits:
+        _assert_rounded_once(res.fit, res.xs, res.ys)
 
 
 def test_low_quality_flag():
