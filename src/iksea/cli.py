@@ -30,14 +30,18 @@ import numpy as np
 from . import __version__
 from .config import RunConfig
 from .dynamics import _qfi_totals
-from .errors import ConfigError, EvolutionOverflowError, IkseaError, ParameterError
-from .ground import _field_rows, ground_qfi
+from .errors import ConfigError, DomainError, EvolutionOverflowError, IkseaError, ParameterError
+from .ground import _field_rows, ground_qfi  # noqa: F401 (the bench harness test reads it)
 from .model import ChainParams, classify_phase
 from .oracle import run_oracle_suite
-from .runner import Manifest, run_grid
-from .scaling import ScalingFit, _kappa_values, _resolve_anchor, power_law_fit
+from .runner import Manifest
+from .scaling import ScalingFit, exponent_vs_offset, kappa_sweep, power_law_fit, size_exponent
 
 __all__ = ["main"]
+
+#: bound on [times] count: each time is a row and a manifest task, and a
+#: dyn-qfi at the bound (N = 8) peaks at 70 MB; 2^20 times took 580 MB
+COUNT_MAX = 2 ** 16
 
 
 def _fmt(x) -> str:
@@ -167,6 +171,8 @@ def _time_grid(cfg: RunConfig) -> List[float]:
             raise ConfigError(f"[times] {key} must be finite, got {bound!r}")
     if count < 1:
         raise ConfigError("[times] count must be >= 1")
+    if count > COUNT_MAX:
+        raise ConfigError(f"[times] count must be <= {COUNT_MAX}, got {count}")
     spacing = cfg.get_str("times", "spacing", default="linear")
     if spacing == "linear":
         return list(np.linspace(start, stop, count))
@@ -205,18 +211,15 @@ def _fit_window(cfg: RunConfig):
 
 
 def cmd_sweep(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
-    """ground_qfi totals at every (value, N) point, in one run_grid call.
-
-    A dh or kappa value gets its row and exponent mu if all its sizes succeed.
-    """
+    """Tabulate a scaling.size_exponent, exponent_vs_offset or kappa_sweep
+    run: each point becomes a manifest task, then the fits are made."""
     variable = cfg.get_str("sweep", "variable")
     if variable not in ("n_sites", "dh", "kappa"):
         raise ConfigError(
             f"[sweep] variable must be n_sites|dh|kappa, got {variable!r}")
     ns, window = sorted(cfg.get_ints("sweep", "n_values")), _fit_window(cfg)
-    lo, hi = window or (0, np.inf)
-    fits, values, given = {"variable": variable}, [None], lambda x: {}
     if variable == "n_sites":
+        lo, hi = window or (0, np.inf)
         if window and len({n for n in ns if lo <= n <= hi}) < 3:
             raise ConfigError(f"[fit] window_lo..window_hi holds fewer than 3 of n_values {ns}")
     elif window is not None:
@@ -224,58 +227,38 @@ def cmd_sweep(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
     elif len(set(ns)) < 3:
         raise ConfigError(f"[sweep] n_values needs at least 3 sizes to fit "
                           f"mu for each {variable} value")
-    else:
-        values = cfg.get_floats("sweep", f"{variable}_values")
-    if variable == "dh":
-        anchor = cfg.get_str("sweep", "anchor", default="h_c")
-        base = _model_params(cfg, n_sites=ns[0])
-        try:
-            h0 = _resolve_anchor(base, anchor)
-        except IkseaError as exc:
-            raise ConfigError(f"[sweep] {exc}") from exc
-        fits.update(anchor=anchor, anchor_value=h0)
-        given = lambda dh: {"h": h0 + dh}
-        header = ["dh", "h", "mu", "r_squared", "phase"]
-        row = lambda dh, p, f: [dh, h0 + dh, f.exponent, f.r_squared,
-                                classify_phase(p).region]
-    elif variable == "kappa":
-        gamma = cfg.get_float("model", "gamma")
-        h = cfg.get_float("model", "h", default=1.0)
-        try:
-            _kappa_values(values)
-        except IkseaError as exc:
-            raise ConfigError(f"[sweep] {exc}") from exc
-        given = lambda kappa: {"h": h, "k_ksea": gamma + kappa}
-        header = ["kappa", "mu", "r_squared"]
-        row = lambda kappa, p, f: [kappa, f.exponent, f.r_squared]
-    points = [(x, _model_params(cfg, n_sites=n, **given(x))) for x in values for n in ns]
-    if variable == "kappa":         # after the points, which refuse N = 0
-        fits.update(gamma=gamma, h=h, out_of_window=[
-            [x, p.n_sites] for x, p in points if not np.pi / p.n_sites > 10.0 * x])
-    results = run_grid(lambda xp: ground_qfi(xp[1]).total, points)
+    try:
+        if variable == "n_sites":
+            res = size_exponent(_model_params(cfg, n_sites=ns[0]), ns, window)
+        elif variable == "dh":
+            values = cfg.get_floats("sweep", "dh_values")
+            anchor = cfg.get_str("sweep", "anchor", default="h_c")
+            res = exponent_vs_offset(_model_params(cfg, n_sites=ns[0]), values, ns, anchor)
+        else:
+            values = cfg.get_floats("sweep", "kappa_values")
+            res = kappa_sweep(cfg.get_float("model", "gamma"), values, ns,
+                              cfg.get_float("model", "h", default=1.0))
+    except DomainError as exc:          # an anchor or kappa outside its domain
+        raise ConfigError(f"[sweep] {exc}") from exc
+    except ParameterError as exc:       # a point's ChainParams
+        raise ConfigError(f"invalid [model] parameters: {exc}") from exc
     label = "" if variable == "n_sites" else variable + "={:g} "
-    done, errors = _run_points(manifest, points, results,
+    done, errors = _run_points(manifest, res.points, res.totals,
                                lambda xp: f"sweep {label.format(xp[0])}N={xp[1].n_sites}")
+    fits = {"variable": variable, **res.metadata}
     if variable == "n_sites":
         emit("", [[p.n_sites, total] for (_, p), total in done], ["N", "qfi_total"])
-        inside = [(p.n_sites, total) for (_, p), total in done if lo <= p.n_sites <= hi]
-        fits["fit"] = None if len({n for n, _ in inside}) < 3 else _fit_json(
-            power_law_fit(*zip(*inside), window=window))
+        fits["fit"] = next((_fit_json(f) for _, f in res.fits()), None)
     else:
-        # a value's sizes are the len(ns) points at its position in the list,
-        # so a repeated value keeps both its rows
+        fitted = res.fits()             # a repeated value keeps both its rows
+        fits["exponents"] = [{variable: x, "mu": f.exponent, "r_squared": f.r_squared}
+                             for (x, _), f in fitted]
         if variable == "dh":
-            fits["phase_change"] = len({classify_phase(p).region
-                                        for _, p in points[::len(ns)]}) > 1
-        rows, fits["exponents"] = [], []
-        for i in range(0, len(points), len(ns)):
-            (x, p), totals = points[i], results[i:i + len(ns)]
-            if not any(isinstance(t, IkseaError) for t in totals):
-                f = power_law_fit(ns, totals)
-                rows.append(row(x, p, f))
-                fits["exponents"].append({variable: x, "mu": f.exponent,
-                                          "r_squared": f.r_squared})
-        emit("", rows, header)
+            emit("", [[x, p.h, f.exponent, f.r_squared, classify_phase(p).region]
+                      for (x, p), f in fitted], ["dh", "h", "mu", "r_squared", "phase"])
+        else:
+            emit("", [[x, f.exponent, f.r_squared] for (x, _), f in fitted],
+                 ["kappa", "mu", "r_squared"])
     emit("_fits", fits)
     if errors:
         raise errors[0]

@@ -93,10 +93,8 @@ def dense_hamiltonian(params: ChainParams, scale: float = 1.0) -> np.ndarray:
 
 def parity_vector(n_sites: int) -> np.ndarray:
     """Spin-flip parity (+1/-1) of each basis state: (-1)^popcount."""
-    a = np.arange(1 << n_sites)
-    pc = np.array([bin(x).count("1") for x in a]) if not hasattr(np, "bitwise_count") \
-        else np.bitwise_count(a)
-    return 1 - 2 * (pc % 2).astype(int)
+    bits = np.arange(1 << n_sites)[:, None] >> np.arange(n_sites) & 1
+    return 1 - 2 * (bits.sum(axis=1) % 2)
 
 
 def even_sector_indices(n_sites: int) -> np.ndarray:

@@ -4,19 +4,25 @@ All fits are least squares on (ln x, ln y) from exact integer sums, each
 result rounded once, with no LAPACK call; the intercept is a natural log.
 Fits with r^2 < 0.99 are flagged low-quality rather than rejected — a
 drifting local exponent is physics, not an error.
+
+A sweep makes every ChainParams before any point runs (a bad value raises
+ParameterError), then runs ground_qfi at every (value, N) point in one
+run_grid call, a failed point keeping its IkseaError; SweepResult.fits()
+fits afterwards, so a caller can record the points first.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError, ParameterError
+from .errors import DomainError, IkseaError, InsufficientDataError, ParameterError
 from .ground import ground_qfi
 from .model import ChainParams, classify_phase, exceptional_field
+from .runner import run_grid
 
 __all__ = [
     "ScalingFit",
@@ -48,10 +54,37 @@ class ScalingFit:
 
 @dataclass(frozen=True)
 class SweepResult:
-    xs: np.ndarray
-    ys: np.ndarray
-    fit: Optional[ScalingFit]
+    """ground_qfi totals of a sweep at every (value, N) point.
+
+    points holds (value, ChainParams) pairs, value-major, each value's sizes
+    ascending as in n_grid (the value is None in an n_sites sweep); totals[i]
+    is points[i]'s total or the IkseaError it raised.  metadata holds the
+    sweep's own records (anchor, phase_change, out_of_window, ...).
+    """
+    variable: str                               # "n_sites", "dh" or "kappa"
+    points: list
+    totals: list
+    n_grid: Tuple[int, ...]
+    window: Optional[Tuple[float, float]] = None
     metadata: dict = field(default_factory=dict)
+
+    def fits(self) -> list:
+        """(point, ScalingFit) per fitted value, point being its first point.
+
+        An n_sites sweep fits the sizes that succeeded inside its window if
+        at least 3 are distinct; a dh or kappa value is fitted only when all
+        its sizes succeeded.  A fit's IkseaError (zero totals, say) is raised.
+        """
+        n, (lo, hi), out = len(self.n_grid), self.window or (0, math.inf), []
+        for i in range(0, len(self.points), n):
+            pairs = [(p.n_sites, t) for (_, p), t in zip(self.points[i:i + n],
+                                                         self.totals[i:i + n])
+                     if not isinstance(t, IkseaError) and lo <= p.n_sites <= hi]
+            if (len({x for x, _ in pairs}) >= 3 if self.variable == "n_sites"
+                    else len(pairs) == n):
+                out.append((self.points[i],
+                            power_law_fit(*zip(*pairs), window=self.window)))
+        return out
 
 
 def _fixed_point(values: np.ndarray):
@@ -98,63 +131,44 @@ def power_law_fit(xs, ys, window: Optional[Tuple[float, float]] = None) -> Scali
                       window=(lo, hi), n_points=n)
 
 
-def size_exponent(template: ChainParams, n_grid: Sequence[int]) -> SweepResult:
-    """Ground-state QFI totals over a grid of sizes, with a power-law fit."""
-    ns = np.asarray(sorted(int(n) for n in n_grid))
-    totals = np.array([ground_qfi(template.replace(n_sites=int(n))).total
-                       for n in ns])
-    fit = power_law_fit(ns.astype(float), totals)
-    return SweepResult(xs=ns.astype(float), ys=totals, fit=fit,
-                       metadata={"kind": "size_exponent",
-                                 "h": template.h, "gamma": template.gamma,
-                                 "k_ksea": template.k_ksea})
+def _sweep(variable: str, values: list, n_grid: Sequence[int], make: Callable,
+           window=None, record: Callable = lambda points: {}) -> SweepResult:
+    """ground_qfi(p).total at each p = make(value, N), in one run_grid call,
+    with record(points) as the metadata (see the module docstring)."""
+    ns = tuple(sorted(n_grid))
+    if not (values and ns):
+        raise DomainError(f"a {variable} sweep needs at least one value and one size")
+    points = [(x, make(x, n)) for x in values for n in ns]
+    totals = run_grid(lambda xp: ground_qfi(xp[1]).total, points)
+    return SweepResult(variable, points, totals, ns, window, record(points))
 
 
-def _resolve_anchor(template: ChainParams, anchor: str) -> float:
-    if anchor == "h_c":
-        return 1.0
-    if anchor == "h_e":
-        he = exceptional_field(template)
-        if he is None:
-            raise DomainError(
-                "anchor 'h_e' needs k_ksea < gamma; no exceptional field here")
-        return he
-    raise ParameterError(f"unknown anchor {anchor!r} (expected 'h_c' or 'h_e')")
+def size_exponent(template: ChainParams, n_grid: Sequence[int],
+                  window: Optional[Tuple[float, float]] = None) -> SweepResult:
+    """Ground-state QFI totals over a grid of sizes at the template's h,
+    gamma and K; fits() fits those inside window (default: all)."""
+    return _sweep("n_sites", [None], n_grid,
+                  lambda _, n: template.replace(n_sites=n), window)
 
 
 def exponent_vs_offset(template: ChainParams, dh_grid: Sequence[float],
                        n_grid: Sequence[int], anchor: str = "h_c") -> SweepResult:
     """Size exponent mu as a function of field offset dh from an anchor field.
 
-    For each dh the QFI is computed over n_grid at h = anchor + dh and fitted
-    to N^mu.  Per-offset phase labels are recorded; metadata["phase_change"]
-    marks sweeps whose offsets straddle different phase regions.
+    For each dh the QFI is computed over n_grid at h = anchor + dh and the
+    template's gamma and K.  metadata["phase_change"] marks sweeps whose
+    offsets straddle different phase regions.
     """
-    base = _resolve_anchor(template, anchor)
-    dhs = np.asarray(list(dh_grid), dtype=float)
-    if dhs.size == 0:
-        raise DomainError("dh_grid is empty")
-    mus, r2s, phases = [], [], []
-    for dh in dhs:
-        pt = template.replace(h=base + float(dh))
-        res = size_exponent(pt, n_grid)
-        mus.append(res.fit.exponent)
-        r2s.append(res.fit.r_squared)
-        phases.append(classify_phase(pt).region)
-    return SweepResult(
-        xs=dhs, ys=np.asarray(mus), fit=None,
-        metadata={"kind": "exponent_vs_offset", "anchor": anchor,
-                  "anchor_value": base, "r_squared": r2s, "phase": phases,
-                  "phase_change": len(set(phases)) > 1})
-
-
-def _kappa_values(kappa_grid: Sequence[float]) -> np.ndarray:
-    """kappa_grid as a non-empty array of values > 0, else DomainError."""
-    kappas = np.asarray(list(kappa_grid), dtype=float)
-    if kappas.size == 0 or np.any(kappas <= 0.0):
-        raise DomainError(f"kappa values must be > 0 (kappa = 0 is the "
-                          f"exceptional line), got {kappas.tolist()}")
-    return kappas
+    if anchor not in ("h_c", "h_e"):
+        raise DomainError(f"unknown anchor {anchor!r} (expected 'h_c' or 'h_e')")
+    base = 1.0 if anchor == "h_c" else exceptional_field(template)
+    if base is None:
+        raise DomainError("anchor 'h_e' needs k_ksea < gamma; no exceptional field here")
+    return _sweep(
+        "dh", [float(dh) for dh in dh_grid], n_grid,
+        lambda dh, n: template.replace(h=base + dh, n_sites=n),
+        record=lambda points: {"anchor": anchor, "anchor_value": base, "phase_change":
+                               len({classify_phase(p).region for _, p in points}) > 1})
 
 
 def kappa_sweep(gamma: float, kappa_grid: Sequence[float],
@@ -169,18 +183,12 @@ def kappa_sweep(gamma: float, kappa_grid: Sequence[float],
     2 sqrt(kappa) at gamma = 0.5, the window that
     asymptotic_qfi(..., "near_degenerate") enforces.
     """
-    kappas = _kappa_values(kappa_grid)
-    ns = sorted(int(n) for n in n_grid)
-    offending = [(float(kap), n) for kap in kappas for n in ns
-                 if not (np.pi / n > 10.0 * kap)]
-    mus, r2s = [], []
-    for kap in kappas:
-        res = size_exponent(
-            ChainParams(h=h, gamma=gamma, k_ksea=gamma + float(kap),
-                        n_sites=ns[0]), ns)
-        mus.append(res.fit.exponent)
-        r2s.append(res.fit.r_squared)
-    return SweepResult(
-        xs=kappas, ys=np.asarray(mus), fit=None,
-        metadata={"kind": "kappa_sweep", "gamma": gamma, "h": h,
-                  "r_squared": r2s, "out_of_window": offending})
+    kappas = [float(kap) for kap in kappa_grid]
+    if any(kap <= 0.0 for kap in kappas):
+        raise DomainError(f"kappa values must be > 0 (kappa = 0 is the "
+                          f"exceptional line), got {kappas}")
+    return _sweep(
+        "kappa", kappas, n_grid,
+        lambda kap, n: ChainParams(h=h, gamma=gamma, k_ksea=gamma + kap, n_sites=n),
+        record=lambda points: {"gamma": gamma, "h": h, "out_of_window": [
+            [kap, p.n_sites] for kap, p in points if not math.pi / p.n_sites > 10.0 * kap]})

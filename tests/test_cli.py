@@ -355,6 +355,9 @@ def test_dyn_qfi_time_grid_spacings(tmp_path, capsys):
             ("start = 1\nstop = 8",
              "[times] needs either 'values' or 'start'/'stop'/'count'"),
             ("start = 1\nstop = 8\ncount = 0", "[times] count must be >= 1"),
+            # numpy's allocation error (exit 1) once made the grid
+            ("start = 1\nstop = 8\ncount = 1000000000000000",
+             "[times] count must be <= 65536, got 1000000000000000"),
             ("start = 0\nstop = 8\ncount = 4\nspacing = geometric",
              "[times] geometric spacing needs start, stop > 0"),
             # refused before linspace/geomspace, which warned and listed nan
@@ -750,8 +753,9 @@ n_values = 4 8 12
     fits = json.loads((out / "sweep_fits.json").read_text())
     assert [e["dh"] for e in fits["exponents"]] == [0.1, 0.1]
     he = float(np.sqrt(2.0))
-    mu = size_exponent(ChainParams(h=he + 0.1, gamma=1.0, k_ksea=0.0,
-                                   n_sites=4), [4, 8, 12]).fit.exponent
+    [(_, fit)] = size_exponent(ChainParams(h=he + 0.1, gamma=1.0, k_ksea=0.0,
+                                           n_sites=4), [4, 8, 12]).fits()
+    mu = fit.exponent
     assert all(e["mu"] == mu for e in fits["exponents"])
     # phase_change covers every configured value: dh = 0 (ExceptionalPoint)
     # has no row, dh = 0.1 is Unbroken

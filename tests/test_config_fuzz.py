@@ -61,7 +61,8 @@ POOLS = {
 
 #: values a changed key may take besides EDGE
 ODD = {("run", "prefix"): [".", "a/b"], ("model", "n_sites"): ["7"],
-       ("grid", "n_values"): ["7"], ("times", "spacing"): ["log"],
+       ("grid", "n_values"): ["7"], ("times", "count"): ["1000000000000000"],
+       ("times", "spacing"): ["log"],
        ("sweep", "variable"): ["N"], ("sweep", "anchor"): ["h_x"],
        ("fit", "input"): ["bad.csv", "missing.csv"], ("fit", "x_column"): ["M"],
        ("oracle", "sizes"): ["2", "3"], ("oracle", "include_dynamics"): ["true", "maybe"]}

@@ -65,6 +65,14 @@ def test_dense_hamiltonian_commutes_with_parity():
         np.testing.assert_allclose(comm, 0.0, atol=1e-14)
 
 
+def test_parity_vector_is_minus_one_to_the_popcount():
+    # one expression on every numpy, with or without np.bitwise_count
+    for n in range(1, 13):
+        want = [1 - 2 * (bin(x).count("1") % 2) for x in range(1 << n)]
+        got = parity_vector(n)
+        assert got.dtype == np.int_ and got.tolist() == want
+
+
 def test_parity_sector_sizes():
     for n in (2, 4, 6, 8):
         idx = even_sector_indices(n)

@@ -57,10 +57,10 @@ PACKAGE = sorted([
 ])
 
 
-#: signatures of the functions whose options were removed (the dynamics
-#: kernel's fd derivative and fd_step, kappa_sweep's enforce_window, the fit
-#: window of size_exponent, the oracle's sampler floors, finite-difference
-#: steps and forced recalibration)
+#: signatures of the functions whose options were removed or changed (the
+#: dynamics kernel's fd derivative and fd_step, kappa_sweep's enforce_window,
+#: the oracle's sampler floors, finite-difference steps and forced
+#: recalibration; size_exponent's fit window, which the sweep CLI passes)
 SIGNATURES = {
     ("iksea.dynamics", "dynamical_qfi"): "(params: 'ChainParams', t: 'float') -> 'float'",
     ("iksea.dynamics", "qfi_time_series"):
@@ -69,7 +69,8 @@ SIGNATURES = {
         "(gamma: 'float', kappa_grid: 'Sequence[float]', "
         "n_grid: 'Sequence[int]', h: 'float' = 1.0) -> 'SweepResult'",
     ("iksea.scaling", "size_exponent"):
-        "(template: 'ChainParams', n_grid: 'Sequence[int]') -> 'SweepResult'",
+        "(template: 'ChainParams', n_grid: 'Sequence[int]', "
+        "window: 'Optional[Tuple[float, float]]' = None) -> 'SweepResult'",
     ("iksea.oracle", "sample_conditioned_params"):
         "(rng: 'np.random.Generator', n_points: 'int', sizes=(4, 6, 8)) "
         "-> 'List[ChainParams]'",

@@ -11,15 +11,15 @@ from hypothesis import strategies as st
 
 from iksea.errors import (
     DomainError,
+    ExceptionalModeError,
     InsufficientDataError,
     ParameterError,
 )
 from iksea.dynamics import qfi_time_series
 from iksea.config import RunConfig
-from iksea.model import ChainParams
+from iksea.model import ChainParams, classify_phase
 from iksea.scaling import (
     ScalingFit,
-    _resolve_anchor,
     exponent_vs_offset,
     kappa_sweep,
     power_law_fit,
@@ -179,7 +179,7 @@ def test_fit_is_the_exact_line_rounded_once(data):
 
 
 def _shipped_sweep_fits():
-    """SweepResult of every size fit that a shipped sweep config makes."""
+    """(fit, sizes, totals) of every size fit that a shipped sweep config makes."""
     for name in sorted(os.listdir(CONFIGS)):
         cfg = RunConfig.from_file(os.path.join(CONFIGS, name))
         if cfg.command != "sweep":
@@ -190,21 +190,23 @@ def _shipped_sweep_fits():
                           k_ksea=cfg.get_float("model", "k_ksea"), n_sites=ns[0])
         variable = cfg.get_str("sweep", "variable")
         if variable == "n_sites":
-            yield size_exponent(tpl, ns)
+            res = size_exponent(tpl, ns)
         elif variable == "dh":
-            h0 = _resolve_anchor(tpl, cfg.get_str("sweep", "anchor"))
-            for dh in cfg.get_floats("sweep", "dh_values"):
-                yield size_exponent(tpl.replace(h=h0 + dh), ns)
+            res = exponent_vs_offset(tpl, cfg.get_floats("sweep", "dh_values"), ns,
+                                     cfg.get_str("sweep", "anchor"))
         else:
-            for kappa in cfg.get_floats("sweep", "kappa_values"):
-                yield size_exponent(tpl.replace(k_ksea=tpl.gamma + kappa), ns)
+            res = kappa_sweep(tpl.gamma, cfg.get_floats("sweep", "kappa_values"),
+                              ns, tpl.h)
+        for point, fit in res.fits():
+            i = res.points.index(point)
+            yield fit, res.n_grid, res.totals[i:i + len(res.n_grid)]
 
 
 def test_shipped_sweep_fits_are_the_exact_lines_rounded_once():
     fits = list(_shipped_sweep_fits())
     assert len(fits) == 13
-    for res in fits:
-        _assert_rounded_once(res.fit, res.xs, res.ys)
+    for fit, xs, ys in fits:
+        _assert_rounded_once(fit, xs, ys)
 
 
 def test_low_quality_flag():
@@ -216,14 +218,22 @@ def test_low_quality_flag():
     assert isinstance(fit, ScalingFit)
 
 
+def _mus(res):
+    """Fitted exponent of each value of a sweep, in value order."""
+    return [fit.exponent for _, fit in res.fits()]
+
+
 def test_size_exponent_at_critical_point():
     tpl = ChainParams(h=1.0, gamma=0.2, k_ksea=0.5, n_sites=256)
     res = size_exponent(tpl, [256, 512, 1024, 2048])
-    assert 1.95 <= res.fit.exponent <= 2.06
-    assert res.fit.r_squared > 0.9999
-    np.testing.assert_array_equal(res.xs, [256, 512, 1024, 2048])
-    assert res.ys.shape == (4,)
-    assert res.metadata["kind"] == "size_exponent"
+    [(_, fit)] = res.fits()
+    assert 1.95 <= fit.exponent <= 2.06
+    assert fit.r_squared > 0.9999
+    assert [p.n_sites for _, p in res.points] == [256, 512, 1024, 2048]
+    assert len(res.totals) == 4
+    assert res.variable == "n_sites"
+    with pytest.raises(ParameterError):     # not run at N = 32
+        size_exponent(tpl, [32.5, 64, 128])
 
 
 def test_size_exponent_octave_windows_converge():
@@ -232,10 +242,23 @@ def test_size_exponent_octave_windows_converge():
     tpl = ChainParams(h=1.0, gamma=0.2, k_ksea=0.5, n_sites=64)
     errs = []
     for n0 in (64, 256, 1024, 4096):
-        res = size_exponent(tpl, [n0, 2 * n0, 4 * n0])
-        errs.append(abs(res.fit.exponent - 2.0))
+        [mu] = _mus(size_exponent(tpl, [n0, 2 * n0, 4 * n0]))
+        errs.append(abs(mu - 2.0))
     assert all(b < a for a, b in zip(errs, errs[1:]))
     assert errs[-1] < 0.01
+
+
+def test_size_exponent_records_a_defective_size_and_fits_the_others():
+    # gamma = K and h = -cos(pi/4) put the N = 4 mode pi/4 on an exceptional
+    # point; N = 8, 16 and 24 have no mode there
+    tpl = ChainParams(h=-float(np.cos(np.pi / 4)), gamma=0.4, k_ksea=0.4, n_sites=8)
+    res = size_exponent(tpl, [24, 4, 16, 8])
+    assert isinstance(res.totals[0], ExceptionalModeError)
+    assert res.totals[0].mode_index is not None
+    assert all(isinstance(t, float) for t in res.totals[1:])
+    [(_, fit)] = res.fits()
+    assert fit.n_points == 3
+    assert fit.exponent == power_law_fit([8, 16, 24], res.totals[1:]).exponent
 
 
 def test_exponent_vs_offset_reports_phases():
@@ -244,10 +267,10 @@ def test_exponent_vs_offset_reports_phases():
                              anchor="h_e")
     assert res.metadata["anchor"] == "h_e"
     np.testing.assert_allclose(res.metadata["anchor_value"], 1.1, rtol=1e-12)
-    assert res.metadata["phase"] == ["Unbroken", "Broken"]
+    assert [classify_phase(p).region for (_, p), _ in res.fits()] == \
+        ["Unbroken", "Broken"]
     assert res.metadata["phase_change"] is True
-    assert len(res.metadata["r_squared"]) == 2
-    assert res.ys.shape == (2,)
+    assert len(res.fits()) == 2          # one mu and r^2 per offset
 
     same_side = exponent_vs_offset(tpl, [0.2, 0.4], [512, 1024, 2048],
                                    anchor="h_e")
@@ -258,7 +281,8 @@ def test_exponent_vs_offset_anchor_validation():
     tpl = ChainParams(h=1.0, gamma=0.2, k_ksea=0.5, n_sites=512)
     with pytest.raises(DomainError):
         exponent_vs_offset(tpl, [0.1], [512, 1024, 2048], anchor="h_e")
-    with pytest.raises(ParameterError):
+    # an anchor is a sweep argument, not a model parameter
+    with pytest.raises(DomainError, match="unknown anchor 'h_x'"):
         exponent_vs_offset(tpl, [0.1], [512, 1024, 2048], anchor="h_x")
     with pytest.raises(DomainError):
         exponent_vs_offset(tpl, [], [512, 1024, 2048])
@@ -268,12 +292,12 @@ def test_kappa_sweep_window_bookkeeping():
     ns = [512, 1024, 2048]
     res = kappa_sweep(0.5, [1e-5], ns)   # pi/N > 10 kappa holds everywhere
     assert res.metadata["out_of_window"] == []
-    assert res.ys.shape == (1,)
+    assert len(_mus(res)) == 1
 
     # kappa = 1e-3 violates the guard at every one of these sizes
     res2 = kappa_sweep(0.5, [1e-3], ns)
     assert len(res2.metadata["out_of_window"]) == 3
-    assert res2.metadata["out_of_window"][0] == (1e-3, 512)
+    assert res2.metadata["out_of_window"][0] == [1e-3, 512]
 
 
 def test_kappa_sweep_rejects_nonpositive_kappa():
@@ -289,7 +313,7 @@ def test_kappa_sweep_super_heisenberg_inside_window():
     # deep inside the validity window the fitted exponent approaches 6
     ns = [64, 96, 128, 192, 256]
     res = kappa_sweep(0.5, [1e-7], ns)
-    assert 5.7 <= res.ys[0] <= 6.2
+    assert 5.7 <= _mus(res)[0] <= 6.2
     assert res.metadata["out_of_window"] == []
 
 
