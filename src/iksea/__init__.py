@@ -18,10 +18,7 @@ from .errors import (
     DomainError,
     ExceptionalModeError,
     EvolutionOverflowError,
-    CapacityError,
     LevelCrossingError,
-    OutOfWindowError,
-    InsufficientDataError,
     NumericalConsistencyError,
     CalibrationError,
     ConfigError,

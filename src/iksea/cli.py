@@ -233,7 +233,9 @@ def cmd_sweep(cfg: RunConfig, manifest: Manifest, emit: Callable) -> int:
         elif variable == "dh":
             values = cfg.get_floats("sweep", "dh_values")
             anchor = cfg.get_str("sweep", "anchor", default="h_c")
-            res = exponent_vs_offset(_model_params(cfg, n_sites=ns[0]), values, ns, anchor)
+            # every point sets its own h = anchor + dh: [model] h is not read
+            res = exponent_vs_offset(_model_params(cfg, n_sites=ns[0], h=0.0),
+                                     values, ns, anchor)
         else:
             values = cfg.get_floats("sweep", "kappa_values")
             res = kappa_sweep(cfg.get_float("model", "gamma"), values, ns,

@@ -50,7 +50,7 @@ from .errors import (
     NumericalConsistencyError,
     ParameterError,
 )
-from .model import ChainParams, block_elements, exact_sum, momentum_grid
+from .model import ChainParams, _angles, block_elements, exact_sum, momentum_grid
 
 __all__ = [
     "dynamical_qfi",
@@ -170,30 +170,36 @@ def _c012(z, rescale: bool = False):
     return c0, c1, c2
 
 
-def _columns(params: ChainParams, phi: np.ndarray, t, rescale: bool,
-             elements=None):
-    """v = U|0> and w = (dU/dh)|0> at every angle in phi (module docstring).
+def _gram_elements(params: ChainParams, phi):
+    """(g, a_minus, eps_sq) of block_elements(params, phi), the rows the Gram
+    form reads; a_plus is freed on return."""
+    g, _, am, eps_sq = block_elements(params, phi)
+    return g, am, eps_sq
+
+
+def _columns(elements, t, rescale: bool):
+    """v = U|0> and w = (dU/dh)|0> at the angles of elements =
+    _gram_elements(params, phi) (module docstring).
 
     t is a time or a column of times.  Returns the nonzero parts (Re v0,
-    Im v0, Im v1) and (Re w0, Im w0, Im w1); elements is
-    block_elements(params, phi), if already known.
+    Im v0, Im v1) and (Re w0, Im w0, Im w1).
     """
-    g, _, am, eps_sq = elements or block_elements(params, phi)
+    g, am, eps_sq = elements
     c0, c1, c2 = _c012(eps_sq * t * t, rescale)
     tc1 = t * c1
     b = (-g * np.float_power(t, 3.0)) * c2
     return (c0, tc1 * g, -(tc1 * am)), (-g * t * t * c1, b * -g + tc1, b * am)
 
 
-def _mode_values(params: ChainParams, elements, phi, t) -> np.ndarray:
+def _mode_values(elements, t) -> np.ndarray:
     """Per-mode QFI (the Gram form), one row per time in the column t.
 
-    elements is block_elements(params, phi).  Where a_minus = 0 the value is
+    elements is _gram_elements(params, phi).  Where a_minus = 0 the value is
     exactly 0: |0> is then an eigenvector of the block, and the Gram form
     would only leave round-off of either sign.
     """
-    (vr, vi, vi1), (wr, wi, wi1) = _columns(params, phi, t, True, elements)
-    am = elements[2]
+    (vr, vi, vi1), (wr, wi, wi1) = _columns(elements, t, True)
+    am = elements[1]
     # np.vdot as zdotc sums it, fma(x1, y1, x0 * y0) per component;
     # the terms in Re v1 = Re w1 = 0 are exact and drop out
     sv, sw = _split(vi1), _split(wi1)
@@ -208,36 +214,39 @@ def _qfi_totals(params: ChainParams, times) -> list:
     """Total dynamical QFI at each time, or the IkseaError raised there.
 
     block_elements runs once, the Gram form on row blocks of about _BLOCK
-    (time, mode) pairs and exact_sum once per row.  A time that fails
-    leaves the other rows unchanged.
+    (time, mode) pairs and exact_sum once per row; the series holds only
+    the three element rows the Gram form reads.  A time that fails leaves
+    the other rows unchanged.
     """
     times = np.asarray(times, dtype=float).ravel()
     if not np.isfinite(times).all():
         raise ParameterError(f"times must be finite, got {times.tolist()!r}")
-    phi = momentum_grid(params.n_sites)
-    elements = block_elements(params, phi)
+    n = params.n_sites
+    elements = _gram_elements(params, momentum_grid(n))
     # z = eps_sq t t is monotone in eps_sq
-    lo, hi = float(elements[3].min()), float(elements[3].max())
+    lo, hi = float(elements[2].min()), float(elements[2].max())
     out = [_overflow(lo * t * t, hi * t * t) for t in times.tolist()]
     todo = [i for i, err in enumerate(out) if err is None]
-    step = max(1, _BLOCK // phi.size)
+    step = max(1, _BLOCK // elements[0].size)
     for k in range(0, len(todo), step):
         rows = todo[k:k + step]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            vals = _mode_values(params, elements, phi, times[rows, None])
+            vals = _mode_values(elements, times[rows, None])
         for i, row in zip(rows, vals):
             bad = ~np.isfinite(row) | (row < _CLAMP_FLOOR)
             j, t = int(np.argmax(bad)), times[i]
             if not bad[j]:
                 out[i] = exact_sum(np.where(row < 0.0, 0.0, row))
-            elif not math.isfinite(row[j]):
+                continue
+            phi = _angles(n, j, j + 1)[0]       # momentum_grid(n)[j], same bits
+            if not math.isfinite(row[j]):
                 out[i] = EvolutionOverflowError(
                     f"per-mode dynamical QFI overflowed double precision at "
-                    f"phi={phi[j]:.12g}, t={t:g}")
+                    f"phi={phi:.12g}, t={t:g}")
             else:
                 out[i] = NumericalConsistencyError(
                     f"per-mode dynamical QFI {row[j]:.6e} < {_CLAMP_FLOOR:g} at "
-                    f"phi={phi[j]:.12g}, t={t:g}: beyond round-off, indicates a bug")
+                    f"phi={phi:.12g}, t={t:g}: beyond round-off, indicates a bug")
     return out
 
 

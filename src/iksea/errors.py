@@ -10,11 +10,13 @@ class IkseaError(Exception):
 
 
 class ParameterError(IkseaError, ValueError):
-    """Model parameters outside their admissible domain (N odd, gamma < 0, ...)."""
+    """Model parameters outside their admissible domain (N odd, gamma < 0, a
+    size beyond the dense oracle, ...)."""
 
 
 class DomainError(IkseaError, ValueError):
-    """An operation was requested outside its mathematical domain."""
+    """An operation was requested outside its mathematical domain (an
+    asymptotic form outside its window, a fit with too few points, ...)."""
 
 
 class ExceptionalModeError(IkseaError):
@@ -43,20 +45,8 @@ class EvolutionOverflowError(IkseaError, OverflowError):
     """Requested evolution time would overflow double precision (cosh/sinh blowup)."""
 
 
-class CapacityError(IkseaError, ValueError):
-    """Dense-oracle request beyond the supported system size."""
-
-
 class LevelCrossingError(IkseaError):
     """Finite-difference stencil straddles a level crossing; derivative meaningless."""
-
-
-class OutOfWindowError(IkseaError, ValueError):
-    """An asymptotic prediction was requested outside its validity window."""
-
-
-class InsufficientDataError(IkseaError, ValueError):
-    """Too few points inside the fit window."""
 
 
 class NumericalConsistencyError(IkseaError):

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, ExceptionalModeError, NearSingularWarning, ParameterError,
-                     OutOfWindowError)
+from .errors import DomainError, ExceptionalModeError, NearSingularWarning, ParameterError
 from .model import (ChainParams, _angles, _couplings, _elements, _exact_add, _exact_round,
                     exact_sum, exceptional_field, exceptional_tolerance, zero_crossings)
 
@@ -183,7 +182,7 @@ def asymptotic_qfi(params: ChainParams, regime: str) -> float:
     theta = pi - phi = pi/N.  It holds while theta >> theta* =
     2 sqrt(|K^2 - gamma^2|), where eps_sq = theta^4/4 + (K^2 - gamma^2)
     theta^2 changes form: with y = (theta*/theta)^2 the mode is off by the
-    factor 4 / ((1 + y)(1 + sqrt(1 + y))^2).  OutOfWindowError is raised
+    factor 4 / ((1 + y)(1 + sqrt(1 + y))^2).  DomainError is raised
     unless pi/N > 10 theta* (y < 0.01, so that factor is within 1.5% of 1).
     """
     n = params.n_sites
@@ -214,7 +213,7 @@ def asymptotic_qfi(params: ChainParams, regime: str) -> float:
         kappa = abs(k - gam)
         theta_star = 2.0 * math.sqrt(abs(k * k - gam * gam))
         if not np.pi / n > 10.0 * theta_star:
-            raise OutOfWindowError(
+            raise DomainError(
                 f"near-degenerate window requires pi/N > 10*theta* with "
                 f"theta* = 2 sqrt(|K^2 - gamma^2|): pi/N = {np.pi / n:.6g}, "
                 f"10*theta* = {10 * theta_star:.6g}")

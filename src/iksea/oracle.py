@@ -30,8 +30,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .errors import (CalibrationError, CapacityError, ExceptionalModeError, LevelCrossingError,
-                     ParameterError)
+from .errors import CalibrationError, ExceptionalModeError, LevelCrossingError, ParameterError
 from .dynamics import dynamical_qfi
 from .ground import ground_qfi
 from .model import ChainParams, block_elements, dispersion, momentum_grid
@@ -53,7 +52,7 @@ def _hamiltonian(params: ChainParams, scale: float, even: bool):
     which the two-spin flips of every bond map into itself."""
     n = params.n_sites
     if n > DENSE_CAP:
-        raise CapacityError(f"dense oracle supports n_sites <= {DENSE_CAP}, got {n}")
+        raise ParameterError(f"dense oracle supports n_sites <= {DENSE_CAP}, got {n}")
     a = even_sector_indices(n) if even else np.arange(1 << n)
     dim = a.size
     pos = np.empty(1 << n, dtype=np.intp)     # row of each basis state
@@ -351,11 +350,9 @@ def _central_fd(state, points, delta: float, each=map) -> list:
     return [_fd_qfi_from_states(*s[i:i + 3], delta) for i in range(0, len(s), 3)]
 
 
-def fd_qfi_ground(params: ChainParams, delta: float = 1e-5,
-                  scale: float = 1.0) -> float:
+def fd_qfi_ground(params: ChainParams, delta: float = 1e-5) -> float:
     """Dense-oracle ground-state QFI by central finite differences in h."""
-    return _central_fd(lambda p: spectral_ground_state(p, scale=scale)[0],
-                       [params], delta, _map)[0]
+    return _central_fd(lambda p: spectral_ground_state(p)[0], [params], delta, _map)[0]
 
 
 def _evolved_dense_state(params: ChainParams, t: float,
@@ -374,7 +371,7 @@ def dense_evolution_qfi(params: ChainParams, t: float,
     Hamiltonian; an evolution that overflows (a large corrupt) gives a quiet NaN.
     """
     if params.n_sites > EVOLUTION_CAP:
-        raise CapacityError(
+        raise ParameterError(
             f"dense evolution supports n_sites <= {EVOLUTION_CAP}, got {params.n_sites}")
     with np.errstate(over="ignore", invalid="ignore"):
         return _central_fd(lambda p: _evolved_dense_state(p, t, corrupt),

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, IkseaError, InsufficientDataError, ParameterError
+from .errors import DomainError, IkseaError, ParameterError
 from .ground import ground_qfi
 from .model import ChainParams, classify_phase, exceptional_field
 from .runner import run_grid
@@ -97,8 +97,8 @@ def _fixed_point(values: np.ndarray):
 def power_law_fit(xs, ys, window: Optional[Tuple[float, float]] = None) -> ScalingFit:
     """OLS fit of ln y against ln x, optionally restricted to xs in [lo, hi].
 
-    Raises DomainError on nonpositive data and InsufficientDataError when
-    fewer than 3 distinct ln x survive the window filter.
+    Raises DomainError on nonpositive data and when fewer than 3 distinct
+    ln x survive the window filter.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -116,7 +116,7 @@ def power_law_fit(xs, ys, window: Optional[Tuple[float, float]] = None) -> Scali
         lo, hi = (float(xs.min()), float(xs.max())) if xs.size else (np.nan, np.nan)
     lx, ly = np.log(xs), np.log(ys)
     if len(set(lx.tolist())) < 3:   # distinct ln x: the values fitted
-        raise InsufficientDataError(
+        raise DomainError(
             f"need at least 3 points inside the fit window, got {xs.size}"
             + (" (fewer than 3 distinct xs)" if xs.size >= 3 else ""))
     # n^2 times the centred sums, exact: kx = lx * ux and ky = ly * uy

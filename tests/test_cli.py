@@ -393,6 +393,32 @@ def test_dyn_qfi_overflowing_oscillating_time_is_skipped(tmp_path):
     assert manifest["tasks"][1]["detail"].startswith("overflow: ")
 
 
+def test_dyn_qfi_failed_time_is_compute_error(tmp_path, capsys, monkeypatch):
+    # a per-mode value below the clamp floor at t = 1 fails that time only:
+    # exit 3, no CSV, its task is the one "error" and stderr names it
+    import iksea.dynamics as dyn
+    inner = dyn._mode_values
+
+    def corrupt(elements, t):
+        vals = inner(elements, t)
+        vals[t[:, 0] == 1.0, 1] = -1e-6
+        return vals
+
+    monkeypatch.setattr(dyn, "_mode_values", corrupt)
+    cfg_path = write_cfg(tmp_path / "run.cfg", DYN_CFG)
+    out = tmp_path / "out"
+    assert main(["dyn-qfi", "--config", cfg_path, "--out", str(out)]) == 3
+    assert os.listdir(out) == ["dyn_qfi_manifest.json"]
+    manifest = json.loads((out / "dyn_qfi_manifest.json").read_text())
+    assert [(t["name"], t["status"]) for t in manifest["tasks"]] == [
+        ("dyn_qfi t=0", "ok"), ("dyn_qfi t=1", "error"), ("dyn_qfi t=2", "ok")]
+    detail = manifest["tasks"][1]["detail"]
+    phi = momentum_grid(6)[1]
+    assert detail == (f"per-mode dynamical QFI -1.000000e-06 < -1e-10 at "
+                      f"phi={phi:.12g}, t=1: beyond round-off, indicates a bug")
+    assert capsys.readouterr().err == f"compute error: dyn_qfi t=1: {detail}\n"
+
+
 @pytest.mark.parametrize("bad", ["inf", "nan", "-inf"])
 def test_dyn_qfi_non_finite_time_is_config_error(tmp_path, capsys, bad):
     cfg_path = write_cfg(tmp_path / "run.cfg", DYN_CFG.replace(
@@ -529,6 +555,22 @@ n_values = 128 256 512
     assert fits["phase_change"] is True
     assert fits["anchor"] == "h_e"
     np.testing.assert_allclose(fits["anchor_value"], 1.1, rtol=1e-12)
+
+
+def test_sweep_dh_reads_no_model_h(tmp_path, capsys):
+    # every point sets its own h = anchor + dh: without [model] h the run
+    # exits 0 (it was "config error: missing [model] h") with the same bytes
+    body = "[run]\ncommand = sweep\n\n[model]\n{h}gamma = 0.5\nk_ksea = 0.2\n" \
+           "n_sites = 128\n\n[sweep]\nvariable = dh\nanchor = h_e\n" \
+           "dh_values = 0.3 -0.3\nn_values = 128 256 512\n"
+    outs = []
+    for i, h in enumerate(("h = 1.0\n", "")):
+        cfg_path = write_cfg(tmp_path / f"run{i}.cfg", body.format(h=h))
+        outs.append(tmp_path / f"out{i}")
+        assert main(["sweep", "--config", cfg_path, "--out", str(outs[-1])]) == 0
+    assert capsys.readouterr().err == ""
+    for name in ("sweep.csv", "sweep_fits.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_sweep_kappa_window_flags(tmp_path):

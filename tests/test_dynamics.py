@@ -16,7 +16,7 @@ from iksea.dynamics import (
     dynamical_qfi,
     qfi_time_series,
 )
-from iksea.errors import EvolutionOverflowError, ParameterError
+from iksea.errors import EvolutionOverflowError, NumericalConsistencyError, ParameterError
 from iksea.model import (
     EXACT_SUM_CUTOVER,
     ChainParams,
@@ -141,13 +141,14 @@ def test_hermitian_limit_preserves_norm():
 
 
 def test_norm_factor_inverts_raw_norm_on_broken_branch():
-    from iksea.dynamics import _columns
+    from iksea.dynamics import _columns, _gram_elements
     phi = _broken_phi(BROKEN)
     v = block_propagator(BROKEN, phi, 12.0)[:, 0]
     raw_norm = np.linalg.norm(v)
     assert raw_norm > 1.0   # broken modes amplify the vacuum component
     # the kernel's U|0> = (v0r + i v0i, i v1i) has the same raw norm
-    (vr, vi, vi1), _ = _columns(BROKEN, np.array([phi]), 12.0, rescale=False)
+    (vr, vi, vi1), _ = _columns(_gram_elements(BROKEN, np.array([phi])), 12.0,
+                                rescale=False)
     np.testing.assert_allclose(
         np.sqrt(vr[0] ** 2 + vi[0] ** 2 + vi1[0] ** 2), raw_norm, rtol=1e-14)
     norm_factor = 1.0 / raw_norm
@@ -512,9 +513,9 @@ def test_series_rows_equal_one_unblocked_whole_grid_pass(modes):
     # so a blocking change (offsets, row counts) cannot hide behind it
     p = ChainParams(h=0.5, gamma=0.5, k_ksea=0.2, n_sites=2 * modes)
     times = np.array([1e-6, 0.3, 7.0, 900.0])     # 1e-6: round-off below 0
-    phi = momentum_grid(p.n_sites)
+    g, _, am, eps_sq = block_elements(p, momentum_grid(p.n_sites))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        whole = _mode_values(p, block_elements(p, phi), phi, times[:, None])
+        whole = _mode_values((g, am, eps_sq), times[:, None])
     assert (whole < 0.0).any() and (whole >= _CLAMP_FLOOR).all()
     want = [exact_sum(np.where(row < 0.0, 0.0, row)) for row in whole]
     got = _qfi_totals(p, times)
@@ -615,6 +616,61 @@ def test_series_evaluates_block_elements_once(monkeypatch):
     times = np.geomspace(0.1, 1500.0, 40)
     assert qfi_time_series(p, times).shape == (40,)
     assert calls == [512]
+
+
+def _spy_mode_values(monkeypatch, edit=lambda t, vals: None):
+    """Patch dynamics._mode_values to call edit(t, vals) on each block it
+    returns; the returned list gets the traced memory at each entry."""
+    import iksea.dynamics as dyn
+    seen, inner = [], dyn._mode_values
+
+    def spy(elements, t):
+        seen.append(tracemalloc.get_traced_memory()[0])
+        vals = inner(elements, t)
+        edit(t[:, 0], vals)
+        return vals
+
+    monkeypatch.setattr(dyn, "_mode_values", spy)
+    return seen
+
+
+def test_series_holds_only_the_rows_the_gram_form_reads(monkeypatch):
+    # g, a_minus and eps_sq are the kernel's inputs: a_plus and the angle
+    # grid (5 rows in all) are not held while it runs
+    p = ChainParams(h=0.5, gamma=0.5, k_ksea=0.2, n_sites=2 ** 18)
+    row = p.n_sites // 2 * 8
+    seen = _spy_mode_values(monkeypatch)
+    tracemalloc.start()
+    try:
+        qfi_time_series(p, [3.0])
+    finally:
+        tracemalloc.stop()
+    assert len(seen) == 1 and seen[0] <= 3.5 * row, seen[0] / row
+
+
+def test_row_below_the_clamp_floor_fails_only_its_time(monkeypatch):
+    # a per-mode value below _CLAMP_FLOOR is no round-off: that time's
+    # error names the mode's angle, and every other time keeps its bits
+    p = ChainParams(h=0.7, gamma=0.6, k_ksea=0.25, n_sites=1000)
+    times = np.geomspace(0.05, 900.0, 11)
+    want = qfi_time_series(p, times)
+    j, t_bad = 317, times[4]
+
+    def corrupt(t, vals):
+        vals[t == t_bad, j] = -2.5e-9
+
+    _spy_mode_values(monkeypatch, corrupt)
+    got = _qfi_totals(p, times)
+    phi = momentum_grid(p.n_sites)[j]
+    assert isinstance(got[4], NumericalConsistencyError)
+    assert str(got[4]) == (f"per-mode dynamical QFI -2.500000e-09 < -1e-10 at "
+                           f"phi={phi:.12g}, t={t_bad:g}: beyond round-off, "
+                           f"indicates a bug")
+    rest = np.delete(np.arange(times.size), 4)
+    assert np.array([got[i] for i in rest]).view(np.int64).tolist() == \
+        want[rest].view(np.int64).tolist()
+    with pytest.raises(NumericalConsistencyError, match=re.escape(str(got[4]))):
+        qfi_time_series(p, times)
 
 
 def test_series_working_set_is_a_few_row_blocks():

@@ -14,7 +14,6 @@ from iksea.errors import (
     DomainError,
     ExceptionalModeError,
     NearSingularWarning,
-    OutOfWindowError,
     ParameterError,
 )
 from iksea.ground import asymptotic_qfi, ground_qfi, ground_qfi_values
@@ -22,6 +21,7 @@ from iksea.model import (
     EXACT_SUM_CUTOVER,
     ChainParams,
     block_elements,
+    exceptional_field,
     exceptional_tolerance,
     momentum_grid,
     zero_crossings,
@@ -347,10 +347,11 @@ def test_asymptotic_qfi_domain_errors():
     assert exc_info.value.mode_index == 377
     with pytest.raises(ExceptionalModeError):
         ground_qfi(p_on)
-    with pytest.raises(OutOfWindowError):
+    window = r"near-degenerate window requires pi/N > 10\*theta\*"
+    with pytest.raises(DomainError, match=window):
         asymptotic_qfi(ChainParams(h=1.0, gamma=0.5, k_ksea=0.51, n_sites=4096),
                        "near_degenerate")     # pi/N << 10 theta*
-    with pytest.raises(OutOfWindowError):
+    with pytest.raises(DomainError, match=window):
         # pi/N > 10 kappa holds, yet at theta = pi/N the mode is 2% below
         # the leading term: pi/N = 0.0157 < 10 theta* = 0.02
         asymptotic_qfi(ChainParams(h=1.0, gamma=0.5, k_ksea=0.5 + 1e-6,
@@ -744,3 +745,26 @@ def test_near_degenerate_total_approaches_its_lattice_sum(n):
     assert 0.9999 < ratio < 1.0
     gap = 0.607 * kappa * n * n + n ** -4.0
     assert abs((1.0 - ratio) - gap) < 0.01 * gap
+
+
+@pytest.mark.parametrize("n, x_want", [(1024, 0.7997), (1082, 0.0475), (2048, 0.5995),
+                                       (4096, 0.1990), (8192, 0.6020), (16384, 0.2041)])
+def test_exceptional_total_approaches_its_lattice_sum(n, x_want):
+    # h = h_e, gamma > K: the leading per-mode law 1/(gamma delta)^2 at the
+    # distances delta = (x + 2j) pi/N and (2 - x + 2j) pi/N from omega_c
+    # sums to N^2 / (4 gamma^2 sin^2(pi x / 2)).  The ratio is 0.9814 (N =
+    # 1024, x = 0.80) to 0.99988 (N = 1082, x = 0.05) here, and the gap
+    # N (1 - ratio) stays below 3.7 x ln N (at most 3.68 x ln N over 82
+    # sizes from 1000 to 2^18).  Above that the ratio passes 1 at small x
+    # (1.0001 at N = 393216, x = 0.10; 1.004 at N = 2^20, x = 0.061, where
+    # one ulp of h moves it by 1.2 %), so the law is pinned at N <= 16384.
+    p = ChainParams(h=1.0, gamma=0.6, k_ksea=0.3, n_sites=n)
+    p = p.replace(h=exceptional_field(p))
+    (omega_c,) = zero_crossings(p)
+    s = omega_c * n / math.pi
+    x = abs(s - (2 * round((s + 1.0) / 2.0) - 1))      # as asymptotic_qfi's
+    assert abs(x - x_want) < 1e-4
+    law = n * n / (4 * p.gamma ** 2 * math.sin(math.pi * x / 2) ** 2)
+    ratio = ground_qfi(p).total / law
+    assert ratio < 1.0
+    assert n * (1.0 - ratio) < 3.7 * x * math.log(n)

@@ -17,8 +17,7 @@ from scipy.optimize import linear_sum_assignment
 import iksea
 import iksea.oracle
 from iksea.dynamics import dynamical_qfi
-from iksea.errors import (CapacityError, ExceptionalModeError, LevelCrossingError,
-                          ParameterError)
+from iksea.errors import ExceptionalModeError, LevelCrossingError, ParameterError
 from iksea.ground import ground_qfi
 from iksea.model import ChainParams
 from iksea.oracle import (
@@ -222,11 +221,12 @@ def test_spectral_decomposition_rejects_a_singular_eigenbasis(monkeypatch):
 
 
 def test_capacity_errors():
-    with pytest.raises(CapacityError):
+    with pytest.raises(ParameterError, match="dense oracle supports n_sites <= 14, got 16"):
         dense_hamiltonian(ChainParams(h=1.0, gamma=0.3, k_ksea=0.4, n_sites=16))
-    with pytest.raises(CapacityError):
+    with pytest.raises(ParameterError, match="dense oracle supports n_sites <= 14, got 16"):
         sector_hamiltonian(ChainParams(h=1.0, gamma=0.3, k_ksea=0.4, n_sites=16))
-    with pytest.raises(CapacityError):
+    with pytest.raises(ParameterError,
+                       match="dense evolution supports n_sites <= 12, got 14"):
         dense_evolution_qfi(ChainParams(h=1.0, gamma=0.3, k_ksea=0.4,
                                         n_sites=14), 1.0)
 

@@ -42,11 +42,11 @@ PUBLIC = {
 #: iksea.__all__ is every public name bound in the package, except the
 #: submodules its imports load
 PACKAGE = sorted([
-    "CalibrationError", "CapacityError", "ChainParams",
+    "CalibrationError", "ChainParams",
     "ConfigError", "DomainError", "EvolutionOverflowError",
-    "ExceptionalModeError", "IkseaError", "InsufficientDataError",
+    "ExceptionalModeError", "IkseaError",
     "LevelCrossingError", "NearSingularWarning", "NumericalConsistencyError",
-    "OutOfWindowError", "ParameterError", "PhaseInfo", "QfiRecord",
+    "ParameterError", "PhaseInfo", "QfiRecord",
     "RunConfig", "ScalingFit", "SweepResult", "asymptotic_qfi",
     "block_elements", "classify_phase", "dispersion",
     "dynamical_qfi", "exceptional_field", "exponent_vs_offset", "ground_qfi",
@@ -60,7 +60,8 @@ PACKAGE = sorted([
 #: signatures of the functions whose options were removed or changed (the
 #: dynamics kernel's fd derivative and fd_step, kappa_sweep's enforce_window,
 #: the oracle's sampler floors, finite-difference steps and forced
-#: recalibration; size_exponent's fit window, which the sweep CLI passes)
+#: recalibration and energy scale; size_exponent's fit window, which the
+#: sweep CLI passes)
 SIGNATURES = {
     ("iksea.dynamics", "dynamical_qfi"): "(params: 'ChainParams', t: 'float') -> 'float'",
     ("iksea.dynamics", "qfi_time_series"):
@@ -77,6 +78,8 @@ SIGNATURES = {
     ("iksea.oracle", "dense_evolution_qfi"):
         "(params: 'ChainParams', t: 'float', corrupt: 'float' = 1.0) -> 'float'",
     ("iksea.oracle", "calibrate_energy_scale"): "() -> 'Tuple[float, float]'",
+    ("iksea.oracle", "fd_qfi_ground"):
+        "(params: 'ChainParams', delta: 'float' = 1e-05) -> 'float'",
 }
 
 

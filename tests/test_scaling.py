@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from iksea.errors import (
     DomainError,
     ExceptionalModeError,
-    InsufficientDataError,
     ParameterError,
 )
 from iksea.dynamics import qfi_time_series
@@ -90,12 +89,13 @@ def test_fit_rejects_bad_inputs():
         power_law_fit(xs, np.full(5, np.nan))
     with pytest.raises(ParameterError):
         power_law_fit(xs, np.ones(4))
-    with pytest.raises(InsufficientDataError):
+    few = "need at least 3 points inside the fit window"
+    with pytest.raises(DomainError, match=few + ", got 2$"):
         power_law_fit(xs[:2], xs[:2] ** 2)
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(DomainError, match=few + ", got 1$"):
         power_law_fit(xs, xs ** 2, window=(90.0, 110.0))
     # repeated xs leave the slope undetermined
-    with pytest.raises(InsufficientDataError, match="fewer than 3 distinct xs"):
+    with pytest.raises(DomainError, match=few + r", got 4 \(fewer than 3 distinct xs\)"):
         power_law_fit([64.0, 64.0, 64.0, 128.0], [1.0, 2.0, 3.0, 4.0])
 
 
@@ -105,7 +105,8 @@ def test_fit_counts_distinct_logs_not_distinct_xs():
     xs = [1e10, math.nextafter(1e10, 2e10)]
     xs.append(math.nextafter(xs[1], 2e10))
     assert len(set(xs)) == 3 and len(set(np.log(xs).tolist())) == 1
-    with pytest.raises(InsufficientDataError, match=r"got 3 \(fewer than 3 distinct xs\)"):
+    with pytest.raises(DomainError, match=r"at least 3 points inside the fit window, "
+                       r"got 3 \(fewer than 3 distinct xs\)"):
         power_law_fit(xs, [1.0, 2.0, 3.0])
 
 
